@@ -26,7 +26,6 @@ import (
 	"serretime/internal/graph"
 	"serretime/internal/retime"
 	"serretime/internal/ser"
-	"serretime/internal/solverstate"
 	"serretime/internal/telemetry"
 )
 
@@ -376,150 +375,6 @@ func BenchmarkAblation_SignatureWidth(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				d.gateObs = nil // force recomputation
 				if err := d.ensureObs(AnalysisOptions{SignatureWords: words}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// prepareLoaded is prepare for a checked-in testdata netlist.
-func prepareLoaded(b *testing.B, path string) *preparedProblem {
-	b.Helper()
-	prepMu.Lock()
-	defer prepMu.Unlock()
-	if p, ok := preps[path]; ok {
-		return p
-	}
-	d, err := Load(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := d.ensureObs(AnalysisOptions{}); err != nil {
-		b.Fatal(err)
-	}
-	init, err := retime.Initialize(d.g, retime.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	base, err := d.g.Rebase(init.R)
-	if err != nil {
-		b.Fatal(err)
-	}
-	gains, obsI, err := core.Gains(base, d.gateObs, d.edgeObs, 256)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := &preparedProblem{d: d, base: base, init: init, gains: gains, obsI: obsI}
-	preps[path] = p
-	return p
-}
-
-// BenchmarkSolverLoop_LabelMode is the before/after comparison of the
-// incremental-state refactor: the MinObsWin solver loop with dirty-region
-// label patching (the default) against the pre-refactor full recompute
-// per tentative move (FullLabelRecompute), on the largest testdata
-// circuit and two Table I circuits. Results are recorded in
-// EXPERIMENTS.md.
-func BenchmarkSolverLoop_LabelMode(b *testing.B) {
-	probs := []struct {
-		name string
-		p    *preparedProblem
-	}{
-		{"pipeline4", prepareLoaded(b, "testdata/pipeline4.bench")},
-		{"s13207_div4", prepare(b, "s13207", 4)},
-		{"b17_opt_div8", prepare(b, "b17_opt", 8)},
-	}
-	for _, pr := range probs {
-		for _, mode := range []struct {
-			name   string
-			full   bool
-			single bool
-		}{
-			// Batched repairs (the default loop) and the verbatim
-			// Algorithm 1 single-violation loop, which requests labels
-			// once per repair and so leans hardest on the label machinery.
-			{"incremental", false, false},
-			{"full-recompute", true, false},
-			{"single/incremental", false, true},
-			{"single/full-recompute", true, true},
-		} {
-			b.Run(pr.name+"/"+mode.name, func(b *testing.B) {
-				opt := coreOpts(pr.p, true)
-				opt.SeedLabels = pr.p.init.Labels
-				opt.FullLabelRecompute = mode.full
-				opt.SingleViolation = mode.single
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := core.Minimize(pr.p.base, pr.p.gains, pr.p.obsI, opt); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkLabelPatch microbenchmarks one transactional label update —
-// Begin, dirty-region patch, Rollback — against the full-sweep oracle on
-// the same move, isolating the per-move saving the solver-loop numbers
-// aggregate.
-func BenchmarkLabelPatch(b *testing.B) {
-	for _, c := range []struct {
-		name  string
-		scale int
-	}{{"s13207", 4}, {"b17_opt", 8}} {
-		p := prepare(b, c.name, c.scale)
-		params := elw.Params{Phi: p.init.Phi, Ts: 0, Th: 2}
-		r0 := graph.NewRetiming(p.base)
-		seedLab, err := elw.ComputeLabels(p.base, r0, params)
-		if err != nil {
-			b.Fatal(err)
-		}
-		newState := func(b *testing.B, col telemetry.Recorder) *solverstate.State {
-			st, err := solverstate.New(p.base, r0, solverstate.Config{
-				Params: params, ObsInt: p.obsI, SeedLabels: seedLab, Recorder: col,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			return st
-		}
-		// Find a single-vertex move that takes the patch path.
-		col := telemetry.NewCollector()
-		probe := newState(b, col)
-		move := int32(-1)
-		for v := int32(1); v < int32(p.base.NumVertices()); v++ {
-			before := col.Stats().Counter(telemetry.CounterLabelPatches)
-			probe.Begin([]int32{v}, func(int32) int32 { return 1 })
-			if _, err := probe.Labels(); err != nil {
-				b.Fatal(err)
-			}
-			patched := col.Stats().Counter(telemetry.CounterLabelPatches) > before
-			probe.Rollback()
-			if patched {
-				move = v
-				break
-			}
-		}
-		if move < 0 {
-			b.Fatalf("%s: no single-vertex move patches", c.name)
-		}
-		st := newState(b, nil)
-		b.Run(fmt.Sprintf("%s_div%d/patch", c.name, c.scale), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				st.Begin([]int32{move}, func(int32) int32 { return 1 })
-				if _, err := st.Labels(); err != nil {
-					b.Fatal(err)
-				}
-				st.Rollback()
-			}
-		})
-		b.Run(fmt.Sprintf("%s_div%d/oracle", c.name, c.scale), func(b *testing.B) {
-			r := r0.Clone()
-			r[move]--
-			for i := 0; i < b.N; i++ {
-				if _, err := elw.ComputeLabels(p.base, r, params); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -20,21 +20,16 @@
 // Observability: -trace streams every solver phase span and counter as
 // JSONL (one run label per circuit; read back with seranalyze -trace),
 // -metrics adds a per-row phase-breakdown column from an in-memory
-// collector — including the optimizer's incremental-hit ratio inc=P/T
-// (P label patches out of T label updates; T−P were full recomputes) and,
-// with -workers > 1, the sharded analyses' pool utilization util=U% w=K —
-// and -cpuprofile/-memprofile write standard runtime/pprof profiles of
-// the sweep. -checklabels cross-checks every incremental label patch
-// against the full elw.ComputeLabels oracle; a divergence fails the row
-// (and the sweep exits non-zero) even when the degradation chain found a
-// weaker-tier answer, because a mismatch proves a solver-state bug.
+// collector — with -workers > 1 including the sharded analyses' pool
+// utilization util=U% w=K — and -cpuprofile/-memprofile write standard
+// runtime/pprof profiles of the sweep.
 //
 // Usage:
 //
 //	serbench [-scale auto|N] [-circuits name,name,...] [-in files] [-parallel N]
 //	         [-workers N] [-frames N] [-words N] [-engine closure|forest] [-verify]
 //	         [-timeout D] [-retries N] [-stallsteps N] [-faultinject names]
-//	         [-trace out.jsonl] [-metrics] [-checklabels]
+//	         [-trace out.jsonl] [-metrics]
 //	         [-cpuprofile f] [-memprofile f]
 //
 // ECO mode (-eco netlist.bench) replaces the sweep with a warm-session
@@ -62,7 +57,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -78,7 +72,6 @@ import (
 	"serretime"
 	"serretime/internal/gen"
 	"serretime/internal/guard"
-	"serretime/internal/solverstate"
 	"serretime/internal/telemetry"
 )
 
@@ -128,7 +121,6 @@ type config struct {
 	faultInject string
 	tracePath   string
 	metrics     bool
-	checkLabels bool
 	cpuProfile  string
 	memProfile  string
 
@@ -185,7 +177,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&cfg.faultInject, "faultinject", "", "comma-separated circuit names whose runs are fault-injected (testing)")
 	fs.StringVar(&cfg.tracePath, "trace", "", "write a JSONL telemetry trace of every run (read with seranalyze -trace); with -serve, collect every job's span tree as JSONL trace docs (read with seranalyze -tracedir)")
 	fs.BoolVar(&cfg.metrics, "metrics", false, "collect per-circuit phase metrics and add a phase-breakdown column")
-	fs.BoolVar(&cfg.checkLabels, "checklabels", false, "cross-check every incremental label patch against the full-recompute oracle; mismatches fail the row")
 	fs.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a CPU profile of the sweep")
 	fs.StringVar(&cfg.memProfile, "memprofile", "", "write a heap profile at the end of the sweep")
 	fs.StringVar(&cfg.serveURL, "serve", "", "load-generator client mode: hammer a running serretimed at this base URL instead of solving in-process")
@@ -364,14 +355,6 @@ func runOne(j job, cfg config, eng serretime.EngineKind, tw *telemetry.JSONLWrit
 		if col != nil {
 			s := col.Stats()
 			r.phases = s.PhaseBreakdown(3)
-			// Incremental-hit ratio of the solver state: patched label
-			// updates out of all label updates (the rest were full
-			// recomputes — seed misses and fallbacks).
-			patched := s.Counter(telemetry.CounterLabelPatches)
-			total := patched + s.Counter(telemetry.CounterLabelFulls)
-			if total > 0 {
-				r.phases += fmt.Sprintf(" inc=%d/%d", patched, total)
-			}
 			// Worker-pool utilization of the sharded analyses: busy time
 			// summed over workers against wall time scaled by the pool
 			// width. Absent when every pool ran inline (-workers 1).
@@ -401,14 +384,13 @@ func runOne(j job, cfg config, eng serretime.EngineKind, tw *telemetry.JSONLWrit
 	}
 	ropt := serretime.RobustOptions{
 		RetimeOptions: serretime.RetimeOptions{
-			Algorithm:   serretime.MinObs,
-			Analysis:    serretime.AnalysisOptions{Accuracy: cfg.acc, Frames: cfg.frames, SignatureWords: cfg.words},
-			Engine:      eng,
-			Verify:      cfg.verify,
-			StallSteps:  cfg.stallSteps,
-			CheckLabels: cfg.checkLabels,
-			Recorder:    rec,
-			Workers:     cfg.workers,
+			Algorithm:  serretime.MinObs,
+			Analysis:   serretime.AnalysisOptions{Accuracy: cfg.acc, Frames: cfg.frames, SignatureWords: cfg.words},
+			Engine:     eng,
+			Verify:     cfg.verify,
+			StallSteps: cfg.stallSteps,
+			Recorder:   rec,
+			Workers:    cfg.workers,
 		},
 		Timeout: cfg.timeout,
 		Retries: cfg.retries,
@@ -417,10 +399,6 @@ func runOne(j job, cfg config, eng serretime.EngineKind, tw *telemetry.JSONLWrit
 	refRes, err := d.RetimeRobust(ctx, ropt)
 	r.refTime = time.Since(start)
 	if err != nil {
-		r.err = err
-		return r
-	}
-	if err := labelMismatch(refRes.Attempts); err != nil {
 		r.err = err
 		return r
 	}
@@ -435,10 +413,6 @@ func runOne(j job, cfg config, eng serretime.EngineKind, tw *telemetry.JSONLWrit
 		r.err = err
 		return r
 	}
-	if err := labelMismatch(winRes.Attempts); err != nil {
-		r.err = err
-		return r
-	}
 	r.win, r.winTier = winRes.RetimeResult, winRes.Tier
 	r.degraded = r.degraded || winRes.Degraded
 
@@ -446,18 +420,6 @@ func runOne(j job, cfg config, eng serretime.EngineKind, tw *telemetry.JSONLWrit
 	r.shOK = r.win.SetupHoldOK
 	r.serOrig = r.win.Before.SER
 	return r
-}
-
-// labelMismatch surfaces an oracle cross-check failure buried in the
-// degradation chain: a mismatch proves a solver-state bug, so the row
-// must fail loudly even when a weaker tier produced an answer.
-func labelMismatch(attempts []serretime.Attempt) error {
-	for _, a := range attempts {
-		if a.Err != nil && errors.Is(a.Err, solverstate.ErrLabelMismatch) {
-			return a.Err
-		}
-	}
-	return nil
 }
 
 // synthesize produces the row's design: a scaled Table I synthetic, or a

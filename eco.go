@@ -4,14 +4,14 @@ package serretime
 // design, the Section V initialization memo, and the last committed
 // result alive between solves, so a small netlist delta re-solves
 // incrementally: the constraint engine is bulk-seeded with the P0
-// requirement closure (RetimeOptions.WarmStart), the init memo re-enters
+// requirement closure (RetimeOptions.warmStart), the init memo re-enters
 // the min-period searches for free when the structure is unchanged, and
-// the Design's observability cache survives option-only deltas. The
-// committed result of a delta solve is bit-identical to a from-scratch
-// RetimeRobust of the mutated netlist — WarmStart changes constraint
-// discovery cost, never the fixpoint — so the warm path needs no
-// cross-validation against the batch path (TestRetimeDeltaMatchesCold
-// asserts the identity; serbench -eco re-checks it on every delta).
+// the Design's observability cache survives option-only deltas. Seeding
+// does not guarantee the lazy cascade's fixpoint: on most netlists a
+// session answer is byte-identical to a from-scratch RetimeRobust of the
+// same netlist (TestRetimeDeltaMatchesCold, and serbench -eco on every
+// delta), but a MinObsWin solve can settle on a different legal retiming
+// (s15850.1 at the serve scale; TestSeededVsLazyTableI).
 
 import (
 	"context"
@@ -19,8 +19,11 @@ import (
 
 	"serretime/internal/circuit"
 	"serretime/internal/guard"
-	"serretime/internal/solverstate"
 )
+
+// sessionDirtyThreshold is the share of the gates a delta may touch and
+// still take the warm path; a larger delta falls back to a cold solve.
+const sessionDirtyThreshold = 0.5
 
 // DeltaOp is one netlist edit of an ECO delta. Ops apply in order; names
 // are net names, resolved against the session circuit as it stands when
@@ -146,12 +149,13 @@ type WarmState struct {
 	res  *RobustResult
 }
 
-// NewWarmState solves d from scratch (warm-started — same bytes, fewer
-// discovery steps) and wraps the results as session state.
+// NewWarmState solves d from scratch with seeded constraint discovery
+// (fewer discovery steps, usually the same bytes as RetimeRobust; see the
+// file comment) and wraps the results as session state.
 func NewWarmState(ctx context.Context, d *Design, opt RobustOptions) (*WarmState, error) {
 	w := &WarmState{memo: &initCache{}}
 	o := opt
-	o.RetimeOptions.WarmStart = true
+	o.RetimeOptions.warmStart = true
 	o.RetimeOptions.initMemo = w.memo
 	res, err := d.RetimeRobust(ctx, o)
 	if err != nil {
@@ -171,12 +175,11 @@ func (w *WarmState) Result() *RobustResult { return w.res }
 func (w *WarmState) Options() RobustOptions { return w.opts }
 
 // RetimeDelta applies ops to the warm netlist and re-solves under opt.
-// The warm path runs when the structural change stays under the
-// solverstate dirty threshold and the analysis options (which key the
+// The warm path runs when the structural change stays under
+// sessionDirtyThreshold and the analysis options (which key the
 // observability cache) are unchanged; otherwise the delta falls back to
-// a cold full solve — either way the answer is bit-identical to
-// RetimeRobust of the mutated netlist, and on success the warm state
-// advances to it.
+// a cold full solve, which is RetimeRobust of the mutated netlist. On
+// success the warm state advances to the answer.
 func (w *WarmState) RetimeDelta(ctx context.Context, ops []DeltaOp, opt RobustOptions) (*RobustResult, DeltaStats, error) {
 	stats := DeltaStats{Structural: len(ops) > 0, ChangedNodes: len(ops)}
 	if err := opt.validate("serretime.RetimeDelta"); err != nil {
@@ -199,14 +202,13 @@ func (w *WarmState) RetimeDelta(ctx context.Context, ops []DeltaOp, opt RobustOp
 		stats.DirtyFrac = float64(stats.ChangedNodes) / float64(gates)
 	}
 
-	threshold := solverstate.DefaultDirtyThreshold
 	switch {
 	case opt.Analysis.normalized() != w.opts.Analysis.normalized():
 		stats.FallbackReason = "analysis-options-changed"
 	case opt.RetimeOptions.Engine != EngineClosure:
 		stats.FallbackReason = "engine-not-closure"
-	case stats.DirtyFrac > threshold:
-		stats.FallbackReason = fmt.Sprintf("dirty-frac %.2f > %.2f", stats.DirtyFrac, threshold)
+	case stats.DirtyFrac > sessionDirtyThreshold:
+		stats.FallbackReason = fmt.Sprintf("dirty-frac %.2f > %.2f", stats.DirtyFrac, sessionDirtyThreshold)
 	default:
 		stats.Warm = true
 	}
@@ -217,7 +219,7 @@ func (w *WarmState) RetimeDelta(ctx context.Context, ops []DeltaOp, opt RobustOp
 		memo = &initCache{}
 	}
 	o := opt
-	o.RetimeOptions.WarmStart = stats.Warm
+	o.RetimeOptions.warmStart = stats.Warm
 	o.RetimeOptions.initMemo = memo
 	res, err := d.RetimeRobust(ctx, o)
 	if err != nil {

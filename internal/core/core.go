@@ -104,22 +104,12 @@ type Options struct {
 	// run).
 	StallSteps int
 	// SeedLabels primes the solver state with the L/R labels of the
-	// starting retiming (the Section V initialization computes exactly
-	// these when selecting Rmin), letting the first tentative move patch
-	// instead of paying a full recompute. Must equal elw.ComputeLabels of
-	// g at the zero retiming; nil bootstraps with one full computation.
+	// starting retiming (solverstate.Config.SeedLabels; the Section V
+	// initialization computes exactly these when selecting Rmin). Must
+	// equal elw.ComputeLabels of g at the zero retiming; nil lets the
+	// state compute labels when first read. The result is the same either
+	// way.
 	SeedLabels *elw.Labels
-	// CheckLabels cross-checks every incremental label patch against the
-	// elw.ComputeLabels oracle and aborts with an error unwrapping to
-	// solverstate.ErrLabelMismatch (and guard.ErrInternal) on divergence.
-	// Debug mode: roughly restores the recompute-per-move cost.
-	CheckLabels bool
-	// FullLabelRecompute disables dirty-region label patching, restoring
-	// the pre-incremental recompute-per-move behavior (ablation).
-	FullLabelRecompute bool
-	// DirtyThreshold overrides the dirty-region fallback threshold
-	// (fraction of the gate count; 0 = solverstate's default).
-	DirtyThreshold float64
 	// Recorder receives the run's telemetry: phase spans (positive-set,
 	// find-violations, elw-recompute, repair), move/violation counters,
 	// and the peak retiming span gauge. nil records nothing (the no-op
@@ -133,12 +123,14 @@ type Options struct {
 	// WarmStart bulk-seeds every fresh closure engine with the P0
 	// requirement closure of the committed state (seedRequirementClosure)
 	// instead of letting the loop discover the same constraints one
-	// violation batch at a time. The commit criterion is unchanged — a
-	// set is only committed after findViolations verifies it against the
-	// authoritative state — so the fixpoint is the one the lazy cascade
-	// reaches (see TestWarmStartMatchesCold); only the discovery cost
-	// changes. Ignored by EngineForest. Used by the ECO/session delta
-	// path (DESIGN.md §17).
+	// violation batch at a time. Every commit is still verified by
+	// findViolations against the authoritative state, so the result is a
+	// legal, P1'/P2'-clean retiming, but it is not always the lazy
+	// cascade's: the order in which constraints reach the engine can
+	// steer MinObsWin to a different fixpoint (s15850.1 at the serve
+	// scale; TestSeededVsLazyTableI pins the census, in which every
+	// MinObs solve matched). Ignored by EngineForest. Used by the
+	// ECO/session path (DESIGN.md §17).
 	WarmStart bool
 }
 
@@ -307,17 +299,12 @@ func MinimizeCtx(ctx context.Context, g *graph.Graph, gains []int64, obsInt []in
 	}
 	// The transactional state owns the retiming vector, the retimed edge
 	// weights, the L/R labels and the objective; tentative moves are
-	// applied with Begin and then either committed or rolled back. It
-	// replaces the recompute-per-move pattern: labels are patched over
-	// the dirty region instead of rebuilt per tentative.
+	// applied with Begin and then either committed or rolled back.
 	st, err := solverstate.New(g, res.R, solverstate.Config{
-		Params:         params,
-		ObsInt:         obsInt,
-		SeedLabels:     opt.SeedLabels,
-		CheckLabels:    opt.CheckLabels,
-		FullRecompute:  opt.FullLabelRecompute,
-		DirtyThreshold: opt.DirtyThreshold,
-		Recorder:       opt.Recorder,
+		Params:     params,
+		ObsInt:     obsInt,
+		SeedLabels: opt.SeedLabels,
+		Recorder:   opt.Recorder,
 	})
 	if err != nil {
 		return nil, err
@@ -381,7 +368,6 @@ func MinimizeCtx(ctx context.Context, g *graph.Graph, gains []int64, obsInt []in
 		var mask []bool
 		exact := false
 		if needExact {
-			ExactCalls++
 			rec.Count(telemetry.CounterExactClosures, 1)
 			rec.SpanStart(telemetry.PhasePositiveSet)
 			members, mask = eng.PositiveSet()

@@ -23,10 +23,15 @@ import (
 // wr, gains): the worklist is FIFO over ascending vertex IDs and fanin
 // edges are scanned in g.In order, so arc insertion order — which the
 // min-cut's tie-breaking can observe — is reproducible. Seeding adds only
-// constraints that are true of the current problem; the loop's
+// constraints that are true of the current problem, and the loop's
 // findViolations still verifies every tentative against the
-// authoritative state before a commit, so the committed fixpoint is the
-// lazy cascade's (TestWarmStartMatchesCold asserts bit-identity).
+// authoritative state before a commit, so every committed state is legal
+// and P1'/P2'-clean. It is not always the lazy cascade's fixpoint: the
+// constraints reach the engine in a different order, and MinObsWin's
+// P1'/P2' repairs can then settle elsewhere. On the Table I substitutes
+// at the serve scale exactly one solve differs (s15850.1, MinObsWin;
+// TestSeededVsLazyTableI), and TestWarmStartMatchesCold pins six
+// circuits that match.
 func seedRequirementClosure(e *closureEngine, g *graph.Graph, st *solverstate.State, gains []int64) {
 	n := g.NumVertices()
 	host := int32(graph.Host)

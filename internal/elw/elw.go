@@ -171,17 +171,17 @@ func computeLabels(g *graph.Graph, r graph.Retiming, p Params) (*Labels, error) 
 	if err != nil {
 		return nil, err
 	}
-	lab := NewLabels(g.NumVertices())
+	lab := newLabels(g.NumVertices())
 	wr := g.EdgeWeights(r)
 	for i := len(order) - 1; i >= 0; i-- {
-		lab.RelabelVertex(g, p, wr, order[i])
+		lab.relabelVertex(g, p, wr, order[i])
 	}
 	return lab, nil
 }
 
-// NewLabels returns empty labels for n vertices: no window, L = +Inf,
-// R = -Inf, endpoints at the host. RelabelVertex fills one vertex.
-func NewLabels(n int) *Labels {
+// newLabels returns empty labels for n vertices: no window, L = +Inf,
+// R = -Inf, endpoints at the host. relabelVertex fills one vertex.
+func newLabels(n int) *Labels {
 	lab := &Labels{
 		L:         make([]float64, n),
 		R:         make([]float64, n),
@@ -198,15 +198,10 @@ func NewLabels(n int) *Labels {
 	return lab
 }
 
-// RelabelVertex recomputes eq. (6) at u in place, reading the retimed
+// relabelVertex recomputes eq. (6) at u in place, reading the retimed
 // weight of each out-edge from wr (indexed by EdgeID). Successors of u
 // across zero-weight edges must already hold their final labels.
-//
-// This is the shared per-vertex kernel of the full recompute and the
-// dirty-region patcher of internal/solverstate: both paths execute the
-// same float operations in the same order, so incrementally patched
-// labels are bit-identical to a recompute, ties in LT/RT included.
-func (lab *Labels) RelabelVertex(g *graph.Graph, p Params, wr []int32, u graph.VertexID) {
+func (lab *Labels) relabelVertex(g *graph.Graph, p Params, wr []int32, u graph.VertexID) {
 	lab.L[u] = math.Inf(1)
 	lab.R[u] = math.Inf(-1)
 	lab.LT[u] = graph.Host
@@ -255,8 +250,8 @@ func (lab *Labels) Clone() *Labels {
 
 // FirstDiff returns the first vertex at which lab and other disagree on
 // any field (exact float comparison; +Inf/-Inf compare equal to
-// themselves), or (Host, false) when they are identical. It is the
-// primitive behind the incremental-vs-oracle cross-check.
+// themselves), or (Host, false) when they are identical. Tests use it to
+// compare labels against a fresh ComputeLabels.
 func (lab *Labels) FirstDiff(other *Labels) (graph.VertexID, bool) {
 	if len(lab.L) != len(other.L) {
 		return graph.Host, true

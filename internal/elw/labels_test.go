@@ -41,11 +41,10 @@ func randomLabeled(t *testing.T, rng *rand.Rand) (*graph.Graph, graph.Retiming, 
 	return g, r, p, lab
 }
 
-// TestRelabelVertexIdempotent re-runs the kernel on every vertex of an
-// already-correct label vector: since successors hold final labels, each
-// relabel must reproduce the vertex bit-exactly. This is the property the
-// dirty-region patcher builds on (vertices outside the region keep the
-// labels RelabelVertex would assign them).
+// TestRelabelVertexIdempotent re-runs the sweep's per-vertex kernel on
+// every vertex of an already-correct label vector: since successors hold
+// final labels, each relabel must reproduce the vertex bit-exactly, so the
+// sweep's result is a fixpoint of eq. (6).
 func TestRelabelVertexIdempotent(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -53,7 +52,7 @@ func TestRelabelVertexIdempotent(t *testing.T) {
 		got := lab.Clone()
 		wr := g.EdgeWeights(r)
 		for v := 1; v < g.NumVertices(); v++ {
-			got.RelabelVertex(g, p, wr, graph.VertexID(v))
+			got.relabelVertex(g, p, wr, graph.VertexID(v))
 		}
 		if v, diff := got.FirstDiff(lab); diff {
 			t.Fatalf("seed %d: relabel not idempotent at v%d", seed, v)
@@ -98,14 +97,14 @@ func TestFirstDiffPerField(t *testing.T) {
 			t.Errorf("%s mutation: diff=%v at v%d, want v%d", name, diff, v, target)
 		}
 	}
-	short := NewLabels(1)
+	short := newLabels(1)
 	if _, diff := lab.FirstDiff(short); !diff {
 		t.Error("length mismatch not detected")
 	}
 }
 
 func TestNewLabelsEmpty(t *testing.T) {
-	lab := NewLabels(3)
+	lab := newLabels(3)
 	for v := 0; v < 3; v++ {
 		if lab.HasWindow[v] || !math.IsInf(lab.L[v], 1) || !math.IsInf(lab.R[v], -1) {
 			t.Fatalf("v%d not empty: %v %g %g", v, lab.HasWindow[v], lab.L[v], lab.R[v])

@@ -440,9 +440,9 @@ type Init struct {
 	// Phi, computed as a by-product of the Rmin selection. Because
 	// graph.Rebase preserves vertex/edge identities and w_r, they are
 	// bit-valid for the rebased graph at the zero retiming, where they
-	// seed the solver state (core.Options.SeedLabels) so the optimizer's
-	// first tentative move patches instead of recomputing. nil when the
-	// setup+hold initialization fell back (SetupHoldOK false).
+	// seed the solver state's committed labels (core.Options.SeedLabels).
+	// nil when the setup+hold initialization fell back (SetupHoldOK
+	// false).
 	Labels *elw.Labels
 }
 

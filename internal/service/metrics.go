@@ -15,9 +15,8 @@ import (
 // exposition format: queue and cache gauges, job dispositions, per-tier
 // and per-error-class outcome counts, the solve-latency histogram, and
 // the shared telemetry.Collector's phase durations, counters and gauges
-// (so the solver's own observability — label-patch hit ratios, worker
-// pool utilization, violation counts — is scrapeable without a trace
-// file).
+// (so the solver's own observability — label sweeps, worker pool
+// utilization, violation counts — is scrapeable without a trace file).
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	var b strings.Builder
 

@@ -79,7 +79,7 @@ func (s *Server) logf(format string, args ...any) {
 // optionsBlob is the serialized subset of RobustOptions a recovered job
 // needs to be re-solved identically: every result-relevant knob (the
 // fields CanonicalKey hashes). Result-invariant fields — Recorder,
-// worker budgets, CheckLabels — are reapplied from the server's own
+// worker budgets — are reapplied from the server's own
 // config at recovery, exactly as Submit applies them to fresh jobs.
 type optionsBlob struct {
 	Algorithm       int     `json:"alg"`

@@ -11,11 +11,12 @@ import (
 )
 
 // FuzzStateMoves drives randomized move sequences over synthetic gen
-// circuits and asserts, after every commit and rollback, that the
-// transactional labels and objective equal from-scratch recomputations.
+// circuits and asserts, for every tentative move and again after its
+// commit or rollback, that the transactional labels and objective equal
+// from-scratch recomputations.
 // The fuzzer owns the circuit shape (gate/FF/connection counts) and the
-// move randomness, so it explores region shapes the fixed-seed property
-// tests do not.
+// move randomness, so it explores circuits the fixed-seed property tests
+// do not.
 func FuzzStateMoves(f *testing.F) {
 	f.Add(int64(1), int64(1))
 	f.Add(int64(42), int64(7))
@@ -53,7 +54,6 @@ func FuzzStateMoves(f *testing.F) {
 		}
 		st, err := solverstate.New(g, r0, solverstate.Config{
 			Params: params, ObsInt: obsInt, SeedLabels: seedLab,
-			CheckLabels: true, // every patch is oracle-audited
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -70,8 +70,16 @@ func FuzzStateMoves(f *testing.F) {
 			if got, want := st.Objective(), objectiveScan(g, tent, obsInt); got != want {
 				t.Fatalf("step %d: tentative objective %d, scan %d", step, got, want)
 			}
-			if _, err := st.Labels(); err != nil {
+			lab, err := st.Labels()
+			if err != nil {
 				t.Fatalf("step %d: %v", step, err)
+			}
+			want, err := elw.ComputeLabels(g, tent, params)
+			if err != nil {
+				t.Fatalf("step %d: oracle: %v", step, err)
+			}
+			if v, diff := lab.FirstDiff(want); diff {
+				t.Fatalf("step %d: tentative labels diverge at v%d", step, v)
 			}
 			if len(st.NegativeTentativeEdges()) == 0 && rng.Intn(2) == 0 {
 				st.Commit()
@@ -79,11 +87,11 @@ func FuzzStateMoves(f *testing.F) {
 			} else {
 				st.Rollback()
 			}
-			lab, err := st.Labels()
+			lab, err = st.Labels()
 			if err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
-			want, err := elw.ComputeLabels(g, shadow, params)
+			want, err = elw.ComputeLabels(g, shadow, params)
 			if err != nil {
 				t.Fatalf("step %d: oracle: %v", step, err)
 			}

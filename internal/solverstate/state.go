@@ -1,38 +1,17 @@
-// Package solverstate maintains the transactional incremental state of
-// the MinObsWin solver loop (Algorithm 1): the retiming vector, the
-// retimed edge weights w_r, the L/R boundary labels of eq. (6), and the
+// Package solverstate maintains the transactional state of the
+// MinObsWin solver loop (Algorithm 1): the retiming vector, the retimed
+// edge weights w_r, the L/R boundary labels of eq. (6), and the
 // register-observability objective, all kept consistent under a tentative
 // move set I with commit/rollback semantics.
 //
-// The paper's algorithm is explicitly incremental — every iteration moves
-// one closed set and re-checks P0/P1'/P2' — but a naive implementation
-// rebuilds the full label vectors per tentative move. State instead
-// patches only the dirty region: the vertices whose zero-weight fanout
-// cones intersect the reclassified edges of the move. The patch runs the
-// same per-vertex kernel as the full recompute (elw.RelabelVertex) over
-// the region in successors-first order, so patched labels are
-// bit-identical to a from-scratch computation; elw.ComputeLabels remains
-// the oracle and can be cross-checked after every patch (Config.
-// CheckLabels) for a debug mode that turns any divergence into an error.
-//
-// Exactness of the dirty region: a vertex u outside the region has (a)
-// every out-edge classification (registered vs combinational) unchanged,
-// and (b) by induction on reverse topological depth of the tentative
-// zero-weight DAG, every successor it reads labels from outside the
-// region as well — so RelabelVertex at u would reproduce u's old labels
-// exactly. The zero-weight subgraph is a DAG under *any* retiming, legal
-// or not (cycle register counts telescope), so the induction is sound
-// even mid-move. The only hazard is an edge with w_r < 0: the oracle
-// treats it like a combinational edge but ZeroWeightTopo does not order
-// it, making the oracle's result depend on its traversal order. State
-// therefore falls back to the oracle itself (a full recompute) whenever a
-// changed non-host edge goes negative, and similarly when the dirty
-// region exceeds Config.DirtyThreshold of the gates — both fallbacks are
-// counted and the dirty fraction is gauged through telemetry.
+// The edge weights, the objective and the P0 negative-edge list are
+// updated incrementally from the edges the move touches. The labels are
+// lazy: the P0-only path never reads them, and the first label read of a
+// transaction runs one full elw.ComputeLabels sweep on the tentative
+// retiming while the committed labels are set aside for Rollback.
 package solverstate
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -42,50 +21,6 @@ import (
 	"serretime/internal/telemetry"
 )
 
-// DefaultDirtyThreshold is the dirty-region fraction (of the gate count)
-// above which patching falls back to a full recompute. A patch at
-// fraction f does ~f of the sweep's relabel work plus region collection
-// and undo logging, but skips the sweep's allocation and global Kahn
-// ordering, so it stays profitable well past f = 1/4; past half the
-// circuit the bookkeeping overtakes the savings.
-const DefaultDirtyThreshold = 0.5
-
-// dirtyFloor is the region size (in vertices) below which patching is
-// always worthwhile regardless of the fraction it represents: on tiny
-// circuits every region is a large fraction, yet the absolute work is
-// negligible next to a full sweep's allocation. The floor applies only
-// with the default threshold, so tests can still force the threshold
-// fallback on small graphs via Config.DirtyThreshold.
-const dirtyFloor = 64
-
-// ErrLabelMismatch is the sentinel behind MismatchError: the incremental
-// labels diverged from the elw.ComputeLabels oracle. It indicates a bug
-// in the dirty-region machinery, never a property of the input.
-var ErrLabelMismatch = errors.New("solverstate: incremental labels diverge from oracle")
-
-// MismatchError reports the first vertex at which the incremental labels
-// and the oracle disagree. It unwraps to both ErrLabelMismatch and
-// guard.ErrInternal, so the degradation chain treats it as an internal
-// fault while callers (serbench -checklabels) can still identify it.
-type MismatchError struct {
-	Vertex        graph.VertexID
-	Name          string
-	GotL, WantL   float64
-	GotR, WantR   float64
-	GotHW, WantHW bool
-	GotLT, WantLT graph.VertexID
-	GotRT, WantRT graph.VertexID
-}
-
-func (e *MismatchError) Error() string {
-	return fmt.Sprintf("solverstate: label mismatch at %s (v%d): got L=%g R=%g hw=%v LT=%d RT=%d, oracle L=%g R=%g hw=%v LT=%d RT=%d",
-		e.Name, e.Vertex, e.GotL, e.GotR, e.GotHW, e.GotLT, e.GotRT,
-		e.WantL, e.WantR, e.WantHW, e.WantLT, e.WantRT)
-}
-
-// Unwrap exposes both sentinels.
-func (e *MismatchError) Unwrap() []error { return []error{ErrLabelMismatch, guard.ErrInternal} }
-
 // Config parameterizes New.
 type Config struct {
 	// Params are the timing parameters of the L/R labels.
@@ -93,34 +28,16 @@ type Config struct {
 	// ObsInt is the per-edge integer observability (the objective weight
 	// of each register), as produced by core.Gains.
 	ObsInt []int64
-	// SeedLabels, when non-nil, primes the committed labels so the first
-	// transaction can patch instead of paying a full recompute. They must
-	// equal elw.ComputeLabels of the initial state (State clones them; the
+	// SeedLabels, when non-nil, primes the committed labels: a label read
+	// with no transaction open needs no sweep until the first commit.
+	// Reads inside a transaction sweep either way. They must equal
+	// elw.ComputeLabels of the initial state (State clones them; the
 	// caller's copy is never written). The Section V initialization
 	// already computes exactly these labels when selecting Rmin.
 	SeedLabels *elw.Labels
-	// CheckLabels cross-checks every incremental patch against the oracle
-	// and fails the transaction with a MismatchError on divergence.
-	CheckLabels bool
-	// FullRecompute disables dirty-region patching: every label request
-	// inside a transaction recomputes from scratch (the pre-refactor
-	// behavior, kept for ablation benchmarks).
-	FullRecompute bool
-	// DirtyThreshold overrides DefaultDirtyThreshold when > 0: the dirty
-	// fraction of the gate count above which patching falls back to a
-	// full recompute.
-	DirtyThreshold float64
-	// Recorder receives label-patch spans, patch/full/fallback counters
-	// and the dirty-fraction gauge. nil records nothing.
+	// Recorder receives the label-fulls counter and the elw-recompute
+	// span of every sweep. nil records nothing.
 	Recorder telemetry.Recorder
-}
-
-// labUndo snapshots one vertex's labels before a patch overwrites them.
-type labUndo struct {
-	v      graph.VertexID
-	l, r   float64
-	lt, rt graph.VertexID
-	has    bool
 }
 
 // edgeUndo snapshots one edge weight before a move changes it.
@@ -128,15 +45,6 @@ type edgeUndo struct {
 	e  graph.EdgeID
 	wr int32
 }
-
-// labState says what the current transaction did to the labels.
-type labState uint8
-
-const (
-	labNone    labState = iota // untouched this transaction
-	labPatched                 // dirty-region patch, reversible via undo
-	labFull                    // full recompute, previous labels in labPrev
-)
 
 // State is the transactional solver state. All methods must be called
 // from one goroutine.
@@ -162,20 +70,11 @@ type State struct {
 	edgeMark  []uint32 // epoch stamps deduplicating incident edges
 	epoch     uint32
 	edgeUndos []edgeUndo
+	negEdges  []graph.EdgeID // changed edges with tentative w_r < 0, sorted
 
-	seeds    []graph.VertexID // sources of reclassified label-relevant edges
-	negEdges []graph.EdgeID   // changed edges with tentative w_r < 0, sorted
-	labelNeg bool             // some non-host changed edge went negative
-
-	lab      *elw.Labels
-	labMode  labState
-	labPrev  *elw.Labels // committed labels saved across an in-txn full recompute
-	labUndos []labUndo
-	walker   *graph.RegionWalker
-
-	// defaultThreshold records that cfg.DirtyThreshold was defaulted, which
-	// enables the dirtyFloor on tiny circuits.
-	defaultThreshold bool
+	lab     *elw.Labels // labels of the current state; nil until read
+	labTent bool        // lab was swept on the open transaction's retiming
+	labPrev *elw.Labels // committed labels set aside while labTent
 }
 
 // New builds a State for g at retiming r0 (cloned). r0 must be P0-legal:
@@ -189,10 +88,6 @@ func New(g *graph.Graph, r0 graph.Retiming, cfg Config) (*State, error) {
 	if err := g.CheckLegal(r0); err != nil {
 		return nil, fmt.Errorf("solverstate: illegal initial retiming: %w", err)
 	}
-	defaultThreshold := cfg.DirtyThreshold <= 0
-	if defaultThreshold {
-		cfg.DirtyThreshold = DefaultDirtyThreshold
-	}
 	s := &State{
 		g:              g,
 		cfg:            cfg,
@@ -202,9 +97,6 @@ func New(g *graph.Graph, r0 graph.Retiming, cfg Config) (*State, error) {
 		vertexObsDelta: make([]int64, g.NumVertices()),
 		delta:          make([]int32, g.NumVertices()),
 		edgeMark:       make([]uint32, g.NumEdges()),
-		walker:         graph.NewRegionWalker(g),
-
-		defaultThreshold: defaultThreshold,
 	}
 	for e := 0; e < g.NumEdges(); e++ {
 		eid := graph.EdgeID(e)
@@ -255,15 +147,14 @@ func (s *State) CommittedObjective() int64 { return s.obj }
 func (s *State) NegativeTentativeEdges() []graph.EdgeID { return s.negEdges }
 
 // Begin opens a transaction moving each vertex of members forward by
-// weight(v) registers: r(v) -= weight(v). It updates the edge weights and
-// objective immediately and analyzes the changed edges for the later
-// label patch (Labels is lazy: the P0-only path never touches labels).
+// weight(v) registers: r(v) -= weight(v). It updates the edge weights,
+// the objective and the negative-edge list immediately; labels wait for
+// the first Labels call (the P0-only path never touches them).
 func (s *State) Begin(members []int32, weight func(v int32) int32) {
 	if s.open {
 		panic("solverstate: Begin with open transaction")
 	}
 	s.open = true
-	s.labMode = labNone
 	for _, v := range members {
 		d := weight(v)
 		if d == 0 || graph.VertexID(v) == graph.Host {
@@ -282,31 +173,14 @@ func (s *State) Begin(members []int32, weight func(v int32) int32) {
 					continue
 				}
 				s.edgeMark[eid] = s.epoch
-				eFrom, eTo := s.g.EdgeFrom(eid), s.g.EdgeTo(eid)
-				dw := s.delta[eTo] - s.delta[eFrom]
+				dw := s.delta[s.g.EdgeTo(eid)] - s.delta[s.g.EdgeFrom(eid)]
 				if dw == 0 {
 					continue
 				}
-				wrOld := s.wr[eid]
-				wrNew := wrOld + dw
-				s.edgeUndos = append(s.edgeUndos, edgeUndo{e: eid, wr: wrOld})
-				s.wr[eid] = wrNew
-				if wrNew < 0 {
+				s.edgeUndos = append(s.edgeUndos, edgeUndo{e: eid, wr: s.wr[eid]})
+				s.wr[eid] += dw
+				if s.wr[eid] < 0 {
 					s.negEdges = append(s.negEdges, eid)
-				}
-				if eFrom == graph.Host || eTo == graph.Host {
-					// Host-incident edges never affect labels: edges into
-					// the host are registered regardless of weight, edges
-					// out of it are never read (the host has no labels).
-					continue
-				}
-				if wrNew < 0 {
-					s.labelNeg = true
-				}
-				if (wrOld > 0) != (wrNew > 0) {
-					// Classification flip: the source vertex now sees a
-					// different kind of fanout.
-					s.seeds = append(s.seeds, eFrom)
 				}
 			}
 		}
@@ -314,112 +188,25 @@ func (s *State) Begin(members []int32, weight func(v int32) int32) {
 	sort.Slice(s.negEdges, func(i, j int) bool { return s.negEdges[i] < s.negEdges[j] })
 }
 
-// Labels returns the L/R labels of the current (tentative) state,
-// patching the dirty region incrementally when possible and falling back
-// to a full recompute when the region is too large, a changed edge went
-// negative, or Config.FullRecompute is set. With Config.CheckLabels the
-// patched labels are verified against the oracle before being returned.
+// Labels returns the L/R labels of the current (tentative while open)
+// state. The first read of a transaction sweeps the tentative retiming
+// with elw.ComputeLabels and sets the committed labels aside for
+// Rollback; later reads of the same transaction return the same labels.
 func (s *State) Labels() (*elw.Labels, error) {
 	guard.Failpoint("solverstate.Labels")
-	if !s.open {
-		if s.lab == nil {
-			lab, err := s.fullRecompute()
-			if err != nil {
-				return nil, err
-			}
-			s.lab = lab
-		}
+	if s.lab != nil && (!s.open || s.labTent) {
 		return s.lab, nil
 	}
-	if s.labMode != labNone {
-		return s.lab, nil
-	}
-	if s.lab == nil {
-		// No committed labels to patch from: the full computation on the
-		// tentative state is the oracle itself.
-		lab, err := s.fullRecompute()
-		if err != nil {
-			return nil, err
-		}
-		s.lab, s.labMode = lab, labFull
-		return s.lab, nil
-	}
-	if s.cfg.FullRecompute || s.labelNeg {
-		return s.fallbackFull()
-	}
-	gates := s.g.NumGates()
-	limit := int(s.cfg.DirtyThreshold * float64(gates))
-	if s.defaultThreshold && limit < dirtyFloor {
-		limit = dirtyFloor
-	}
-	if limit < 1 {
-		limit = 1
-	}
-	if !s.walker.Collect(s.wr, s.seeds, limit) {
-		s.rec.Gauge(telemetry.GaugeDirtyFraction, permille(limit+1, gates))
-		return s.fallbackFull()
-	}
-	s.rec.SpanStart(telemetry.PhaseLabelPatch)
-	s.rec.Count(telemetry.CounterLabelPatches, 1)
-	s.rec.Gauge(telemetry.GaugeDirtyFraction, permille(len(s.walker.Region()), gates))
-	for _, u := range s.walker.TopoSuccFirst(s.wr) {
-		s.labUndos = append(s.labUndos, labUndo{
-			v: u, l: s.lab.L[u], r: s.lab.R[u],
-			lt: s.lab.LT[u], rt: s.lab.RT[u], has: s.lab.HasWindow[u],
-		})
-		s.lab.RelabelVertex(s.g, s.cfg.Params, s.wr, u)
-	}
-	s.labMode = labPatched
-	var err error
-	if s.cfg.CheckLabels {
-		err = s.crossCheck()
-	}
-	s.rec.SpanEnd(telemetry.PhaseLabelPatch, err)
-	if err != nil {
-		return nil, err
-	}
-	return s.lab, nil
-}
-
-// fullRecompute runs the oracle on the current retiming, with the same
-// telemetry signature the pre-refactor loop had (an elw-recompute span).
-func (s *State) fullRecompute() (*elw.Labels, error) {
 	s.rec.Count(telemetry.CounterLabelFulls, 1)
-	return elw.ComputeLabelsRec(s.g, s.r, s.cfg.Params, s.rec)
-}
-
-// fallbackFull replaces the labels by a full recompute of the tentative
-// state, keeping the committed labels aside for rollback.
-func (s *State) fallbackFull() (*elw.Labels, error) {
-	s.rec.Count(telemetry.CounterLabelFallbacks, 1)
-	lab, err := s.fullRecompute()
+	lab, err := elw.ComputeLabelsRec(s.g, s.r, s.cfg.Params, s.rec)
 	if err != nil {
 		return nil, err
 	}
-	s.labPrev, s.lab, s.labMode = s.lab, lab, labFull
-	return s.lab, nil
-}
-
-// crossCheck compares the patched labels against a fresh oracle run. The
-// oracle call is deliberately unrecorded so the debug mode does not
-// disturb the elw-recompute statistics it is auditing.
-func (s *State) crossCheck() error {
-	want, err := elw.ComputeLabels(s.g, s.r, s.cfg.Params)
-	if err != nil {
-		return err
+	if s.open {
+		s.labPrev, s.labTent = s.lab, true
 	}
-	v, diff := s.lab.FirstDiff(want)
-	if !diff {
-		return nil
-	}
-	return &MismatchError{
-		Vertex: v, Name: s.g.Name(v),
-		GotL: s.lab.L[v], WantL: want.L[v],
-		GotR: s.lab.R[v], WantR: want.R[v],
-		GotHW: s.lab.HasWindow[v], WantHW: want.HasWindow[v],
-		GotLT: s.lab.LT[v], WantLT: want.LT[v],
-		GotRT: s.lab.RT[v], WantRT: want.RT[v],
-	}
+	s.lab = lab
+	return lab, nil
 }
 
 // Commit makes the tentative state the committed one.
@@ -428,12 +215,11 @@ func (s *State) Commit() {
 		panic("solverstate: Commit without transaction")
 	}
 	s.obj = s.objTent
-	if s.labMode == labNone && len(s.edgeUndos) > 0 && s.lab != nil {
-		// The move changed weights but the labels were never requested:
-		// the cached labels describe the pre-move state and must go.
+	if !s.labTent {
+		// The labels were never read on the moved retiming: whatever is
+		// cached describes the pre-move state and must go.
 		s.lab = nil
 	}
-	s.labPrev = nil
 	s.closeTxn()
 }
 
@@ -449,16 +235,8 @@ func (s *State) Rollback() {
 		s.r[v] -= s.delta[v]
 	}
 	s.objTent = s.obj
-	switch s.labMode {
-	case labPatched:
-		for i := len(s.labUndos) - 1; i >= 0; i-- {
-			u := &s.labUndos[i]
-			s.lab.L[u.v], s.lab.R[u.v] = u.l, u.r
-			s.lab.LT[u.v], s.lab.RT[u.v] = u.lt, u.rt
-			s.lab.HasWindow[u.v] = u.has
-		}
-	case labFull:
-		s.lab, s.labPrev = s.labPrev, nil
+	if s.labTent {
+		s.lab = s.labPrev
 	}
 	s.closeTxn()
 }
@@ -469,22 +247,7 @@ func (s *State) closeTxn() {
 	}
 	s.moved = s.moved[:0]
 	s.edgeUndos = s.edgeUndos[:0]
-	s.labUndos = s.labUndos[:0]
-	s.seeds = s.seeds[:0]
 	s.negEdges = s.negEdges[:0]
-	s.labelNeg = false
-	s.labMode = labNone
+	s.labTent, s.labPrev = false, nil
 	s.open = false
-}
-
-// permille scales part/whole to 0..1000 for the dirty-fraction gauge.
-func permille(part, whole int) int64 {
-	if whole <= 0 {
-		return 0
-	}
-	p := int64(part) * 1000 / int64(whole)
-	if p > 1000 {
-		p = 1000
-	}
-	return p
 }

@@ -10,7 +10,6 @@ import (
 	"serretime/internal/graph"
 	"serretime/internal/guard"
 	"serretime/internal/solverstate"
-	"serretime/internal/telemetry"
 )
 
 // randomProblem builds a random synchronous graph (same shape as the core
@@ -86,9 +85,10 @@ func randomMove(rng *rand.Rand, g *graph.Graph) []int32 {
 func one(int32) int32 { return 1 }
 
 // TestStateMatchesOracles drives random move sequences and checks, after
-// every Begin, that the incremental objective, negative-edge list and L/R
-// labels all agree with from-scratch recomputations, and that rollbacks
-// restore the committed state bit-exactly.
+// every Begin, that the incremental objective and negative-edge list and
+// the transaction's L/R labels all agree with from-scratch
+// recomputations, and that rollbacks restore the committed state
+// bit-exactly.
 func TestStateMatchesOracles(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -183,46 +183,8 @@ func TestStateMatchesOracles(t *testing.T) {
 	}
 }
 
-// TestCrossCheckAgreesOnRandomMoves runs the same random walks with the
-// oracle cross-check armed: any divergence of the patch machinery turns
-// into a MismatchError, so a clean pass is the satellite's shadow-oracle
-// property.
-func TestCrossCheckAgreesOnRandomMoves(t *testing.T) {
-	col := telemetry.NewCollector()
-	for seed := int64(100); seed < 115; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g, obsInt, params := randomProblem(rng, 4+rng.Intn(24))
-		r0 := graph.NewRetiming(g)
-		seedLab, err := elw.ComputeLabels(g, r0, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := solverstate.New(g, r0, solverstate.Config{
-			Params: params, ObsInt: obsInt, SeedLabels: seedLab,
-			CheckLabels: true, Recorder: col,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for step := 0; step < 25; step++ {
-			st.Begin(randomMove(rng, g), one)
-			if _, err := st.Labels(); err != nil {
-				t.Fatalf("seed %d step %d: %v", seed, step, err)
-			}
-			if len(st.NegativeTentativeEdges()) == 0 && rng.Intn(2) == 0 {
-				st.Commit()
-			} else {
-				st.Rollback()
-			}
-		}
-	}
-	if col.Stats().Counter(telemetry.CounterLabelPatches) == 0 {
-		t.Fatal("random walks never exercised the patch path")
-	}
-}
-
 // TestRollbackRestoresLabelsBitwise snapshots the committed labels, runs a
-// patched transaction, rolls back, and compares every field.
+// transaction that reads labels, rolls back, and compares every field.
 func TestRollbackRestoresLabelsBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g, obsInt, params := randomProblem(rng, 16)
@@ -253,98 +215,6 @@ func TestRollbackRestoresLabelsBitwise(t *testing.T) {
 	}
 }
 
-// TestFallbackPaths checks the three full-recompute triggers: a forced
-// Config.FullRecompute, a dirty region above the threshold, and no seed
-// labels to patch from.
-func TestFallbackPaths(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g, obsInt, params := randomProblem(rng, 20)
-	r0 := graph.NewRetiming(g)
-	seedLab, _ := elw.ComputeLabels(g, r0, params)
-
-	t.Run("forced", func(t *testing.T) {
-		col := telemetry.NewCollector()
-		st, err := solverstate.New(g, r0, solverstate.Config{
-			Params: params, ObsInt: obsInt, SeedLabels: seedLab,
-			FullRecompute: true, Recorder: col,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.Begin([]int32{1}, one)
-		if _, err := st.Labels(); err != nil {
-			t.Fatal(err)
-		}
-		st.Rollback()
-		s := col.Stats()
-		if s.Counter(telemetry.CounterLabelPatches) != 0 || s.Counter(telemetry.CounterLabelFallbacks) != 1 {
-			t.Fatalf("patches=%d fallbacks=%d, want 0/1",
-				s.Counter(telemetry.CounterLabelPatches), s.Counter(telemetry.CounterLabelFallbacks))
-		}
-	})
-
-	t.Run("threshold", func(t *testing.T) {
-		// An explicit threshold disables the small-circuit floor, so any
-		// non-empty region exceeds a sub-one-vertex limit.
-		col := telemetry.NewCollector()
-		st, err := solverstate.New(g, r0, solverstate.Config{
-			Params: params, ObsInt: obsInt, SeedLabels: seedLab,
-			DirtyThreshold: 1e-9, Recorder: col,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		moved := false
-		for v := 1; v < g.NumVertices() && !moved; v++ {
-			st.Begin([]int32{int32(v)}, one)
-			if len(st.NegativeTentativeEdges()) > 0 {
-				st.Rollback()
-				continue
-			}
-			if _, err := st.Labels(); err != nil {
-				t.Fatal(err)
-			}
-			moved = true
-			st.Rollback()
-		}
-		if !moved {
-			t.Skip("no single legal move in this instance")
-		}
-		s := col.Stats()
-		if s.Counter(telemetry.CounterLabelFallbacks) == 0 {
-			t.Fatal("sub-vertex threshold did not trigger the fallback")
-		}
-		if s.Counter(telemetry.CounterLabelPatches) != 0 {
-			t.Fatal("patched despite sub-vertex threshold")
-		}
-	})
-
-	t.Run("no-seed", func(t *testing.T) {
-		col := telemetry.NewCollector()
-		st, err := solverstate.New(g, r0, solverstate.Config{
-			Params: params, ObsInt: obsInt, Recorder: col,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.Begin([]int32{1}, one)
-		lab, err := st.Labels()
-		if err != nil {
-			t.Fatal(err)
-		}
-		tent := r0.Clone()
-		tent[1]--
-		want, _ := elw.ComputeLabels(g, tent, params)
-		if v, diff := lab.FirstDiff(want); diff {
-			t.Fatalf("bootstrap labels diverge at v%d", v)
-		}
-		st.Rollback()
-		if s := col.Stats(); s.Counter(telemetry.CounterLabelFulls) == 0 {
-			t.Fatal("bootstrap did not run a full recompute")
-		}
-	})
-}
-
 func TestNewValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g, obsInt, params := randomProblem(rng, 8)
@@ -359,19 +229,6 @@ func TestNewValidation(t *testing.T) {
 		Params: params, ObsInt: obsInt,
 	}); err == nil {
 		t.Fatal("illegal initial retiming accepted")
-	}
-}
-
-func TestMismatchErrorUnwraps(t *testing.T) {
-	err := error(&solverstate.MismatchError{Vertex: 3, Name: "g3"})
-	if !errors.Is(err, solverstate.ErrLabelMismatch) {
-		t.Error("does not unwrap to ErrLabelMismatch")
-	}
-	if !errors.Is(err, guard.ErrInternal) {
-		t.Error("does not unwrap to guard.ErrInternal")
-	}
-	if err.Error() == "" {
-		t.Error("empty message")
 	}
 }
 

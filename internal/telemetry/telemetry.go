@@ -69,10 +69,6 @@ const (
 	// PhaseRepair is the constraint integration of one iteration's
 	// violations (level 2, inside PhaseMinimize).
 	PhaseRepair
-	// PhaseLabelPatch is one dirty-region incremental L/R label update of
-	// the transactional solver state (level 3, inside PhaseFindViolations;
-	// the incremental sibling of PhaseELWRecompute).
-	PhaseLabelPatch
 
 	// NumPhases bounds the enum; not a phase.
 	NumPhases
@@ -95,7 +91,6 @@ var phaseNames = [NumPhases]string{
 	PhaseFindViolations:       "find-violations",
 	PhaseELWRecompute:         "elw-recompute",
 	PhaseRepair:               "repair",
-	PhaseLabelPatch:           "label-patch",
 }
 
 var phaseLevels = [NumPhases]int{
@@ -115,7 +110,6 @@ var phaseLevels = [NumPhases]int{
 	PhaseFindViolations:       2,
 	PhaseELWRecompute:         3,
 	PhaseRepair:               2,
-	PhaseLabelPatch:           3,
 }
 
 // String returns the phase's trace name (constant; never allocates).
@@ -179,19 +173,15 @@ const (
 	// CounterRetries counts same-tier retry attempts after transient
 	// failures.
 	CounterRetries
-	// CounterLabelPatches counts dirty-region incremental L/R label
-	// updates performed by the transactional solver state (the hits of
-	// the incremental path).
+	// CounterLabelPatches is incremented by nothing: the solver state
+	// has one label path and counts every sweep as CounterLabelFulls. It
+	// stays because the benchmark's per-layer core.label_patch_ratio,
+	// patches / (patches + fulls), reads it, so that ratio reads 0.
 	CounterLabelPatches
-	// CounterLabelFulls counts full L/R recomputes performed by the
-	// solver state: the initial seed-miss plus every fallback (dirty
-	// region over threshold, or negative retimed weights in the dirty
-	// region). incremental-hit ratio = patches / (patches + fulls).
+	// CounterLabelFulls counts full L/R label sweeps performed by the
+	// solver state: one per transaction that reads labels, plus any
+	// closed-state read with no cached labels.
 	CounterLabelFulls
-	// CounterLabelFallbacks counts the subset of CounterLabelFulls caused
-	// by a mid-transaction fallback (threshold exceeded or negative
-	// weights), excluding the initial committed-label computation.
-	CounterLabelFallbacks
 	// CounterParRuns counts parallel sections executed by internal/par
 	// pools (Run calls that actually forked; inline sequential runs are
 	// not counted).
@@ -226,7 +216,6 @@ var counterNames = [NumCounters]string{
 	CounterRetries:         "retries",
 	CounterLabelPatches:    "label-patches",
 	CounterLabelFulls:      "label-fulls",
-	CounterLabelFallbacks:  "label-fallbacks",
 	CounterParRuns:         "par-runs",
 	CounterParShards:       "par-shards",
 	CounterParBusyNanos:    "par-busy-ns",
@@ -258,10 +247,6 @@ const (
 	// GaugePeakRetimingSpan is the largest committed per-vertex move
 	// |r(v)| seen during a run.
 	GaugePeakRetimingSpan Gauge = iota
-	// GaugeDirtyFraction is the largest dirty-region fraction seen by the
-	// incremental label patcher, in permille of the gate count (values
-	// above the fallback threshold mean a full recompute was taken).
-	GaugeDirtyFraction
 	// GaugeParWorkers is the widest internal/par pool that executed a
 	// parallel section.
 	GaugeParWorkers
@@ -272,7 +257,6 @@ const (
 
 var gaugeNames = [NumGauges]string{
 	GaugePeakRetimingSpan: "peak-retiming-span",
-	GaugeDirtyFraction:    "dirty-fraction",
 	GaugeParWorkers:       "par-workers",
 }
 

@@ -458,8 +458,8 @@ func TestCollectorMergeConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < rounds; j++ {
-				c.SpanStart(PhaseLabelPatch)
-				c.SpanEnd(PhaseLabelPatch, nil)
+				c.SpanStart(PhaseELWRecompute)
+				c.SpanEnd(PhaseELWRecompute, nil)
 				c.Count(Counter(0), 2)
 				c.Gauge(Gauge(0), int64(i*rounds+j))
 			}
@@ -467,7 +467,7 @@ func TestCollectorMergeConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	st := c.Stats()
-	if got := st.Phases[PhaseLabelPatch].Count; got != gs*rounds {
+	if got := st.Phases[PhaseELWRecompute].Count; got != gs*rounds {
 		t.Fatalf("span count = %d, want %d", got, gs*rounds)
 	}
 	if got := st.Counters[0]; got != gs*rounds*2 {

@@ -88,9 +88,8 @@ func TestCanonicalKeyNormalization(t *testing.T) {
 	invariant := zero
 	invariant.Workers = 16
 	invariant.Verify = true
-	invariant.CheckLabels = true
 	if zero.CanonicalKey() != invariant.CanonicalKey() {
-		t.Error("result-invariant fields (Workers, Verify, CheckLabels) fragment the key")
+		t.Error("result-invariant fields (Workers, Verify) fragment the key")
 	}
 	changed := zero
 	changed.Epsilon = 0.2

@@ -111,16 +111,6 @@ type RetimeOptions struct {
 	// budget between degradation tiers; tests use it to wedge the budget
 	// (an absurdly large bound makes every P2' constraint infeasible).
 	RminOverride float64
-	// CheckLabels cross-checks every incremental L/R label patch of the
-	// optimizer against the full elw.ComputeLabels oracle and fails with
-	// an error unwrapping to solverstate.ErrLabelMismatch on divergence
-	// (serbench -checklabels). Debug mode: restores recompute-per-move
-	// cost.
-	CheckLabels bool
-	// FullLabelRecompute disables the optimizer's dirty-region label
-	// patching, recomputing labels from scratch on every tentative move —
-	// the pre-incremental behavior, kept for before/after benchmarks.
-	FullLabelRecompute bool
 	// initMemo, when set by RetimeRobust, caches the Section V
 	// initialization and the rebased graph across degradation tiers that
 	// share (Ts, Th, Epsilon), so stepping down a tier does not repeat
@@ -141,16 +131,14 @@ type RetimeOptions struct {
 	// value (DESIGN.md §11). Analysis.Workers, when nonzero, overrides
 	// this for the observability analysis alone.
 	Workers int
-	// WarmStart bulk-seeds the optimizer's constraint engine with the P0
+	// warmStart bulk-seeds the optimizer's constraint engine with the P0
 	// requirement closure of each round's committed state instead of
 	// discovering the same constraints one violation batch at a time
-	// (core.Options.WarmStart). The committed fixpoint is unchanged —
-	// every tentative is still verified against the authoritative solver
-	// state before a commit (TestWarmStartMatchesCold asserts
-	// bit-identity) — so, like Workers, the field is result-invariant and
-	// excluded from CanonicalKey. The ECO session delta path sets it
-	// (DESIGN.md §17).
-	WarmStart bool
+	// (core.Options.WarmStart). It can change a MinObsWin result
+	// (TestSeededVsLazyTableI), so it is not a public option: only the
+	// ECO session path sets it (DESIGN.md §17), and CanonicalKey, which
+	// keys batch results, never sees it.
+	warmStart bool
 }
 
 // normalized applies the documented defaults (ε = 0.10, Ts/Th = 0/2,
@@ -220,12 +208,12 @@ func canonFloat(v float64) string {
 // that can influence the retiming result, with defaults applied — two
 // option values with equal keys request the same computation. Fields
 // documented result-invariant are excluded: Workers (bit-identical for
-// every count, DESIGN.md §11), WarmStart (same fixpoint, different
-// constraint-discovery cost, DESIGN.md §17), Recorder, Verify,
-// CheckLabels and FullLabelRecompute (check/debug modes that can only
-// turn a result into an error, never change it). The service's
-// content-addressed cache hashes this string next to the normalized
-// netlist.
+// every count, DESIGN.md §11), Recorder, and Verify (a check that can
+// only turn a result into an error, never change it). The unexported
+// warmStart is not result-invariant (DESIGN.md §17) and is left out for
+// another reason: only the session path sets it, on a private copy that
+// is never keyed. The service's content-addressed cache hashes this
+// string next to the normalized netlist.
 func (o RetimeOptions) CanonicalKey() string {
 	n := o.normalized()
 	return fmt.Sprintf("alg=%s engine=%s eps=%s ts=%s th=%s area=%s rmin=%s kunits=%d single=%t literal=%t stall=%d %s",
@@ -343,15 +331,13 @@ func (d *Design) retime(ctx context.Context, opt RetimeOptions) (*RetimeResult, 
 
 	copt := core.Options{
 		Phi: init.Phi, Ts: opt.Ts, Th: opt.Th, Rmin: init.Rmin,
-		ELWConstraints:     opt.Algorithm == MinObsWin,
-		SingleViolation:    opt.SingleViolation,
-		StallSteps:         opt.StallSteps,
-		SeedLabels:         init.Labels,
-		CheckLabels:        opt.CheckLabels,
-		FullLabelRecompute: opt.FullLabelRecompute,
-		Recorder:           opt.Recorder,
-		Workers:            opt.Workers,
-		WarmStart:          opt.WarmStart,
+		ELWConstraints:  opt.Algorithm == MinObsWin,
+		SingleViolation: opt.SingleViolation,
+		StallSteps:      opt.StallSteps,
+		SeedLabels:      init.Labels,
+		Recorder:        opt.Recorder,
+		Workers:         opt.Workers,
+		WarmStart:       opt.warmStart,
 	}
 	if opt.RminOverride != 0 {
 		copt.Rmin = opt.RminOverride
@@ -421,7 +407,7 @@ func (d *Design) retime(ctx context.Context, opt RetimeOptions) (*RetimeResult, 
 // tiers sharing (Ts, Th, Epsilon) pay for the min-period searches once
 // and seed their solver state from the same labels. Memoized entries are
 // read-only: Init.R is never written after creation, the rebased Graph is
-// immutable, and the solver state clones Init.Labels before patching.
+// immutable, and the solver state clones Init.Labels.
 func (d *Design) initializeBase(ctx context.Context, opt RetimeOptions) (*retime.Init, *graph.Graph, error) {
 	if opt.initMemo != nil {
 		if init, base, ok := opt.initMemo.get(opt.Ts, opt.Th, opt.Epsilon); ok {

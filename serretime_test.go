@@ -3,6 +3,7 @@ package serretime
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -134,6 +135,56 @@ func TestRetimeMinObsWinOnS27(t *testing.T) {
 	st, _ := res.Retimed.Stats()
 	if st.Gates != 10 {
 		t.Fatalf("retimed gates = %d", st.Gates)
+	}
+}
+
+// TestConcurrentRetime runs four solves at once, as the service's worker
+// pool does, and checks each against a sequential solve of the same
+// netlist. Under -race it also catches package-level state written on the
+// solver path.
+func TestConcurrentRetime(t *testing.T) {
+	paths := []string{"testdata/s27.bench", "testdata/pipeline4.bench"}
+	solve := func(path string) ([]byte, error) {
+		d, err := LoadBench(path)
+		if err != nil {
+			return nil, err
+		}
+		res, err := d.Retime(RetimeOptions{Analysis: AnalysisOptions{Frames: 3, SignatureWords: 1}})
+		if err != nil {
+			return nil, err
+		}
+		var buf bytes.Buffer
+		err = res.Retimed.WriteBench(&buf)
+		return buf.Bytes(), err
+	}
+	want := make(map[string][]byte)
+	for _, p := range paths {
+		b, err := solve(p)
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		want[p] = b
+	}
+	const n = 4
+	got := make([][]byte, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = solve(paths[i%len(paths)])
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		p := paths[i%len(paths)]
+		if errs[i] != nil {
+			t.Fatalf("solve %d (%s): %v", i, p, errs[i])
+		}
+		if !bytes.Equal(got[i], want[p]) {
+			t.Errorf("solve %d (%s): concurrent result differs from the sequential one", i, p)
+		}
 	}
 }
 
