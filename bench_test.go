@@ -338,7 +338,7 @@ func BenchmarkAblation_LiteralGains(b *testing.B) {
 
 // BenchmarkTelemetry_Overhead measures the instrumentation cost of a full
 // MinObsWin run: the always-on no-op recorder (the ≤1% overhead budget of
-// DESIGN.md §9) against a live in-memory collector and a nil recorder.
+// DESIGN.md §9) against a live trace and a nil recorder.
 func BenchmarkTelemetry_Overhead(b *testing.B) {
 	p := prepare(b, "b14_1_opt", 4)
 	for _, mode := range []struct {
@@ -347,7 +347,7 @@ func BenchmarkTelemetry_Overhead(b *testing.B) {
 	}{
 		{"nil", func() telemetry.Recorder { return nil }},
 		{"nop", func() telemetry.Recorder { return telemetry.Nop }},
-		{"collector", func() telemetry.Recorder { return telemetry.NewCollector() }},
+		{"trace", func() telemetry.Recorder { return telemetry.NewTrace(telemetry.TraceID{}) }},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			opt := coreOpts(p, true)

@@ -8,26 +8,24 @@
 // Usage:
 //
 //	seranalyze -in s27.bench [-phi 0] [-frames 15] [-words 4] [-seed 1]
-//	seranalyze -trace run.jsonl
-//	seranalyze -tracedir data/traces [-top 10]
+//	seranalyze -trace PATH [-top 10]
 //
 // With -phi 0 the combinational critical path is used as the clock period.
-// With -trace, a JSONL telemetry trace (serbench -trace) is replayed into
-// a per-run phase/counter report instead of analyzing a netlist.
-// With -tracedir, persisted per-job trace documents — the serretimed
-// data-dir's traces/ directory, or a JSONL file of trace docs collected
-// by serbench -serve -trace — are aggregated into a fleet report:
-// queue-wait vs. solve-time percentiles, tier-fallback frequency, the
-// cross-job phase-time breakdown, and the slowest jobs by trace ID.
+// With -trace, trace documents are reported instead of analyzing a
+// netlist. PATH is a file of one document per line (serbench -trace,
+// with or without -serve) or a directory of one document per file (a
+// serretimed data dir's traces/). The report is fleet-wide — queue-wait
+// vs. solve-time percentiles, tier-fallback frequency, the cross-run
+// phase-time breakdown, counter totals and gauge maxima, and the slowest
+// runs by trace ID — followed by the per-run phase table of each of the
+// -top slowest runs.
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
-	"sort"
 
 	"serretime"
 	"serretime/internal/telemetry"
@@ -40,19 +38,12 @@ func main() {
 		frames = flag.Int("frames", 15, "time-frame expansion depth n")
 		words  = flag.Int("words", 4, "signature width in 64-bit words")
 		seed   = flag.Int64("seed", 1, "simulation seed")
-		top    = flag.Int("top", 0, "also list the top-N SER contributors")
-		trace    = flag.String("trace", "", "replay a JSONL telemetry trace into a phase/counter report")
-		tracedir = flag.String("tracedir", "", "aggregate persisted per-job trace docs (a serretimed traces/ dir or a JSONL file) into a fleet report")
+		top    = flag.Int("top", 0, "also list the top-N SER contributors; with -trace, the N slowest runs (default 10)")
+		trace  = flag.String("trace", "", "report trace documents: a file of one per line (serbench -trace) or a serretimed traces/ directory")
 	)
 	flag.Parse()
 	if *trace != "" {
-		if err := traceReport(os.Stdout, *trace); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *tracedir != "" {
-		if err := fleetReport(os.Stdout, *tracedir, *top); err != nil {
+		if err := fleetReport(os.Stdout, *trace, *top); err != nil {
 			fatal(err)
 		}
 		return
@@ -102,41 +93,10 @@ func main() {
 	}
 }
 
-// traceReport reads a JSONL telemetry trace and prints one phase/counter
-// report per run label, in sorted order.
-func traceReport(w *os.File, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	recs, err := telemetry.ReadJSONL(f)
-	if err != nil {
-		return err
-	}
-	if len(recs) == 0 {
-		return fmt.Errorf("%s: empty trace", path)
-	}
-	runs := telemetry.Replay(recs)
-	names := make([]string, 0, len(runs))
-	for name := range runs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fmt.Fprintf(w, "trace %s: %d events, %d run(s)\n\n", path, len(recs), len(runs))
-	for _, name := range names {
-		if err := runs[name].WriteReport(w, name); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// fleetReport aggregates persisted telemetry.TraceDoc documents — one
-// file per job (a serretimed traces/ directory) or one JSON line per
-// job (serbench -serve -trace output) — into a fleet-level report.
-func fleetReport(w *os.File, path string, top int) error {
-	docs, skipped, err := loadTraceDocs(path)
+// fleetReport aggregates trace documents into the fleet report and the
+// per-run phase tables of the top slowest runs.
+func fleetReport(w io.Writer, path string, top int) error {
+	docs, skipped, err := telemetry.LoadTraceDocs(path)
 	if err != nil {
 		return err
 	}
@@ -146,55 +106,7 @@ func fleetReport(w *os.File, path string, top int) error {
 	if skipped > 0 {
 		fmt.Fprintf(w, "seranalyze: %d undecodable trace document(s) skipped\n", skipped)
 	}
-	telemetry.AggregateTraces(docs).WriteReport(w, top)
-	return nil
-}
-
-// loadTraceDocs reads trace documents from a directory (one JSON doc
-// per file, subdirectories ignored) or a file (one JSON doc per line).
-func loadTraceDocs(path string) ([]*telemetry.TraceDoc, int, error) {
-	var blobs [][]byte
-	fi, err := os.Stat(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	if fi.IsDir() {
-		entries, err := os.ReadDir(path)
-		if err != nil {
-			return nil, 0, err
-		}
-		for _, e := range entries {
-			if e.IsDir() {
-				continue
-			}
-			b, err := os.ReadFile(filepath.Join(path, e.Name()))
-			if err != nil {
-				return nil, 0, err
-			}
-			blobs = append(blobs, b)
-		}
-	} else {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, 0, err
-		}
-		for _, line := range bytes.Split(data, []byte{'\n'}) {
-			if len(bytes.TrimSpace(line)) > 0 {
-				blobs = append(blobs, line)
-			}
-		}
-	}
-	var docs []*telemetry.TraceDoc
-	skipped := 0
-	for _, b := range blobs {
-		doc, err := telemetry.DecodeTraceDoc(b)
-		if err != nil {
-			skipped++
-			continue
-		}
-		docs = append(docs, doc)
-	}
-	return docs, skipped, nil
+	return telemetry.AggregateTraces(docs).WriteReport(w, top)
 }
 
 func pct(part, whole float64) float64 {

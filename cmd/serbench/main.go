@@ -17,12 +17,14 @@
 // the sweep completes. The exit status is 0 only when every row is a
 // full-strength result; 2 when some rows degraded; 1 when any failed.
 //
-// Observability: -trace streams every solver phase span and counter as
-// JSONL (one run label per circuit; read back with seranalyze -trace),
-// -metrics adds a per-row phase-breakdown column from an in-memory
-// collector — with -workers > 1 including the sharded analyses' pool
-// utilization util=U% w=K — and -cpuprofile/-memprofile write standard
-// runtime/pprof profiles of the sweep.
+// Observability: with -trace or -metrics every circuit records into its
+// own telemetry.Trace. -trace writes each circuit's trace document —
+// spans with their counters — as one JSON line (read back with
+// seranalyze -trace); -metrics adds a per-row phase-breakdown column
+// folded from the same document — with -workers > 1 including the
+// sharded analyses' pool utilization util=U% w=K — and
+// -cpuprofile/-memprofile write standard runtime/pprof profiles of the
+// sweep.
 //
 // Usage:
 //
@@ -46,8 +48,9 @@
 // determinism promises (serve.go) — it mints a trace ID per submission,
 // propagates it via the Traceparent header, prints client-side
 // submit→result latency percentiles, and with -trace downloads every
-// job's persisted span tree to a JSONL file (exit 1 if any accepted
-// job's trace is missing; aggregate with seranalyze -tracedir) — and
+// job's persisted span tree to the same one-document-per-line file
+// format (exit 1 if any accepted job's trace is missing; aggregate with
+// seranalyze -trace) — and
 // -crashbin runs a kill-recover
 // chaos harness — boot a child daemon on a data directory, burst,
 // SIGKILL it mid-burst, reboot on the same directory, and demand every
@@ -56,6 +59,8 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -89,6 +94,7 @@ type row struct {
 	err              error
 	paper            gen.TableISpec
 	phases           string // -metrics: level-1 phase breakdown of the row's run
+	trace            []byte // -trace: the row's encoded trace document
 }
 
 // status renders the row's outcome for the table's status column.
@@ -175,7 +181,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&cfg.retries, "retries", 0, "extra attempts per degradation tier after a transient failure")
 	fs.IntVar(&cfg.stallSteps, "stallsteps", 0, "abort an optimizer run after this many steps without improvement (0 = off)")
 	fs.StringVar(&cfg.faultInject, "faultinject", "", "comma-separated circuit names whose runs are fault-injected (testing)")
-	fs.StringVar(&cfg.tracePath, "trace", "", "write a JSONL telemetry trace of every run (read with seranalyze -trace); with -serve, collect every job's span tree as JSONL trace docs (read with seranalyze -tracedir)")
+	fs.StringVar(&cfg.tracePath, "trace", "", "write every circuit's trace document (spans with their counters), one JSON line each; with -serve, every job's trace document from the server (read either with seranalyze -trace)")
 	fs.BoolVar(&cfg.metrics, "metrics", false, "collect per-circuit phase metrics and add a phase-breakdown column")
 	fs.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a CPU profile of the sweep")
 	fs.StringVar(&cfg.memProfile, "memprofile", "", "write a heap profile at the end of the sweep")
@@ -264,20 +270,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	var tw *telemetry.JSONLWriter
+	var traceFile *os.File
 	if cfg.tracePath != "" {
-		f, err := os.Create(cfg.tracePath)
-		if err != nil {
+		if traceFile, err = os.Create(cfg.tracePath); err != nil {
 			fmt.Fprintf(stderr, "serbench: %v\n", err)
 			return 2
 		}
-		tw = telemetry.NewJSONLWriter(f)
-		defer func() {
-			if err := tw.Flush(); err != nil {
-				fmt.Fprintf(stderr, "serbench: trace: %v\n", err)
-			}
-			f.Close()
-		}()
 	}
 
 	rows := make([]*row, len(jobs))
@@ -291,11 +289,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		go func(i int, j job) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			rows[i] = runOne(j, cfg, eng, tw)
+			rows[i] = runOne(j, cfg, eng)
 		}(i, j)
 	}
 	wg.Wait()
 	printTable(stdout, rows, cfg.metrics)
+	traceFailed := false
+	if traceFile != nil {
+		docs := make([][]byte, 0, len(rows))
+		for _, r := range rows {
+			if r != nil && r.trace != nil {
+				docs = append(docs, r.trace)
+			}
+		}
+		if err := writeTraceLines(traceFile, docs); err != nil {
+			fmt.Fprintf(stderr, "serbench: trace: %v\n", err)
+			traceFailed = true
+		}
+	}
 
 	if cfg.memProfile != "" {
 		f, err := os.Create(cfg.memProfile)
@@ -331,39 +342,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case len(degraded) > 0:
 		fmt.Fprintf(stderr, "serbench: %d circuit(s) degraded: %s\n", len(degraded), strings.Join(degraded, ", "))
 		return 2
+	case traceFailed:
+		return 1
 	}
 	return 0
 }
 
-func runOne(j job, cfg config, eng serretime.EngineKind, tw *telemetry.JSONLWriter) *row {
+// writeTraceLines writes one trace document per line — the file format
+// seranalyze -trace reads — and closes w. It returns the first write or
+// close error.
+func writeTraceLines(w io.WriteCloser, docs [][]byte) error {
+	bw := bufio.NewWriter(w)
+	for _, d := range docs {
+		// A bufio.Writer keeps its first error; Flush returns it.
+		bw.Write(bytes.TrimRight(d, "\n"))
+		bw.WriteByte('\n')
+	}
+	err := bw.Flush()
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+func runOne(j job, cfg config, eng serretime.EngineKind) *row {
 	r := &row{name: j.name}
 	ctx := context.Background()
-
-	// Per-circuit recorders: a run-labelled view of the shared trace, an
-	// in-memory collector for the -metrics column, or both.
-	var col *telemetry.Collector
-	var recs []telemetry.Recorder
-	if cfg.metrics {
-		col = telemetry.NewCollector()
-		recs = append(recs, col)
-	}
-	if tw != nil {
-		recs = append(recs, tw.Run(j.name))
-	}
-	rec := telemetry.Tee(recs...)
-	defer func() {
-		if col != nil {
-			s := col.Stats()
-			r.phases = s.PhaseBreakdown(3)
-			// Worker-pool utilization of the sharded analyses: busy time
-			// summed over workers against wall time scaled by the pool
-			// width. Absent when every pool ran inline (-workers 1).
-			if wall, w := s.Counter(telemetry.CounterParWallNanos), s.Gauge(telemetry.GaugeParWorkers); wall > 0 && w > 0 {
-				util := 100 * float64(s.Counter(telemetry.CounterParBusyNanos)) / (float64(wall) * float64(w))
-				r.phases += fmt.Sprintf(" util=%.0f%% w=%d", util, w)
-			}
-		}
-	}()
 
 	// Test hook: a fault armed for this circuit panics here; guard.Run
 	// turns it into a failed row instead of a crashed sweep.
@@ -373,6 +377,15 @@ func runOne(j job, cfg config, eng serretime.EngineKind, tw *telemetry.JSONLWrit
 	}); err != nil {
 		r.err = err
 		return r
+	}
+
+	// One trace per circuit, started where its work starts, feeds both
+	// the -trace document and the -metrics column.
+	rec := telemetry.Nop
+	if cfg.metrics || cfg.tracePath != "" {
+		tr := telemetry.NewTrace(telemetry.TraceID{})
+		rec = tr
+		defer func() { r.recordTrace(tr, cfg) }()
 	}
 
 	rec.SpanStart(telemetry.PhaseSynthesize)
@@ -420,6 +433,32 @@ func runOne(j job, cfg config, eng serretime.EngineKind, tw *telemetry.JSONLWrit
 	r.shOK = r.win.SetupHoldOK
 	r.serOrig = r.win.Before.SER
 	return r
+}
+
+// recordTrace finishes the circuit's trace and keeps what the flags ask
+// for: the encoded document (-trace) and the phase column (-metrics).
+func (r *row) recordTrace(tr *telemetry.Trace, cfg config) {
+	tr.Finish()
+	status, tier := "done", r.winTier.String()
+	if r.err != nil {
+		status, tier = "failed", ""
+	}
+	doc := tr.Doc("", r.name, status, tier, r.degraded)
+	if cfg.tracePath != "" {
+		r.trace = doc.Encode()
+	}
+	if !cfg.metrics {
+		return
+	}
+	s := telemetry.Fold(doc)
+	r.phases = s.PhaseBreakdown(3)
+	// Worker-pool utilization of the sharded analyses: busy time summed
+	// over workers against wall time scaled by the pool width. Absent
+	// when every pool ran inline (-workers 1).
+	if wall, w := s.Counter(telemetry.CounterParWallNanos), s.Gauge(telemetry.GaugeParWorkers); wall > 0 && w > 0 {
+		util := 100 * float64(s.Counter(telemetry.CounterParBusyNanos)) / (float64(wall) * float64(w))
+		r.phases += fmt.Sprintf(" util=%.0f%% w=%d", util, w)
+	}
 }
 
 // synthesize produces the row's design: a scaled Table I synthetic, or a

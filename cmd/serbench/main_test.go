@@ -1,7 +1,7 @@
 package main
 
 import (
-	"os"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -81,8 +81,9 @@ func TestFaultInjectedSweep(t *testing.T) {
 }
 
 // TestTraceRoundTrip drives the acceptance path of the telemetry layer:
-// a -trace sweep of a real netlist must emit JSONL that replays into a
-// RunStats whose top-level phase durations cover at least 90% of the
+// a -trace sweep of a real netlist must write the circuit's trace
+// document, whose fold shows the pipeline phases and the optimizer's
+// counters, whose top-level phase durations cover at least 90% of the
 // run's wall-clock, and whose report renders.
 func TestTraceRoundTrip(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "trace.jsonl")
@@ -96,23 +97,17 @@ func TestTraceRoundTrip(t *testing.T) {
 		t.Errorf("-metrics did not add the phase-breakdown column:\n%s", out.String())
 	}
 
-	f, err := os.Open(trace)
+	docs, skipped, err := telemetry.LoadTraceDocs(trace)
 	if err != nil {
-		t.Fatalf("trace file not written: %v", err)
+		t.Fatalf("trace file not readable: %v", err)
 	}
-	defer f.Close()
-	recs, err := telemetry.ReadJSONL(f)
-	if err != nil {
-		t.Fatalf("ReadJSONL: %v", err)
+	if len(docs) != 1 || skipped != 0 {
+		t.Fatalf("trace holds %d documents and %d undecodable lines, want 1 and 0", len(docs), skipped)
 	}
-	if len(recs) == 0 {
-		t.Fatal("empty trace")
+	if docs[0].Name != "s27" {
+		t.Fatalf("trace document named %q, want s27", docs[0].Name)
 	}
-	runs := telemetry.Replay(recs)
-	s := runs["s27"]
-	if s == nil {
-		t.Fatalf("no run labelled s27 in trace (%d runs)", len(runs))
-	}
+	s := telemetry.Fold(docs[0])
 	if !s.Observed(telemetry.PhaseSynthesize) || !s.Observed(telemetry.PhaseMinimize) {
 		t.Errorf("expected phases missing: synthesize=%v minimize=%v",
 			s.Observed(telemetry.PhaseSynthesize), s.Observed(telemetry.PhaseMinimize))
@@ -125,11 +120,38 @@ func TestTraceRoundTrip(t *testing.T) {
 		t.Errorf("level-%d coverage %.1f%%, want level 0 >= 90%%", level, 100*frac)
 	}
 	var report strings.Builder
-	if err := s.WriteReport(&report, "s27"); err != nil {
+	if err := s.WriteReport(&report, docs[0].Name); err != nil {
 		t.Fatalf("WriteReport: %v", err)
 	}
 	if !strings.Contains(report.String(), "== run s27 ==") {
 		t.Errorf("report malformed:\n%s", report.String())
+	}
+}
+
+// failingWriter fails every write and close.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+func (failingWriter) Close() error              { return errors.New("close failed") }
+
+// closeFailer accepts writes and fails only on close.
+type closeFailer struct{ strings.Builder }
+
+func (*closeFailer) Close() error { return errors.New("close failed") }
+
+// TestWriteTraceLinesReportsErrors checks that neither a failed write
+// nor a failed close is dropped.
+func TestWriteTraceLinesReportsErrors(t *testing.T) {
+	docs := [][]byte{[]byte(`{"a":1}` + "\n"), []byte(`{"b":2}`)}
+	if err := writeTraceLines(failingWriter{}, docs); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Errorf("write error = %v, want disk full", err)
+	}
+	cf := &closeFailer{}
+	if err := writeTraceLines(cf, docs); err == nil || !strings.Contains(err.Error(), "close failed") {
+		t.Errorf("close error = %v, want close failed", err)
+	}
+	if got := cf.String(); got != "{\"a\":1}\n{\"b\":2}\n" {
+		t.Errorf("written lines = %q", got)
 	}
 }
 

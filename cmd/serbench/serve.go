@@ -415,16 +415,17 @@ func runServe(cfg config, stdout, stderr io.Writer) int {
 }
 
 // collectTraces fetches each job's persisted span tree, writes the
-// documents as JSONL to cfg.tracePath, prints the joined client/server
-// latency picture (queue wait vs. solve time from the server's spans),
-// and returns the number of jobs whose trace was missing or empty.
+// documents one per line to cfg.tracePath, prints the joined
+// client/server latency picture (queue wait vs. solve time from the
+// server's spans), and returns the number of jobs whose trace was
+// missing or empty, or every job when the file cannot be written.
 func collectTraces(ctx context.Context, client *http.Client, cfg config, jobIDs []string, stdout, stderr io.Writer) int {
 	f, err := os.Create(cfg.tracePath)
 	if err != nil {
 		fmt.Fprintf(stderr, "serbench: -serve: %v\n", err)
 		return len(jobIDs)
 	}
-	defer f.Close()
+	var docs [][]byte
 	missing := 0
 	var queueWait, solve []time.Duration
 	for _, id := range jobIDs {
@@ -459,7 +460,11 @@ func collectTraces(ctx context.Context, client *http.Client, cfg config, jobIDs 
 		if sv := doc.Root.Find("solve"); sv != nil {
 			solve = append(solve, time.Duration(sv.DurNS))
 		}
-		f.Write(append(bytes.TrimRight(data, "\n"), '\n'))
+		docs = append(docs, data)
+	}
+	if err := writeTraceLines(f, docs); err != nil {
+		fmt.Fprintf(stderr, "serbench: -serve: trace: %v\n", err)
+		return len(jobIDs)
 	}
 	fmt.Fprintf(stdout, "  traces          %d collected, %d missing -> %s\n", len(jobIDs)-missing, missing, cfg.tracePath)
 	if len(queueWait) > 0 || len(solve) > 0 {

@@ -33,6 +33,7 @@
 // Sessions are ephemeral: they live in memory only, are LRU-evicted
 // beyond -max-sessions, expire after -session-ttl idle, and answer 410
 // after a daemon restart (the ID carries a per-boot nonce).
+//
 //	GET  /debug/jobs          live in-flight jobs: age, current phase,
 //	                          queue wait, worker utilization
 //	GET  /healthz             liveness, queue depth, build identity
@@ -41,15 +42,18 @@
 //
 // Every accepted job is traced end to end: a trace ID is minted at
 // ingress (or adopted from the client's Traceparent header) and its
-// span tree is persisted next to the result under -data-dir, so traces
-// survive restarts and `seranalyze -tracedir DIR/traces` can aggregate
-// them into a fleet report. The -slowjob watchdog logs the open-span
-// stack of any job running past the deadline.
+// span tree — solver counters on the spans they happened in — is
+// persisted next to the result under -data-dir, so traces survive
+// restarts and `seranalyze -trace DIR/traces` can aggregate them into a
+// fleet report. The same document is served at GET /v1/jobs/{id}/trace,
+// and every finished trace is folded into the /metrics solver section.
+// The -slowjob watchdog logs the open-span stack of any job running past
+// the deadline.
 //
 // A full queue answers 429 with Retry-After; SIGTERM/SIGINT drains
 // gracefully: the listener stops accepting, in-flight solves are
-// cancelled through their context, queued jobs are failed, and the JSONL
-// trace (when -trace is set) is flushed before exit.
+// cancelled through their context, and queued jobs are failed before
+// exit.
 //
 // With -data-dir the cache survives restarts — crash included: every job
 // transition is journaled to a write-ahead log and every payload written
@@ -65,7 +69,7 @@
 // Usage:
 //
 //	serretimed [-addr :8080] [-queue 64] [-jobs N] [-solve-workers N]
-//	           [-timeout 5m] [-retries N] [-cache N] [-trace out.jsonl]
+//	           [-timeout 5m] [-retries N] [-cache N]
 //	           [-data-dir DIR] [-fsync always|interval|never]
 //	           [-fsync-interval 100ms] [-slowjob 2m]
 //	           [-max-sessions 32] [-session-ttl 15m]
@@ -85,7 +89,6 @@ import (
 
 	"serretime/internal/service"
 	"serretime/internal/store"
-	"serretime/internal/telemetry"
 )
 
 func main() {
@@ -101,7 +104,6 @@ func run(args []string) int {
 	timeout := fs.Duration("timeout", 5*time.Minute, "default per-attempt solve budget")
 	retries := fs.Int("retries", 0, "default per-tier retry count")
 	cacheSize := fs.Int("cache", 4096, "retained finished jobs (content-addressed cache entries)")
-	tracePath := fs.String("trace", "", "stream a JSONL telemetry trace of every solve")
 	drainWait := fs.Duration("drain", 30*time.Second, "graceful drain budget on SIGTERM")
 	dataDir := fs.String("data-dir", "", "persist jobs and results here; replayed on boot (empty = memory-only)")
 	fsyncPolicy := fs.String("fsync", "always", "WAL durability: always, interval or never")
@@ -111,19 +113,6 @@ func run(args []string) int {
 	sessionTTL := fs.Duration("session-ttl", 15*time.Minute, "evict sessions idle longer than this (<0 = never)")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-
-	var rec telemetry.Recorder
-	var trace *telemetry.JSONLWriter
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "serretimed: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		trace = telemetry.NewJSONLWriter(f)
-		rec = trace
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
@@ -139,7 +128,6 @@ func run(args []string) int {
 		SlowJob:      *slowJob,
 		MaxSessions:  *maxSessions,
 		SessionTTL:   *sessionTTL,
-		Recorder:     rec,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
@@ -199,7 +187,7 @@ func run(args []string) int {
 	case <-ctx.Done():
 	}
 
-	// Drain: stop accepting, cancel in-flight solves, flush the trace.
+	// Drain: stop accepting, cancel in-flight solves, fail queued jobs.
 	fmt.Println("serretimed: draining")
 	dctx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()
@@ -211,12 +199,6 @@ func run(args []string) int {
 	if err := svc.Drain(dctx); err != nil {
 		fmt.Fprintf(os.Stderr, "serretimed: drain: %v\n", err)
 		code = 1
-	}
-	if trace != nil {
-		if err := trace.Flush(); err != nil {
-			fmt.Fprintf(os.Stderr, "serretimed: trace: %v\n", err)
-			code = 1
-		}
 	}
 	fmt.Println("serretimed: stopped")
 	return code

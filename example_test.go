@@ -67,22 +67,23 @@ func ExampleDesign_Retime() {
 	// objective never worsens: true
 }
 
-// ExampleDesign_Retime_telemetry attaches an in-memory telemetry collector
-// to a retiming run and inspects the resulting phase/counter summary.
+// ExampleDesign_Retime_telemetry records a retiming run into a trace and
+// folds its document into the phase/counter summary.
 func ExampleDesign_Retime_telemetry() {
 	d, err := serretime.LoadBench("testdata/pipeline4.bench")
 	if err != nil {
 		log.Fatal(err)
 	}
-	col := telemetry.NewCollector()
+	tr := telemetry.NewTrace(telemetry.TraceID{})
 	res, err := d.Retime(serretime.RetimeOptions{
 		Algorithm: serretime.MinObsWin,
-		Recorder:  col,
+		Recorder:  tr,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	stats := col.Stats()
+	tr.Finish()
+	stats := telemetry.Fold(tr.Doc("", d.Name(), "done", "", false))
 	fmt.Printf("init observed: %v\n", stats.Observed(telemetry.PhaseInit))
 	fmt.Printf("minimize observed: %v\n", stats.Observed(telemetry.PhaseMinimize))
 	fmt.Printf("steps counted: %v\n", stats.Counter(telemetry.CounterSteps) >= int64(res.Steps))

@@ -103,13 +103,6 @@ type Options struct {
 	// far. 0 disables the watchdog (the MaxSteps cap still bounds the
 	// run).
 	StallSteps int
-	// SeedLabels primes the solver state with the L/R labels of the
-	// starting retiming (solverstate.Config.SeedLabels; the Section V
-	// initialization computes exactly these when selecting Rmin). Must
-	// equal elw.ComputeLabels of g at the zero retiming; nil lets the
-	// state compute labels when first read. The result is the same either
-	// way.
-	SeedLabels *elw.Labels
 	// Recorder receives the run's telemetry: phase spans (positive-set,
 	// find-violations, elw-recompute, repair), move/violation counters,
 	// and the peak retiming span gauge. nil records nothing (the no-op
@@ -301,10 +294,9 @@ func MinimizeCtx(ctx context.Context, g *graph.Graph, gains []int64, obsInt []in
 	// weights, the L/R labels and the objective; tentative moves are
 	// applied with Begin and then either committed or rolled back.
 	st, err := solverstate.New(g, res.R, solverstate.Config{
-		Params:     params,
-		ObsInt:     obsInt,
-		SeedLabels: opt.SeedLabels,
-		Recorder:   opt.Recorder,
+		Params:   params,
+		ObsInt:   obsInt,
+		Recorder: opt.Recorder,
 	})
 	if err != nil {
 		return nil, err

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -258,8 +257,7 @@ func TestPropertyMinObsMatchesExact(t *testing.T) {
 
 func TestPropertyMinObsWinInvariants(t *testing.T) {
 	// MinObsWin results are legal forward retimings satisfying P1' and
-	// P2', and never worsen the objective. A run seeded with the starting
-	// labels (Options.SeedLabels) must equal the one that computes its own.
+	// P2', and never worsen the objective.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g, gains, obsInt, phi := randomInstance(rng, 3+rng.Intn(18))
@@ -283,16 +281,6 @@ func TestPropertyMinObsWinInvariants(t *testing.T) {
 		res, err := Minimize(g, gains, obsInt, opt)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
-			return false
-		}
-		opt.SeedLabels = lab
-		seeded, err := Minimize(g, gains, obsInt, opt)
-		if err != nil {
-			t.Logf("seed %d seeded: %v", seed, err)
-			return false
-		}
-		if !reflect.DeepEqual(seeded, res) {
-			t.Logf("seed %d: seeded run %+v, unseeded %+v", seed, seeded, res)
 			return false
 		}
 		if g.CheckLegal(res.R) != nil {

@@ -182,12 +182,16 @@ func TestRunBoundedWorkers(t *testing.T) {
 // TestUtilizationTelemetry: parallel runs record the par-* counters and
 // the worker gauge; inline runs record nothing.
 func TestUtilizationTelemetry(t *testing.T) {
-	col := telemetry.NewCollector()
-	p := New("par.test", 4, col)
+	fold := func(tr *telemetry.Trace) *telemetry.RunStats {
+		tr.Finish()
+		return telemetry.Fold(tr.Doc("", "", "", "", false))
+	}
+	tr := telemetry.NewTrace(telemetry.TraceID{})
+	p := New("par.test", 4, tr)
 	if err := p.Run(context.Background(), 8, func(worker, lo, hi int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	s := col.Stats()
+	s := fold(tr)
 	if got := s.Counter(telemetry.CounterParRuns); got != 1 {
 		t.Errorf("par-runs = %d, want 1", got)
 	}
@@ -204,12 +208,12 @@ func TestUtilizationTelemetry(t *testing.T) {
 		t.Errorf("par-workers gauge = %d, want 4", got)
 	}
 
-	col2 := telemetry.NewCollector()
-	seq := New("par.test", 1, col2)
+	tr2 := telemetry.NewTrace(telemetry.TraceID{})
+	seq := New("par.test", 1, tr2)
 	if err := seq.Run(context.Background(), 8, func(worker, lo, hi int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if got := col2.Stats().Counter(telemetry.CounterParRuns); got != 0 {
+	if got := fold(tr2).Counter(telemetry.CounterParRuns); got != 0 {
 		t.Errorf("inline run recorded par-runs = %d, want 0", got)
 	}
 }

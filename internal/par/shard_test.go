@@ -3,6 +3,7 @@ package par
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"serretime/internal/telemetry"
@@ -68,13 +69,24 @@ func TestShardSpanParallel(t *testing.T) {
 	}
 }
 
+// countRecorder is a Recorder that is not a ShardRecorder: it keeps
+// counter totals only, like a caller's Config.Recorder.
+type countRecorder struct {
+	n [telemetry.NumCounters]atomic.Int64
+}
+
+func (*countRecorder) SpanStart(telemetry.Phase)            {}
+func (*countRecorder) SpanEnd(telemetry.Phase, error)       {}
+func (r *countRecorder) Count(c telemetry.Counter, n int64) { r.n[c].Add(n) }
+func (*countRecorder) Gauge(telemetry.Gauge, int64)         {}
+
 // TestShardSpanThroughTee checks the production wiring: the pool sees
-// Tee(collector, trace) and the shard spans reach the trace through the
-// multi recorder's ShardRecorder forwarding.
+// Tee(caller's recorder, trace) and the shard spans reach the trace
+// through the multi recorder's ShardRecorder forwarding.
 func TestShardSpanThroughTee(t *testing.T) {
-	col := telemetry.NewCollector()
+	cr := &countRecorder{}
 	tr := telemetry.NewTrace(telemetry.TraceID{})
-	p := New("obs.compute", 2, telemetry.Tee(col, tr))
+	p := New("obs.compute", 2, telemetry.Tee(cr, tr))
 	if err := p.Run(context.Background(), 10, func(w, lo, hi int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +94,8 @@ func TestShardSpanThroughTee(t *testing.T) {
 	if len(spans) != 2 {
 		t.Fatalf("%d shard spans through Tee, want 2", len(spans))
 	}
-	if st := col.Stats(); st.Counters[telemetry.CounterParShards] != 2 {
-		t.Fatalf("collector shard count = %d", st.Counters[telemetry.CounterParShards])
+	if got := cr.n[telemetry.CounterParShards].Load(); got != 2 {
+		t.Fatalf("teed recorder shard count = %d", got)
 	}
 }
 
@@ -94,8 +106,8 @@ func TestShardSpanAbsentWithoutRecorder(t *testing.T) {
 	if p.shard != nil {
 		t.Fatal("nil recorder grew a shard recorder")
 	}
-	pc := New("obs.compute", 1, telemetry.NewCollector())
+	pc := New("obs.compute", 1, &countRecorder{})
 	if pc.shard != nil {
-		t.Fatal("plain Collector satisfied ShardRecorder; inline path would slow down")
+		t.Fatal("plain recorder satisfied ShardRecorder; inline path would slow down")
 	}
 }

@@ -436,14 +436,6 @@ type Init struct {
 	// false, the paper's fallback was used: plain min-period retiming and
 	// Rmin equal to the minimal gate delay (P2' then never binds).
 	SetupHoldOK bool
-	// Labels are the L/R boundary labels of (g, R) at the relaxed period
-	// Phi, computed as a by-product of the Rmin selection. Because
-	// graph.Rebase preserves vertex/edge identities and w_r, they are
-	// bit-valid for the rebased graph at the zero retiming, where they
-	// seed the solver state's committed labels (core.Options.SeedLabels).
-	// nil when the setup+hold initialization fell back (SetupHoldOK
-	// false).
-	Labels *elw.Labels
 }
 
 // Initialize computes the initial retiming, relaxed clock period Φ and
@@ -489,7 +481,6 @@ func initializeCtx(ctx context.Context, g *graph.Graph, o Options, rec telemetry
 		} else {
 			init.Rmin = g.MinDelay()
 		}
-		init.Labels = lab
 		return init, nil
 	}
 	r, phi, err := minPeriodCtx(ctx, g, o.Ts)

@@ -14,9 +14,10 @@ import (
 // handleMetrics renders the service state in the Prometheus text
 // exposition format: queue and cache gauges, job dispositions, per-tier
 // and per-error-class outcome counts, the solve-latency histogram, and
-// the shared telemetry.Collector's phase durations, counters and gauges
-// (so the solver's own observability — label sweeps, worker pool
-// utilization, violation counts — is scrapeable without a trace file).
+// the solver section — phase durations, counters and gauges folded from
+// every finished job's and session solve's trace (so the solver's own
+// observability — label sweeps, worker pool utilization, violation
+// counts — is scrapeable without reading traces).
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	var b strings.Builder
 
@@ -143,8 +144,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 
-	// Solver-internal telemetry from the shared collector.
-	stats := s.col.Stats()
+	// Solver-internal telemetry folded from finished traces.
+	s.mu.Lock()
+	stats := s.solver
+	s.mu.Unlock()
 	fmt.Fprintf(&b, "# HELP serretimed_solver_phase_seconds_total summed span durations per solver phase\n# TYPE serretimed_solver_phase_seconds_total counter\n")
 	for p := telemetry.Phase(0); p < telemetry.NumPhases; p++ {
 		if ps := stats.Phases[p]; ps.Count > 0 {

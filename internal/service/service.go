@@ -16,10 +16,10 @@
 // Design.RetimeRobust under the server's base context, so the per-attempt
 // timeout, the stall watchdog, panic isolation and the degradation chain
 // all apply, and a SIGTERM drain cancels in-flight solves by cancelling
-// that context. Telemetry from every solve lands in one shared
-// telemetry.Collector (plus any extra recorder, e.g. a JSONL trace) and
-// is rendered by /metrics together with the queue, cache, and latency
-// counters.
+// that context. Every solve records into its own telemetry.Trace (teed
+// with Config.Recorder, when set); a finished job's trace is persisted
+// and served, and every finished trace is folded into the solver section
+// of /metrics, next to the queue, cache and latency counters.
 package service
 
 import (
@@ -164,8 +164,9 @@ type Config struct {
 	// through Logf (once per job), so a wedged solve names the exact
 	// phase it is stuck in. Default 0: off.
 	SlowJob time.Duration
-	// Recorder receives solver telemetry in addition to the server's own
-	// collector (e.g. a telemetry.JSONLWriter for a persistent trace).
+	// Recorder, when set, receives every solve's telemetry alongside the
+	// solve's own trace (an embedding program's recorder, e.g. a
+	// benchmark harness). nil records into the traces alone.
 	Recorder telemetry.Recorder
 	// Store, when set, journals every job lifecycle transition and its
 	// payloads so a restarted daemon can restore its cache and re-solve
@@ -211,8 +212,6 @@ func (c Config) withDefaults() Config {
 // Handler, and call Drain on shutdown.
 type Server struct {
 	cfg   Config
-	col   *telemetry.Collector
-	rec   telemetry.Recorder
 	lat   *telemetry.ExemplarHistogram
 	queue chan *Job
 	busy  atomic.Int64 // workers currently inside a solve
@@ -230,6 +229,9 @@ type Server struct {
 	// exemplared histogram per span name), rendered by /metrics. Guarded
 	// by mu; created lazily so zero-value servers in tests stay usable.
 	phaseLat map[string]*telemetry.ExemplarHistogram
+	// solver folds the trace of every finished job and session solve:
+	// the /metrics solver section. Guarded by mu.
+	solver telemetry.RunStats
 
 	// Persistence (guarded by mu). store is nilled on the first write
 	// failure: the server degrades to memory-only rather than failing
@@ -271,7 +273,6 @@ func New(ctx context.Context, cfg Config) *Server {
 	bctx, cancel := context.WithCancel(ctx)
 	s := &Server{
 		cfg:     cfg,
-		col:     telemetry.NewCollector(),
 		lat:     telemetry.NewExemplarHistogram(telemetry.LatencyBounds()),
 		queue:   make(chan *Job, cfg.QueueDepth),
 		baseCtx: bctx,
@@ -285,7 +286,6 @@ func New(ctx context.Context, cfg Config) *Server {
 		s.storeMode = StoreDisk
 	}
 	s.initSessions()
-	s.rec = telemetry.Tee(s.col, cfg.Recorder)
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -351,7 +351,6 @@ func (s *Server) SubmitTrace(d *serretime.Design, opt serretime.RobustOptions, t
 	}
 	// The recorder is result-invariant (excluded from CanonicalKey), so
 	// the per-job trace recorder set below never fragments the cache key.
-	opt.Recorder = s.rec
 	key, bench, err := jobKey(d, opt)
 	if err != nil {
 		return nil, 0, err
@@ -380,7 +379,7 @@ func (s *Server) SubmitTrace(d *serretime.Design, opt serretime.RobustOptions, t
 	}
 	tr := telemetry.NewTrace(traceID)
 	tr.Begin("queue-wait")
-	opt.Recorder = telemetry.Tee(s.rec, tr)
+	opt.Recorder = telemetry.Tee(s.cfg.Recorder, tr)
 	j := &Job{
 		ID:        key,
 		Name:      d.Name(),
@@ -599,11 +598,13 @@ func traceIDOf(j *Job) telemetry.TraceID {
 const phaseDepth = 3
 
 // observePhasesLocked feeds one finished job's span durations into the
-// per-phase exemplar histograms. Callers hold s.mu.
+// per-phase exemplar histograms and folds its document into the solver
+// section. Callers hold s.mu.
 func (s *Server) observePhasesLocked(doc *telemetry.TraceDoc, id telemetry.TraceID) {
 	if doc == nil || doc.Root == nil {
 		return
 	}
+	s.solver.Add(doc)
 	if s.phaseLat == nil {
 		s.phaseLat = make(map[string]*telemetry.ExemplarHistogram)
 	}
@@ -687,8 +688,8 @@ func (s *Server) dropFromOrder(id string) {
 // ErrDraining, in-flight solves are cancelled through the base context
 // (they fail with errors unwrapping to guard.ErrTimeout), workers exit,
 // and every still-queued job is failed. ctx bounds the wait; on expiry
-// the workers may still be unwinding. The caller owns flushing any trace
-// recorder it passed in Config.Recorder.
+// the workers may still be unwinding. The caller owns any recorder it
+// passed in Config.Recorder.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true

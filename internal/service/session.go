@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"serretime"
+	"serretime/internal/telemetry"
 )
 
 // Warm-state ECO sessions (DESIGN.md §17). A session pins a parsed
@@ -326,7 +327,7 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.applySolveDefaults(&opt)
+	tr := s.applySolveDefaults(&opt)
 	body, name, err := s.readNetlist(r)
 	if err != nil {
 		s.writeError(w, err)
@@ -345,6 +346,7 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	warm, err := serretime.NewWarmState(s.baseCtx, d, opt)
 	s.releaseSolveSlot()
+	s.foldSolve(tr)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -401,7 +403,7 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.applySolveDefaults(&opt)
+	tr := s.applySolveDefaults(&opt)
 
 	if !s.acquireSolveSlot() {
 		s.writeError(w, ErrSolversBusy)
@@ -410,6 +412,7 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	res, stats, err := ss.warm.RetimeDelta(s.baseCtx, req.Ops, opt)
 	s.releaseSolveSlot()
+	s.foldSolve(tr)
 	ss.deltas++
 	if err != nil {
 		s.writeError(w, err)
@@ -490,8 +493,10 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 }
 
 // applySolveDefaults applies the server-side defaults and
-// result-invariant fields exactly as Submit does for batch jobs.
-func (s *Server) applySolveDefaults(opt *serretime.RobustOptions) {
+// result-invariant fields exactly as Submit does for batch jobs. The
+// solve records into its own trace, teed with Config.Recorder; the trace
+// is neither persisted nor exposed, only folded (foldSolve).
+func (s *Server) applySolveDefaults(opt *serretime.RobustOptions) *telemetry.Trace {
 	if opt.Timeout == 0 {
 		opt.Timeout = s.cfg.Timeout
 	}
@@ -501,5 +506,17 @@ func (s *Server) applySolveDefaults(opt *serretime.RobustOptions) {
 	if opt.Workers == 0 {
 		opt.Workers = s.cfg.SolveWorkers
 	}
-	opt.Recorder = s.rec
+	tr := telemetry.NewTrace(telemetry.TraceID{})
+	opt.Recorder = telemetry.Tee(s.cfg.Recorder, tr)
+	return tr
+}
+
+// foldSolve folds a finished session solve's trace into the /metrics
+// solver section, as observePhasesLocked does for a finished job.
+func (s *Server) foldSolve(tr *telemetry.Trace) {
+	tr.Finish()
+	doc := tr.Doc("", "", "", "", false)
+	s.mu.Lock()
+	s.solver.Add(doc)
+	s.mu.Unlock()
 }

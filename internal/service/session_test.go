@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -56,6 +57,24 @@ func postDelta(t *testing.T, base, id string, ops []serretime.DeltaOp) (deltaRes
 	return msg, resp.StatusCode
 }
 
+// solverSteps reads the folded optimizer-step total from /metrics (0
+// when the family has no steps line yet).
+func solverSteps(t *testing.T, base string) int64 {
+	t.Helper()
+	body, _ := fetchBody(t, base+"/metrics")
+	const key = `serretimed_solver_events_total{counter="steps"} `
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, key); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("bad steps line %q", line)
+			}
+			return n
+		}
+	}
+	return 0
+}
+
 // TestSessionEndToEnd is the warm-session contract over HTTP: open a
 // session, stream generated ECO deltas into it, and cross-check every
 // response against the oracle — a cold in-process solve of the client's
@@ -72,6 +91,12 @@ func TestSessionEndToEnd(t *testing.T) {
 	}
 	if msg.ID == "" || msg.Disposition != "opened" || msg.ResultSHA256 == "" {
 		t.Fatalf("open response: %+v", msg)
+	}
+	// Session solves reach the /metrics solver section through their
+	// folded traces.
+	steps := solverSteps(t, ts.URL)
+	if steps == 0 {
+		t.Error("session open did not reach the solver step total")
 	}
 
 	// The session solves the same parse the oracle does: both sides start
@@ -96,6 +121,11 @@ func TestSessionEndToEnd(t *testing.T) {
 		}
 		if dmsg.Seq != int64(i+1) {
 			t.Errorf("delta %d: seq %d", i, dmsg.Seq)
+		}
+		if got := solverSteps(t, ts.URL); got <= steps {
+			t.Errorf("delta %d: solver step total %d did not rise above %d", i, got, steps)
+		} else {
+			steps = got
 		}
 		if dmsg.Warm {
 			warm++

@@ -251,7 +251,6 @@ func (s *Server) Restore(jobs []store.RecoveredJob, st store.Stats) RestoreSumma
 		if opt.Workers == 0 {
 			opt.Workers = s.cfg.SolveWorkers
 		}
-		opt.Recorder = s.rec
 		// The canonical .bench payload carries the design name in its
 		// leading comment; the filename here is only a format selector.
 		d, err := serretime.Parse(bytes.NewReader(rj.Netlist), "recovered.bench")
@@ -271,7 +270,7 @@ func (s *Server) Restore(jobs []store.RecoveredJob, st store.Stats) RestoreSumma
 		// as Submit gives one to a fresh submission.
 		tr := telemetry.NewTrace(telemetry.TraceID{})
 		tr.Begin("queue-wait")
-		opt.Recorder = telemetry.Tee(s.rec, tr)
+		opt.Recorder = telemetry.Tee(s.cfg.Recorder, tr)
 		j := &Job{
 			ID:        key,
 			Name:      d.Name(),

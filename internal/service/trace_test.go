@@ -86,6 +86,39 @@ func TestTraceEndToEndHTTP(t *testing.T) {
 	}
 }
 
+// TestTraceCarriesCounters checks that a finished job's persisted trace
+// carries the solver counters on the spans they happened in: optimizer
+// steps on minimize, label sweeps on find-violations.
+func TestTraceCarriesCounters(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, Timeout: time.Minute})
+	body := benchBytes(t, tableIDesign(t, "b14_1_opt", 30))
+	msg, _ := postNetlist(t, ts.URL+"/v1/retime", body)
+	if v := pollDone(t, ts.URL, msg.ID); v.Status != StateDone.String() {
+		t.Fatalf("job finished %q: %s", v.Status, v.Error)
+	}
+	data, r := fetchBody(t, ts.URL+"/v1/jobs/"+msg.ID+"/trace")
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("GET trace: HTTP %d: %.200s", r.StatusCode, data)
+	}
+	doc, err := telemetry.DecodeTraceDoc(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	min := doc.Root.Find("minimize")
+	if min == nil || min.Counters["steps"] <= 0 {
+		t.Fatalf("minimize span carries no steps: %+v", min)
+	}
+	var labelFulls int64
+	doc.Root.Walk(func(_ int, sp *telemetry.Span) {
+		if sp.Name == "find-violations" {
+			labelFulls += sp.Counters["label-fulls"]
+		}
+	})
+	if labelFulls <= 0 {
+		t.Fatalf("no label-fulls on find-violations spans:\n%.800s", data)
+	}
+}
+
 // TestTraceMintedWithoutTraceparent checks ingress mints an ID when the
 // client sends none.
 func TestTraceMintedWithoutTraceparent(t *testing.T) {
@@ -120,6 +153,8 @@ func TestTraceObservability(t *testing.T) {
 		`serretimed_phase_seconds_count{phase="solve"}`,
 		"# {trace_id=\"" + msg.TraceID + "\"}",
 		"serretimed_solve_seconds_bucket",
+		`serretimed_solver_events_total{counter="steps"}`,
+		`serretimed_solver_phase_seconds_total{phase="minimize"}`,
 	} {
 		if !strings.Contains(m, want) {
 			t.Errorf("/metrics missing %q", want)

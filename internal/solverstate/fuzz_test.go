@@ -48,13 +48,7 @@ func FuzzStateMoves(f *testing.F) {
 		for e := range obsInt {
 			obsInt[e] = int64(shape.Intn(256))
 		}
-		seedLab, err := elw.ComputeLabels(g, r0, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := solverstate.New(g, r0, solverstate.Config{
-			Params: params, ObsInt: obsInt, SeedLabels: seedLab,
-		})
+		st, err := solverstate.New(g, r0, solverstate.Config{Params: params, ObsInt: obsInt})
 		if err != nil {
 			t.Fatal(err)
 		}

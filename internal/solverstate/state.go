@@ -28,13 +28,6 @@ type Config struct {
 	// ObsInt is the per-edge integer observability (the objective weight
 	// of each register), as produced by core.Gains.
 	ObsInt []int64
-	// SeedLabels, when non-nil, primes the committed labels: a label read
-	// with no transaction open needs no sweep until the first commit.
-	// Reads inside a transaction sweep either way. They must equal
-	// elw.ComputeLabels of the initial state (State clones them; the
-	// caller's copy is never written). The Section V initialization
-	// already computes exactly these labels when selecting Rmin.
-	SeedLabels *elw.Labels
 	// Recorder receives the label-fulls counter and the elw-recompute
 	// span of every sweep. nil records nothing.
 	Recorder telemetry.Recorder
@@ -105,9 +98,6 @@ func New(g *graph.Graph, r0 graph.Retiming, cfg Config) (*State, error) {
 		s.vertexObsDelta[g.EdgeFrom(eid)] -= cfg.ObsInt[e]
 	}
 	s.objTent = s.obj
-	if cfg.SeedLabels != nil {
-		s.lab = cfg.SeedLabels.Clone()
-	}
 	return s, nil
 }
 

@@ -94,13 +94,7 @@ func TestStateMatchesOracles(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g, obsInt, params := randomProblem(rng, 4+rng.Intn(20))
 		r0 := graph.NewRetiming(g)
-		seedLab, err := elw.ComputeLabels(g, r0, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := solverstate.New(g, r0, solverstate.Config{
-			Params: params, ObsInt: obsInt, SeedLabels: seedLab,
-		})
+		st, err := solverstate.New(g, r0, solverstate.Config{Params: params, ObsInt: obsInt})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,8 +183,7 @@ func TestRollbackRestoresLabelsBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g, obsInt, params := randomProblem(rng, 16)
 	r0 := graph.NewRetiming(g)
-	seedLab, _ := elw.ComputeLabels(g, r0, params)
-	st, err := solverstate.New(g, r0, solverstate.Config{Params: params, ObsInt: obsInt, SeedLabels: seedLab})
+	st, err := solverstate.New(g, r0, solverstate.Config{Params: params, ObsInt: obsInt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,9 +251,13 @@ func TestCommitDropsStaleLabels(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g, obsInt, params := randomProblem(rng, 12)
 	r0 := graph.NewRetiming(g)
-	seedLab, _ := elw.ComputeLabels(g, r0, params)
-	st, err := solverstate.New(g, r0, solverstate.Config{Params: params, ObsInt: obsInt, SeedLabels: seedLab})
+	st, err := solverstate.New(g, r0, solverstate.Config{Params: params, ObsInt: obsInt})
 	if err != nil {
+		t.Fatal(err)
+	}
+	// A closed-state read caches the committed labels: the first blind
+	// commit below already has labels to drop.
+	if _, err := st.Labels(); err != nil {
 		t.Fatal(err)
 	}
 	shadow := r0.Clone()

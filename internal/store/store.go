@@ -65,8 +65,8 @@ const (
 	// SyncInterval fsyncs at most once per Options.SyncEvery: the
 	// window of un-persisted transitions is bounded by that duration.
 	SyncInterval
-	// SyncNever never fsyncs; the OS flushes when it pleases. Replay
-	// still recovers whatever made it to disk.
+	// SyncNever never fsyncs; the OS flushes when it pleases. Recover
+	// still restores whatever made it to disk.
 	SyncNever
 )
 
@@ -223,7 +223,7 @@ func (d *Disk) resultPath(id string) string { return filepath.Join(d.resultsDir(
 func (d *Disk) tracePath(id string) string  { return filepath.Join(d.tracesDir(), id) }
 
 // TracesDir returns the directory of persisted per-job trace documents
-// (one JSON file per finished job) — the input of seranalyze -tracedir.
+// (one JSON file per finished job) — an input of seranalyze -trace.
 func (d *Disk) TracesDir() string { return d.tracesDir() }
 
 // Open prepares the data directory layout. Journaling requires a

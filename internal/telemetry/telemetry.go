@@ -4,17 +4,21 @@
 // machinery, and the RetimeRobust degradation chain.
 //
 // The package has no dependencies outside the standard library and is
-// built around a single small interface, Recorder, with three
+// built around a single small interface, Recorder, with two
 // implementations:
 //
-//	Nop         the default: every method is an empty body. The hot path
-//	            of the optimizer runs against it with zero allocations
-//	            and unmeasurable overhead, so instrumentation is always
-//	            compiled in and always on.
-//	Collector   in-memory aggregation: per-phase durations/counts,
-//	            counter totals, gauge maxima — summarized as a RunStats.
-//	JSONLWriter a streaming trace: one JSON object per event, replayable
-//	            into RunStats with ReadJSONL + Replay (seranalyze -trace).
+//	Nop    the default: every method is an empty body. The hot path of
+//	       the optimizer runs against it with zero allocations and
+//	       unmeasurable overhead, so instrumentation is always compiled
+//	       in and always on.
+//	Trace  the one recorder that stores anything: a span tree whose
+//	       spans carry the counters and gauges recorded inside them,
+//	       persisted as a TraceDoc (one JSON document, one line in a
+//	       trace file).
+//
+// Flat summaries — per-phase totals, counter totals, gauge maxima,
+// Coverage and PhaseBreakdown — are a Fold of a finished TraceDoc;
+// AggregateTraces folds a whole corpus of documents.
 //
 // Phases, counters and gauges are small integer enums — not strings — so
 // that recording on the optimizer's inner loop never allocates.
@@ -281,7 +285,8 @@ func ParseGauge(name string) (Gauge, bool) {
 // Recorder receives telemetry events. Implementations must be safe for
 // concurrent use; the solver calls Count and SpanStart/SpanEnd from its
 // inner loop, so implementations should avoid per-call allocation (Nop
-// and Collector counters allocate nothing).
+// allocates nothing, and neither does a Trace counting into a span that
+// already holds counters).
 //
 // Spans of the same phase are matched LIFO per recorder; the instrumented
 // code never nests a phase inside itself.
@@ -356,8 +361,8 @@ func (m multi) Gauge(g Gauge, v int64) {
 }
 
 // ShardSpan forwards shard events to the members that understand them,
-// so a Tee of Collector and Trace still delivers worker attribution to
-// the Trace.
+// so a Tee of a caller's recorder and a Trace still delivers worker
+// attribution to the Trace.
 func (m multi) ShardSpan(op string, worker int, d time.Duration, err error) {
 	for _, r := range m {
 		if sr, ok := r.(ShardRecorder); ok {

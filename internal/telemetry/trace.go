@@ -73,8 +73,8 @@ func ParseTraceparent(h string) (TraceID, bool) {
 // nanosecond offsets from the trace's start, so a persisted tree is
 // self-contained. Inner-loop phases (Phase.Level() >= 2) and parallel
 // shards are merged: repeated instances under one parent collapse into a
-// single node whose Count and DurNS accumulate, keeping the tree bounded
-// no matter how many optimizer iterations ran.
+// single node whose Count, DurNS and counters accumulate, keeping the
+// tree bounded no matter how many optimizer iterations ran.
 type Span struct {
 	// Name is the phase name ("tier:minobswin", "minimize", ...), a
 	// service-level span ("queue-wait", "solve"), or a parallel section
@@ -94,11 +94,48 @@ type Span struct {
 	Worker int `json:"worker,omitempty"`
 	// Errs counts instances that ended with an error; Err is the last
 	// error text.
-	Errs int   `json:"errs,omitempty"`
+	Errs int    `json:"errs,omitempty"`
 	Err  string `json:"err,omitempty"`
 	// Open marks a span still running when the tree was snapshotted.
-	Open     bool    `json:"open,omitempty"`
-	Children []*Span `json:"children,omitempty"`
+	Open bool `json:"open,omitempty"`
+	// Counters and Gauges hold the events recorded while this span was
+	// the innermost open one, by name: counter totals and gauge maxima.
+	Counters map[string]int64 `json:"counters,omitempty"`
+	Gauges   map[string]int64 `json:"gauges,omitempty"`
+	Children []*Span          `json:"children,omitempty"`
+
+	// tally is a live Trace node's counter and gauge storage; Snapshot
+	// renders it into Counters and Gauges.
+	tally *tally
+}
+
+// tally stores one live span's counters and gauges as arrays, so Count
+// and Gauge never allocate once the span holds a tally.
+type tally struct {
+	counters [NumCounters]int64
+	gauges   [NumGauges]int64
+}
+
+// maps renders the non-zero entries by name.
+func (t *tally) maps() (counters, gauges map[string]int64) {
+	if t == nil {
+		return nil, nil
+	}
+	return byName(counterNames[:], t.counters[:]), byName(gaugeNames[:], t.gauges[:])
+}
+
+// byName maps the non-zero values to their names (nil when all are zero).
+func byName(names []string, vals []int64) map[string]int64 {
+	var m map[string]int64
+	for i, v := range vals {
+		if v != 0 {
+			if m == nil {
+				m = make(map[string]int64)
+			}
+			m[names[i]] = v
+		}
+	}
+	return m
 }
 
 // Find returns the first span named name in a depth-first walk of the
@@ -141,17 +178,15 @@ func (s *Span) Walk(fn func(depth int, sp *Span)) {
 // the tree depth, so the cap is rarely approached.
 const maxTraceSpans = 4096
 
-// Trace is a Recorder that builds a per-job span tree: phase spans from
-// the solver nest under the currently-open span, parallel shards are
+// Trace is the Recorder that stores a run: a span tree in which phase
+// spans from the solver nest under the currently-open span, counters and
+// gauges attach to the innermost open span, parallel shards are
 // attributed to workers via ShardSpan, and service-level spans
 // (queue-wait, solve) are opened with Begin/End. It is safe for
 // concurrent use; span nesting follows the recording goroutine's
 // open-span stack, which matches the solver's single-goroutine phase
 // discipline (shards are leaves and may arrive from any goroutine).
-//
-// A Trace is always used alongside a Collector via Tee — the Collector
-// aggregates, the Trace keeps the tree — so Count and Gauge events are
-// deliberately ignored here.
+// Flat per-run totals are a Fold of its finished document.
 type Trace struct {
 	id    TraceID
 	start time.Time
@@ -189,11 +224,39 @@ func (t *Trace) SpanStart(p Phase) { t.begin(p.String(), p.Level() >= 2, 0) }
 // SpanEnd implements Recorder.
 func (t *Trace) SpanEnd(p Phase, err error) { t.end(p.String(), err) }
 
-// Count implements Recorder (ignored; the Collector aggregates counters).
-func (t *Trace) Count(Counter, int64) {}
+// Count implements Recorder: n is added to the innermost open span, or
+// to the root when no span is open.
+func (t *Trace) Count(c Counter, n int64) {
+	if c >= NumCounters {
+		return
+	}
+	t.mu.Lock()
+	t.topTally().counters[c] += n
+	t.mu.Unlock()
+}
 
-// Gauge implements Recorder (ignored).
-func (t *Trace) Gauge(Gauge, int64) {}
+// Gauge implements Recorder: the innermost open span (or the root) keeps
+// the maximum sampled value.
+func (t *Trace) Gauge(g Gauge, v int64) {
+	if g >= NumGauges {
+		return
+	}
+	t.mu.Lock()
+	if tl := t.topTally(); v > tl.gauges[g] {
+		tl.gauges[g] = v
+	}
+	t.mu.Unlock()
+}
+
+// topTally returns the innermost open span's tally, creating it on the
+// span's first event. Callers hold t.mu.
+func (t *Trace) topTally() *tally {
+	sp := t.top()
+	if sp.tally == nil {
+		sp.tally = new(tally)
+	}
+	return sp.tally
+}
 
 // Begin opens a named service-level span (e.g. "queue-wait").
 func (t *Trace) Begin(name string) { t.begin(name, false, 0) }
@@ -303,8 +366,10 @@ func (t *Trace) Finish() {
 // Snapshot deep-copies the span tree. Spans still open are marked Open
 // and their DurNS includes the running instance's elapsed time, so a
 // live snapshot of an in-flight job reads like a finished one.
-func (t *Trace) Snapshot() *Span {
-	now := time.Now()
+func (t *Trace) Snapshot() *Span { return t.snapshot(time.Now()) }
+
+// snapshot is Snapshot as of now.
+func (t *Trace) snapshot(now time.Time) *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	open := make(map[*Span]time.Time, len(t.stack))
@@ -315,6 +380,8 @@ func (t *Trace) Snapshot() *Span {
 	cp = func(s *Span) *Span {
 		out := *s
 		out.Children = nil
+		out.tally = nil
+		out.Counters, out.Gauges = s.tally.maps()
 		if t0, ok := open[s]; ok {
 			out.Open = true
 			out.DurNS += int64(now.Sub(t0))
@@ -361,7 +428,7 @@ func (t *Trace) StackString() string {
 
 // TraceDoc is the persisted form of one job's trace: the span tree plus
 // enough job metadata to aggregate fleets of documents without the job
-// table (seranalyze -tracedir).
+// table (seranalyze -trace).
 type TraceDoc struct {
 	TraceID  string    `json:"trace_id"`
 	JobID    string    `json:"job_id,omitempty"`
@@ -376,10 +443,11 @@ type TraceDoc struct {
 
 // Doc snapshots the trace into a document. It works on a live trace
 // (open spans annotated) as well as a finished one; wall-clock is the
-// time since the trace started.
+// time from the trace's start to the call, before the copy is made.
 func (t *Trace) Doc(jobID, name, status, tier string, degraded bool) *TraceDoc {
-	root := t.Snapshot()
-	wall := time.Since(t.start)
+	now := time.Now()
+	root := t.snapshot(now)
+	wall := now.Sub(t.start)
 	root.DurNS = int64(wall)
 	return &TraceDoc{
 		TraceID:  t.id.String(),

@@ -2,9 +2,7 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -23,9 +21,9 @@ func TestTraceIDParse(t *testing.T) {
 	for _, bad := range []string{
 		"",
 		"abc",
-		"00000000000000000000000000000000",           // all-zero is invalid
-		"zz102030405060708090a0b0c0d0e0f0",           // not hex
-		"0102030405060708090a0b0c0d0e0f0102",         // too long
+		"00000000000000000000000000000000",   // all-zero is invalid
+		"zz102030405060708090a0b0c0d0e0f0",   // not hex
+		"0102030405060708090a0b0c0d0e0f0102", // too long
 	} {
 		if _, ok := ParseTraceID(bad); ok {
 			t.Errorf("ParseTraceID(%q) accepted", bad)
@@ -285,8 +283,8 @@ func TestTraceDocRoundTrip(t *testing.T) {
 		nil,
 		[]byte("{"),
 		[]byte(`{}`),
-		[]byte(`{"trace_id":"aa"}`),              // no root
-		[]byte(`{"root":{"name":"job"}}`),        // no trace ID
+		[]byte(`{"trace_id":"aa"}`),       // no root
+		[]byte(`{"root":{"name":"job"}}`), // no trace ID
 	} {
 		if _, err := DecodeTraceDoc(bad); err == nil {
 			t.Errorf("DecodeTraceDoc(%q) accepted", bad)
@@ -308,6 +306,15 @@ func TestQuantile(t *testing.T) {
 			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
 		}
 	}
+	// Nearest rank is ceil(q·n): p95 of 11 samples is the 11th, the
+	// largest, not the second-largest.
+	eleven := make([]time.Duration, 11)
+	for i := range eleven {
+		eleven[i] = time.Duration(i + 1)
+	}
+	if got := Quantile(eleven, 0.95); got != 11 {
+		t.Errorf("Quantile(11 samples, 0.95) = %v, want 11", got)
+	}
 	// The input slice must not be reordered.
 	if ds[0] != 5 {
 		t.Fatalf("Quantile sorted the caller's slice: %v", ds)
@@ -321,6 +328,8 @@ func TestAggregateTraces(t *testing.T) {
 		tr.End("queue-wait", nil)
 		tr.Begin("solve")
 		tr.SpanStart(PhaseTierMinObsWin)
+		tr.Count(CounterSteps, 2)
+		tr.Gauge(GaugePeakRetimingSpan, int64(len(job)))
 		tr.SpanEnd(PhaseTierMinObsWin, nil)
 		tr.End("solve", nil)
 		tr.Finish()
@@ -353,13 +362,24 @@ func TestAggregateTraces(t *testing.T) {
 	if len(r.Slowest) == 0 || r.Slowest[0].JobID != "b" {
 		t.Fatalf("slowest = %+v", r.Slowest)
 	}
+	if r.Totals.Counter(CounterSteps) != 6 || r.Totals.Gauge(GaugePeakRetimingSpan) != 1 {
+		t.Fatalf("totals: steps %d, peak span %d; want 6, 1",
+			r.Totals.Counter(CounterSteps), r.Totals.Gauge(GaugePeakRetimingSpan))
+	}
 	var buf bytes.Buffer
-	r.WriteReport(&buf, 0)
+	if err := r.WriteReport(&buf, 2); err != nil {
+		t.Fatal(err)
+	}
 	out := buf.String()
-	for _, want := range []string{"jobs", "queue-wait", "solve", "tier:minobswin", "slowest"} {
+	for _, want := range []string{"jobs", "queue-wait", "solve", "tier:minobswin", "slowest",
+		"counters (total across jobs)", "steps", "gauges (max across jobs)", "peak-retiming-span",
+		"== run b ==", "== run a =="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "== run c ==") {
+		t.Errorf("report has a per-run table beyond top 2:\n%s", out)
 	}
 }
 
@@ -396,84 +416,5 @@ func TestExemplarHistogram(t *testing.T) {
 	}
 	if last != id2.String() {
 		t.Fatalf("bucket exemplar = %s, want %s", last, id2)
-	}
-}
-
-// TestJSONLWriterInterleaving streams events from many goroutines into
-// one writer and checks every emitted line is intact JSON with its run
-// label — no torn or interleaved lines. Run with -race.
-func TestJSONLWriterInterleaving(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewJSONLWriter(&buf)
-	const writers, events = 8, 100
-	var wg sync.WaitGroup
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			view := w.Run(fmt.Sprintf("run-%d", i))
-			for j := 0; j < events; j++ {
-				view.SpanStart(PhaseMinimize)
-				view.Count(0, 1)
-				view.SpanEnd(PhaseMinimize, nil)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte{'\n'})
-	if want := writers * events * 3; len(lines) != want {
-		t.Fatalf("%d lines, want %d", len(lines), want)
-	}
-	perRun := make(map[string]int)
-	for _, line := range lines {
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			t.Fatalf("torn line %q: %v", line, err)
-		}
-		perRun[rec.Run]++
-	}
-	if len(perRun) != writers {
-		t.Fatalf("run labels = %v", perRun)
-	}
-	for run, n := range perRun {
-		if n != events*3 {
-			t.Fatalf("run %s has %d events, want %d", run, n, events*3)
-		}
-	}
-}
-
-// TestCollectorMergeConcurrent drives one Collector from goroutines
-// covering every event type at once, then checks totals merged exactly.
-// Run with -race. (TestCollectorConcurrent covers counters; this one
-// adds spans and gauges in the same interleaving.)
-func TestCollectorMergeConcurrent(t *testing.T) {
-	c := NewCollector()
-	const gs, rounds = 8, 200
-	var wg sync.WaitGroup
-	for i := 0; i < gs; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < rounds; j++ {
-				c.SpanStart(PhaseELWRecompute)
-				c.SpanEnd(PhaseELWRecompute, nil)
-				c.Count(Counter(0), 2)
-				c.Gauge(Gauge(0), int64(i*rounds+j))
-			}
-		}(i)
-	}
-	wg.Wait()
-	st := c.Stats()
-	if got := st.Phases[PhaseELWRecompute].Count; got != gs*rounds {
-		t.Fatalf("span count = %d, want %d", got, gs*rounds)
-	}
-	if got := st.Counters[0]; got != gs*rounds*2 {
-		t.Fatalf("counter = %d, want %d", got, gs*rounds*2)
-	}
-	if max := st.Gauges[0]; max != (gs-1)*rounds+rounds-1 {
-		t.Fatalf("gauge max = %d, want %d", max, (gs-1)*rounds+rounds-1)
 	}
 }

@@ -1,15 +1,20 @@
 package telemetry
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"math"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"time"
 )
 
 // Quantile returns the q-quantile (0 <= q <= 1) of the durations using
-// the nearest-rank method; ds is not modified. Zero durations return 0.
+// the nearest-rank method, the ceil(q·n)-th smallest sample; ds is not
+// modified. Zero durations return 0.
 func Quantile(ds []time.Duration, q float64) time.Duration {
 	if len(ds) == 0 {
 		return 0
@@ -20,7 +25,7 @@ func Quantile(ds []time.Duration, q float64) time.Duration {
 	if q <= 0 {
 		return sorted[0]
 	}
-	rank := int(q*float64(len(sorted)) + 0.5)
+	rank := int(math.Ceil(q * float64(len(sorted))))
 	if rank < 1 {
 		rank = 1
 	}
@@ -51,6 +56,10 @@ type FleetReport struct {
 	// merge counts).
 	PhaseTotal map[string]time.Duration
 	PhaseCount map[string]int64
+
+	// Totals folds every document: counter totals and gauge maxima
+	// across the corpus.
+	Totals RunStats
 
 	// Slowest holds the highest-wall-clock documents, descending, so the
 	// report can name the exact traces worth opening.
@@ -87,6 +96,7 @@ func AggregateTraces(docs []*TraceDoc) *FleetReport {
 		if sv := d.Root.Find("solve"); sv != nil {
 			r.Solve = append(r.Solve, time.Duration(sv.DurNS))
 		}
+		r.Totals.Add(d)
 		d.Root.Walk(func(depth int, sp *Span) {
 			if depth == 0 { // the root "job" span is the wall clock
 				return
@@ -104,9 +114,10 @@ func AggregateTraces(docs []*TraceDoc) *FleetReport {
 	return r
 }
 
-// WriteReport renders the fleet report; top bounds the slowest-job and
-// phase tables (top <= 0 means 10).
-func (r *FleetReport) WriteReport(w io.Writer, top int) {
+// WriteReport renders the fleet report followed by the per-run phase
+// table of each of the slowest documents; top bounds the phase,
+// slowest-job and per-run tables (top <= 0 means 10).
+func (r *FleetReport) WriteReport(w io.Writer, top int) error {
 	if top <= 0 {
 		top = 10
 	}
@@ -142,16 +153,38 @@ func (r *FleetReport) WriteReport(w io.Writer, top int) {
 		}
 	}
 
-	if len(r.Slowest) > 0 {
-		n := len(r.Slowest)
-		if n > top {
-			n = top
-		}
-		fmt.Fprintf(w, "\n  slowest jobs (top %d)\n", n)
-		for _, d := range r.Slowest[:n] {
+	writeTotals(w, "counters (total across jobs)", counterNames[:], r.Totals.Counters[:])
+	writeTotals(w, "gauges (max across jobs)", gaugeNames[:], r.Totals.Gauges[:])
+
+	slowest := r.Slowest[:min(len(r.Slowest), top)]
+	if len(slowest) > 0 {
+		fmt.Fprintf(w, "\n  slowest jobs (top %d)\n", len(slowest))
+		for _, d := range slowest {
 			fmt.Fprintf(w, "    %12v  %-12s tier=%-22s trace=%s\n",
 				time.Duration(d.WallNS).Round(time.Millisecond), d.Name, orDash(d.Tier), d.TraceID)
 		}
+		fmt.Fprintln(w)
+	}
+	for _, d := range slowest {
+		if err := Fold(d).WriteReport(w, d.Name); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeTotals prints the non-zero values of one enum-indexed table.
+func writeTotals(w io.Writer, title string, names []string, vals []int64) {
+	header := false
+	for i, v := range vals {
+		if v == 0 {
+			continue
+		}
+		if !header {
+			fmt.Fprintf(w, "\n  %s\n", title)
+			header = true
+		}
+		fmt.Fprintf(w, "    %-24s %12d\n", names[i], v)
 	}
 }
 
@@ -185,4 +218,52 @@ func orDash(s string) string {
 		return "-"
 	}
 	return s
+}
+
+// LoadTraceDocs reads trace documents from a directory (one document per
+// file, subdirectories ignored, as a serretimed data dir's traces/
+// holds them) or a file (one document per line, blank lines skipped, as
+// serbench -trace writes them). Undecodable documents do not fail the
+// read; skipped counts them.
+func LoadTraceDocs(path string) (docs []*TraceDoc, skipped int, err error) {
+	var blobs [][]byte
+	fi, err := os.Stat(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	if fi.IsDir() {
+		entries, err := os.ReadDir(path)
+		if err != nil {
+			return nil, 0, err
+		}
+		for _, e := range entries {
+			if e.IsDir() {
+				continue
+			}
+			b, err := os.ReadFile(filepath.Join(path, e.Name()))
+			if err != nil {
+				return nil, 0, err
+			}
+			blobs = append(blobs, b)
+		}
+	} else {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, 0, err
+		}
+		for _, line := range bytes.Split(data, []byte{'\n'}) {
+			if len(bytes.TrimSpace(line)) > 0 {
+				blobs = append(blobs, line)
+			}
+		}
+	}
+	for _, b := range blobs {
+		doc, err := DecodeTraceDoc(b)
+		if err != nil {
+			skipped++
+			continue
+		}
+		docs = append(docs, doc)
+	}
+	return docs, skipped, nil
 }

@@ -114,15 +114,15 @@ type RetimeOptions struct {
 	// initMemo, when set by RetimeRobust, caches the Section V
 	// initialization and the rebased graph across degradation tiers that
 	// share (Ts, Th, Epsilon), so stepping down a tier does not repeat
-	// the min-period searches and the tiers seed their solver state from
-	// one set of labels.
+	// the min-period searches.
 	initMemo *initCache
 	// Recorder receives the run's telemetry: phase spans (obs-analysis,
 	// init, gains, minimize, verify, rebuild, analysis and the optimizer's
 	// inner phases), counters, gauges, and the worker-pool utilization
 	// counters of the sharded analyses. nil records nothing; the no-op
-	// recorder costs nothing on the hot path. Use a telemetry.Collector for
-	// in-memory RunStats or a telemetry.JSONLWriter for a streaming trace.
+	// recorder costs nothing on the hot path. A telemetry.Trace stores the
+	// run as a span tree with counters on their spans; telemetry.Fold of
+	// its document gives the flat RunStats.
 	Recorder telemetry.Recorder
 	// Workers bounds the CPU workers of the parallel analyses (signature
 	// simulation, ODC observability, exact-solver W/D build). 0 (or
@@ -334,7 +334,6 @@ func (d *Design) retime(ctx context.Context, opt RetimeOptions) (*RetimeResult, 
 		ELWConstraints:  opt.Algorithm == MinObsWin,
 		SingleViolation: opt.SingleViolation,
 		StallSteps:      opt.StallSteps,
-		SeedLabels:      init.Labels,
 		Recorder:        opt.Recorder,
 		Workers:         opt.Workers,
 		WarmStart:       opt.warmStart,
@@ -404,10 +403,9 @@ func (d *Design) retime(ctx context.Context, opt RetimeOptions) (*RetimeResult, 
 
 // initializeBase runs the Section V initialization and rebases the graph
 // onto it, consulting the degradation chain's memo (RetimeRobust) so
-// tiers sharing (Ts, Th, Epsilon) pay for the min-period searches once
-// and seed their solver state from the same labels. Memoized entries are
-// read-only: Init.R is never written after creation, the rebased Graph is
-// immutable, and the solver state clones Init.Labels.
+// tiers sharing (Ts, Th, Epsilon) pay for the min-period searches once.
+// Memoized entries are read-only: Init.R is never written after creation
+// and the rebased Graph is immutable.
 func (d *Design) initializeBase(ctx context.Context, opt RetimeOptions) (*retime.Init, *graph.Graph, error) {
 	if opt.initMemo != nil {
 		if init, base, ok := opt.initMemo.get(opt.Ts, opt.Th, opt.Epsilon); ok {

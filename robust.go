@@ -18,8 +18,7 @@ import (
 // onto it) per (Ts, Th, Epsilon) for one design, so the rungs of a
 // degradation chain share one initialization instead of re-running the
 // min-period searches: TierMinObsWin and TierMinObs use the same key and
-// reuse the entry — including Init.Labels, which each tier's solver state
-// clones as its seed — while TierMinObsWinRelaxed (different Epsilon)
+// reuse the entry, while TierMinObsWinRelaxed (different Epsilon)
 // computes its own. A cache belongs to one RetimeRobust call and must not
 // be shared across designs.
 type initCache struct {
