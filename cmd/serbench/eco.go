@@ -1,22 +1,23 @@
-// ECO mode (-eco netlist.bench): measure the warm-session delta
-// re-solve against the cold full solve it must match.
+// ECO mode (-eco netlist.bench): measure the session delta re-solve
+// against the cold full solve it must match.
 //
 // In-process (default): load the netlist, open a serretime.WarmState,
 // stream -deltas generated single-gate perturbations through
-// RetimeDelta, and for every delta also solve the mutated netlist from
-// scratch. The two results must be byte-identical — the cold solve is
-// the oracle, not a baseline estimate — and the timing ratio is the
-// headline number. Results print as `go test -bench` style lines so
-// `cmd/benchjson` can append them to a trajectory file
-// (`make bench-eco` → BENCH_eco.json).
+// RetimeDelta, which solves each mutated netlist with seeded constraint
+// discovery, and for every delta also solve the mutated netlist from
+// scratch with RetimeRobust. The two results must be byte-identical —
+// the cold solve is the oracle, not a baseline estimate — and the
+// timing ratio is the headline number. Results print as `go test
+// -bench` style lines so `cmd/benchjson` can append them to a
+// trajectory file (`make bench-eco` → BENCH_eco.json).
 //
 // With -serve URL the same stream drives a running serretimed over the
 // session API instead: POST /v1/sessions, then one
 // POST /v1/sessions/{id}/delta per perturbation, downloading the result
 // each time and comparing it against a local cold solve of the
 // client-side mirror netlist. This is the CI eco-smoke driver: it
-// proves the daemon's incremental path returns exactly what a
-// from-scratch solve of the delivered netlist returns.
+// proves the daemon's session returns exactly what a from-scratch solve
+// of the delivered netlist returns.
 package main
 
 import (
@@ -127,8 +128,7 @@ func runECO(cfg config, eng serretime.EngineKind, stdout, stderr io.Writer) int 
 	openTime := time.Since(openStart)
 
 	g := eco.NewGen(mirror, cfg.ecoSeed)
-	var coldTotal, warmTotal time.Duration
-	warmCount := 0
+	var coldTotal, deltaTotal time.Duration
 	for i := 0; i < cfg.ecoDeltas; i++ {
 		ops, err := g.Next()
 		if err != nil {
@@ -136,8 +136,8 @@ func runECO(cfg config, eng serretime.EngineKind, stdout, stderr io.Writer) int 
 			return 1
 		}
 		start := time.Now()
-		res, stats, err := w.RetimeDelta(ctx, ops, opt)
-		warmTotal += time.Since(start)
+		res, err := w.RetimeDelta(ctx, ops, opt)
+		deltaTotal += time.Since(start)
 		if err != nil {
 			fmt.Fprintf(stderr, "serbench: eco: delta %d: %v\n", i, err)
 			return 1
@@ -147,12 +147,6 @@ func runECO(cfg config, eng serretime.EngineKind, stdout, stderr io.Writer) int 
 			fmt.Fprintf(stderr, "serbench: eco: delta %d: %v\n", i, err)
 			return 1
 		}
-		if stats.Warm {
-			warmCount++
-		} else {
-			fmt.Fprintf(stderr, "serbench: eco: delta %d fell back to a full solve: %s\n", i, stats.FallbackReason)
-		}
-
 		mut, err := g.Bench()
 		if err != nil {
 			fmt.Fprintf(stderr, "serbench: eco: delta %d: %v\n", i, err)
@@ -174,15 +168,11 @@ func runECO(cfg config, eng serretime.EngineKind, stdout, stderr io.Writer) int 
 	n := cfg.ecoDeltas
 	fmt.Fprintf(stdout, "BenchmarkECO/circuit=%s/phase=open 1 %d ns/op\n", name, openTime.Nanoseconds())
 	fmt.Fprintf(stdout, "BenchmarkECO/circuit=%s/phase=cold %d %d ns/op\n", name, n, coldTotal.Nanoseconds()/int64(n))
-	fmt.Fprintf(stdout, "BenchmarkECO/circuit=%s/phase=delta %d %d ns/op\n", name, n, warmTotal.Nanoseconds()/int64(n))
-	speedup := float64(coldTotal) / float64(warmTotal)
-	fmt.Fprintf(stderr, "serbench: eco: %s: %d deltas, %d warm, all bit-identical to cold solves; delta re-solve %.2fx faster than cold (%.0fms vs %.0fms per delta)\n",
-		name, n, warmCount, speedup,
-		float64(warmTotal.Milliseconds())/float64(n), float64(coldTotal.Milliseconds())/float64(n))
-	if warmCount == 0 {
-		fmt.Fprintln(stderr, "serbench: eco: no delta took the warm path")
-		return 1
-	}
+	fmt.Fprintf(stdout, "BenchmarkECO/circuit=%s/phase=delta %d %d ns/op\n", name, n, deltaTotal.Nanoseconds()/int64(n))
+	speedup := float64(coldTotal) / float64(deltaTotal)
+	fmt.Fprintf(stderr, "serbench: eco: %s: %d deltas, all bit-identical to cold solves; delta re-solve %.2fx faster than cold (%.0fms vs %.0fms per delta)\n",
+		name, n, speedup,
+		float64(deltaTotal.Milliseconds())/float64(n), float64(coldTotal.Milliseconds())/float64(n))
 	if cfg.ecoMin > 0 && speedup < cfg.ecoMin {
 		fmt.Fprintf(stderr, "serbench: eco: speedup %.2fx below the -ecomin %.1fx floor\n", speedup, cfg.ecoMin)
 		return 2
@@ -190,19 +180,11 @@ func runECO(cfg config, eng serretime.EngineKind, stdout, stderr io.Writer) int 
 	return 0
 }
 
-// ecoOpenMsg and ecoDeltaMsg are the subsets of the daemon's session
-// responses the client needs. They are separate types because "warm" is
-// a per-session counter on the open/status view but a per-delta boolean
-// on the delta reply.
-type ecoOpenMsg struct {
+// ecoMsg is the subset of the daemon's session open and delta replies
+// the client needs.
+type ecoMsg struct {
 	ID    string `json:"id"`
 	Error string `json:"error"`
-}
-
-type ecoDeltaMsg struct {
-	Warm           bool   `json:"warm"`
-	FallbackReason string `json:"fallback_reason"`
-	Error          string `json:"error"`
 }
 
 // runECOServe drives a running serretimed's session API with the same
@@ -240,7 +222,7 @@ func runECOServe(cfg config, eng serretime.EngineKind, stdout, stderr io.Writer)
 		return resp.StatusCode, nil
 	}
 
-	var open ecoOpenMsg
+	var open ecoMsg
 	code, err := post(base+"/v1/sessions"+query+"&name="+filepath.Base(cfg.ecoPath), "text/plain", raw, &open)
 	if err != nil || code != http.StatusCreated {
 		fmt.Fprintf(stderr, "serbench: eco: open session: HTTP %d: %v %s\n", code, err, open.Error)
@@ -249,7 +231,6 @@ func runECOServe(cfg config, eng serretime.EngineKind, stdout, stderr io.Writer)
 	fmt.Fprintf(stdout, "serbench: eco: session %s open on %s\n", open.ID, base)
 
 	g := eco.NewGen(mirror, cfg.ecoSeed)
-	warmCount := 0
 	var deltaTotal time.Duration
 	for i := 0; i < cfg.ecoDeltas; i++ {
 		ops, err := g.Next()
@@ -264,7 +245,7 @@ func runECOServe(cfg config, eng serretime.EngineKind, stdout, stderr io.Writer)
 			fmt.Fprintf(stderr, "serbench: eco: delta %d: %v\n", i, err)
 			return 1
 		}
-		var dmsg ecoDeltaMsg
+		var dmsg ecoMsg
 		start := time.Now()
 		code, err := post(base+"/v1/sessions/"+open.ID+"/delta", "application/json", body, &dmsg)
 		deltaTotal += time.Since(start)
@@ -272,12 +253,6 @@ func runECOServe(cfg config, eng serretime.EngineKind, stdout, stderr io.Writer)
 			fmt.Fprintf(stderr, "serbench: eco: delta %d: HTTP %d: %v %s\n", i, code, err, dmsg.Error)
 			return 1
 		}
-		if dmsg.Warm {
-			warmCount++
-		} else {
-			fmt.Fprintf(stderr, "serbench: eco: delta %d fell back: %s\n", i, dmsg.FallbackReason)
-		}
-
 		resp, err := client.Get(base + "/v1/sessions/" + open.ID + "/result")
 		if err != nil {
 			fmt.Fprintf(stderr, "serbench: eco: delta %d: result: %v\n", i, err)
@@ -304,11 +279,7 @@ func runECOServe(cfg config, eng serretime.EngineKind, stdout, stderr io.Writer)
 			return 1
 		}
 	}
-	fmt.Fprintf(stdout, "serbench: eco: %s over %s: %d deltas (%d warm), every result byte-identical to a cold full solve; mean delta round-trip %.0fms\n",
-		name, base, cfg.ecoDeltas, warmCount, float64(deltaTotal.Milliseconds())/float64(cfg.ecoDeltas))
-	if warmCount == 0 {
-		fmt.Fprintln(stderr, "serbench: eco: no delta took the warm path")
-		return 1
-	}
+	fmt.Fprintf(stdout, "serbench: eco: %s over %s: %d deltas, every result byte-identical to a cold full solve; mean delta round-trip %.0fms\n",
+		name, base, cfg.ecoDeltas, float64(deltaTotal.Milliseconds())/float64(cfg.ecoDeltas))
 	return 0
 }

@@ -34,14 +34,14 @@
 //	         [-trace out.jsonl] [-metrics]
 //	         [-cpuprofile f] [-memprofile f]
 //
-// ECO mode (-eco netlist.bench) replaces the sweep with a warm-session
-// delta stream: generated single-gate perturbations are re-solved
-// incrementally through a serretime.WarmState and every result is
-// byte-compared against a cold full solve of the same mutated netlist
-// (the oracle). Alone it benchmarks in-process and prints
-// benchjson-compatible lines (`make bench-eco` → BENCH_eco.json); with
-// -serve it drives a running serretimed's /v1/sessions API instead
-// (eco.go).
+// ECO mode (-eco netlist.bench) replaces the sweep with a session delta
+// stream: generated single-gate perturbations are applied to a
+// serretime.WarmState and re-solved with seeded constraint discovery,
+// and every result is byte-compared against a cold full solve of the
+// same mutated netlist (the oracle). Alone it benchmarks in-process
+// and prints benchjson-compatible lines (`make bench-eco` →
+// BENCH_eco.json); with -serve it drives a running serretimed's
+// /v1/sessions API instead (eco.go).
 //
 // Two further client modes replace the in-process sweep: -serve bursts the
 // payload set at a running serretimed and verifies its caching and
@@ -141,7 +141,7 @@ type config struct {
 	crashDir     string
 	crashMetrics string
 
-	// -eco warm-session mode (see eco.go)
+	// -eco session mode (see eco.go)
 	ecoPath   string
 	ecoDeltas int
 	ecoSeed   int64
@@ -192,10 +192,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&cfg.crashBin, "crashbin", "", "chaos-harness mode: kill-recover test this serretimed binary instead of sweeping in-process")
 	fs.StringVar(&cfg.crashDir, "crashdir", "", "with -crashbin, the child daemon's -data-dir (default: a temp dir, removed afterwards)")
 	fs.StringVar(&cfg.crashMetrics, "crashmetrics", "", "with -crashbin, snapshot the post-recovery /metrics page to this file")
-	fs.StringVar(&cfg.ecoPath, "eco", "", "ECO mode: stream generated deltas against this base netlist, oracle-checking every incremental result against a cold full solve; alone it benchmarks in-process (pipe to cmd/benchjson), with -serve it drives a running serretimed's session API")
+	fs.StringVar(&cfg.ecoPath, "eco", "", "ECO mode: stream generated deltas through a session on this base netlist, oracle-checking every seeded delta result against a cold full solve; alone it benchmarks in-process (pipe to cmd/benchjson), with -serve it drives a running serretimed's session API")
 	fs.IntVar(&cfg.ecoDeltas, "deltas", 16, "with -eco, perturbations to apply")
 	fs.Int64Var(&cfg.ecoSeed, "ecoseed", 1, "with -eco, delta-generator seed")
-	fs.Float64Var(&cfg.ecoMin, "ecomin", 0, "with -eco, fail (exit 2) when the warm/cold speedup is below this factor (0 = report only)")
+	fs.Float64Var(&cfg.ecoMin, "ecomin", 0, "with -eco, fail (exit 2) when the delta/cold speedup is below this factor (0 = report only)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

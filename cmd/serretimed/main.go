@@ -16,17 +16,17 @@
 //	GET  /v1/jobs/{id}/result retimed netlist download (.bench)
 //	GET  /v1/jobs/{id}/trace  the job's span tree (queue wait, tiers,
 //	                          pipeline phases, parallel shards) as JSON
-//	POST /v1/sessions         open a warm ECO session: same body and
-//	                          options as /v1/retime, solved synchronously;
-//	                          the parsed circuit and committed solver
-//	                          state stay resident for incremental re-solves
+//	POST /v1/sessions         open an ECO session: same body and options
+//	                          as /v1/retime, solved synchronously; the
+//	                          parsed circuit and its last result stay
+//	                          resident
 //	POST /v1/sessions/{id}/delta
 //	                          apply netlist delta ops (rewire, add_gate,
-//	                          rm_node, mark_po, unmark_po) and re-solve —
-//	                          warm when the change is small, full solve
-//	                          otherwise; the result is bit-identical to a
-//	                          from-scratch solve either way
-//	GET  /v1/sessions/{id}        session status (deltas, warm/fallback)
+//	                          rm_node, mark_po, unmark_po) and re-solve
+//	                          with seeded constraint discovery; usually
+//	                          bit-identical to a from-scratch solve, but
+//	                          not on every netlist (DESIGN.md §17.2)
+//	GET  /v1/sessions/{id}        session status (applied deltas, last solve)
 //	GET  /v1/sessions/{id}/result current retimed netlist (.bench)
 //	DELETE /v1/sessions/{id}      close the session
 //

@@ -1,17 +1,15 @@
 package serretime
 
-// Warm-state ECO sessions (DESIGN.md §17). A WarmState keeps a parsed
-// design, the Section V initialization memo, and the last committed
-// result alive between solves, so a small netlist delta re-solves
-// incrementally: the constraint engine is bulk-seeded with the P0
-// requirement closure (RetimeOptions.warmStart), the init memo re-enters
-// the min-period searches for free when the structure is unchanged, and
-// the Design's observability cache survives option-only deltas. Seeding
-// does not guarantee the lazy cascade's fixpoint: on most netlists a
-// session answer is byte-identical to a from-scratch RetimeRobust of the
-// same netlist (TestRetimeDeltaMatchesCold, and serbench -eco on every
-// delta), but a MinObsWin solve can settle on a different legal retiming
-// (s15850.1 at the serve scale; TestSeededVsLazyTableI).
+// ECO sessions (DESIGN.md §17). A WarmState holds a parsed design and
+// the last committed result between solves. Every session solve, the
+// open and each delta alike, is RetimeRobust of the held netlist with
+// the constraint engine bulk-seeded by the P0 requirement closure
+// (RetimeOptions.warmStart). Seeding does not guarantee the lazy
+// cascade's fixpoint: on most netlists a session answer is
+// byte-identical to a from-scratch RetimeRobust of the same netlist
+// (TestRetimeDeltaMatchesCold, and serbench -eco on every delta), but a
+// MinObsWin solve can settle on a different legal retiming (s15850.1 at
+// the serve scale; TestSeededVsLazyTableI).
 
 import (
 	"context"
@@ -20,10 +18,6 @@ import (
 	"serretime/internal/circuit"
 	"serretime/internal/guard"
 )
-
-// sessionDirtyThreshold is the share of the gates a delta may touch and
-// still take the warm path; a larger delta falls back to a cold solve.
-const sessionDirtyThreshold = 0.5
 
 // DeltaOp is one netlist edit of an ECO delta. Ops apply in order; names
 // are net names, resolved against the session circuit as it stands when
@@ -41,13 +35,11 @@ type DeltaOp struct {
 	Fanin []string `json:"fanin,omitempty"`
 }
 
-// ApplyDeltaOps applies ops to c in place and returns the number of
-// structurally touched nodes. On error the circuit may be partially
-// edited — apply to a Clone when the original must survive a bad delta.
-// Acyclicity is not checked here; building a Design from the result
-// (newDesign → graph extraction) rejects combinational cycles.
-func ApplyDeltaOps(c *circuit.Circuit, ops []DeltaOp) (int, error) {
-	changed := 0
+// ApplyDeltaOps applies ops to c in place. On error the circuit may be
+// partially edited — apply to a Clone when the original must survive a
+// bad delta. Acyclicity is not checked here; building a Design from the
+// result (newDesign → graph extraction) rejects combinational cycles.
+func ApplyDeltaOps(c *circuit.Circuit, ops []DeltaOp) error {
 	resolve := func(op, name string) (circuit.NodeID, error) {
 		id, ok := c.Lookup(name)
 		if !ok {
@@ -115,53 +107,34 @@ func ApplyDeltaOps(c *circuit.Circuit, ops []DeltaOp) (int, error) {
 			err = guard.Optionf("serretime.ApplyDeltaOps", "op", "unknown op %q", op.Op)
 		}
 		if err != nil {
-			return changed, fmt.Errorf("delta op %d: %w", i, err)
+			return fmt.Errorf("delta op %d: %w", i, err)
 		}
-		changed++
 	}
-	return changed, nil
-}
-
-// DeltaStats describes how a delta was solved.
-type DeltaStats struct {
-	// Structural reports whether the delta edited the netlist (as
-	// opposed to changing only options).
-	Structural bool `json:"structural"`
-	// ChangedNodes counts the applied netlist edits.
-	ChangedNodes int `json:"changed_nodes"`
-	// DirtyFrac is ChangedNodes over the gate count.
-	DirtyFrac float64 `json:"dirty_frac"`
-	// Warm reports whether the incremental path ran; when false,
-	// FallbackReason says why the delta fell back to a cold full solve.
-	Warm           bool   `json:"warm"`
-	FallbackReason string `json:"fallback_reason,omitempty"`
+	return nil
 }
 
 // WarmState is the solver state an ECO session keeps alive between
-// deltas. It is not safe for concurrent use; the service serializes
-// access with a per-session mutex. Failed deltas do not advance the
-// state: the session still answers for the last successfully solved
-// netlist.
+// deltas: the design of the last solved netlist, its options and its
+// result. Keeping the Design skips the re-parse, and across a delta
+// without ops it also keeps the observability cache. It is not safe for
+// concurrent use; the service serializes access with a per-session
+// mutex. Failed deltas do not advance the state: the session still
+// answers for the last successfully solved netlist.
 type WarmState struct {
 	d    *Design
 	opts RobustOptions
-	memo *initCache
 	res  *RobustResult
 }
 
-// NewWarmState solves d from scratch with seeded constraint discovery
-// (fewer discovery steps, usually the same bytes as RetimeRobust; see the
-// file comment) and wraps the results as session state.
+// NewWarmState solves d with seeded constraint discovery (fewer
+// discovery steps, usually the same bytes as RetimeRobust; see the file
+// comment) and wraps the result as session state. It is the session's
+// first delta, one without ops.
 func NewWarmState(ctx context.Context, d *Design, opt RobustOptions) (*WarmState, error) {
-	w := &WarmState{memo: &initCache{}}
-	o := opt
-	o.RetimeOptions.warmStart = true
-	o.RetimeOptions.initMemo = w.memo
-	res, err := d.RetimeRobust(ctx, o)
-	if err != nil {
+	w := &WarmState{d: d}
+	if _, err := w.RetimeDelta(ctx, nil, opt); err != nil {
 		return nil, err
 	}
-	w.d, w.opts, w.res = d, opt, res
 	return w, nil
 }
 
@@ -174,57 +147,29 @@ func (w *WarmState) Result() *RobustResult { return w.res }
 // Options returns the options of the last committed solve.
 func (w *WarmState) Options() RobustOptions { return w.opts }
 
-// RetimeDelta applies ops to the warm netlist and re-solves under opt.
-// The warm path runs when the structural change stays under
-// sessionDirtyThreshold and the analysis options (which key the
-// observability cache) are unchanged; otherwise the delta falls back to
-// a cold full solve, which is RetimeRobust of the mutated netlist. On
-// success the warm state advances to the answer.
-func (w *WarmState) RetimeDelta(ctx context.Context, ops []DeltaOp, opt RobustOptions) (*RobustResult, DeltaStats, error) {
-	stats := DeltaStats{Structural: len(ops) > 0, ChangedNodes: len(ops)}
-	if err := opt.validate("serretime.RetimeDelta"); err != nil {
-		return nil, stats, err
-	}
+// RetimeDelta applies ops to a copy of the session netlist and solves
+// it under opt: RetimeRobust with seeded constraint discovery, the one
+// solve a session runs. A delta without ops re-solves the held Design
+// itself, so its observability cache answers again when opt keeps the
+// analysis options. On success the state advances to the answer.
+func (w *WarmState) RetimeDelta(ctx context.Context, ops []DeltaOp, opt RobustOptions) (*RobustResult, error) {
 	d := w.d
 	if len(ops) > 0 {
 		c := w.d.c.Clone()
-		n, err := ApplyDeltaOps(c, ops)
-		stats.ChangedNodes = n
-		if err != nil {
-			return nil, stats, err
+		if err := ApplyDeltaOps(c, ops); err != nil {
+			return nil, err
 		}
+		var err error
 		if d, err = newDesign(c); err != nil {
-			return nil, stats, err
+			return nil, err
 		}
 	}
-	_, _, gates, _ := d.c.Counts()
-	if gates > 0 {
-		stats.DirtyFrac = float64(stats.ChangedNodes) / float64(gates)
-	}
-
-	switch {
-	case opt.Analysis.normalized() != w.opts.Analysis.normalized():
-		stats.FallbackReason = "analysis-options-changed"
-	case opt.RetimeOptions.Engine != EngineClosure:
-		stats.FallbackReason = "engine-not-closure"
-	case stats.DirtyFrac > sessionDirtyThreshold:
-		stats.FallbackReason = fmt.Sprintf("dirty-frac %.2f > %.2f", stats.DirtyFrac, sessionDirtyThreshold)
-	default:
-		stats.Warm = true
-	}
-
-	memo := w.memo
-	if stats.Structural {
-		// The init memo holds min-period retimings of the old graph.
-		memo = &initCache{}
-	}
-	o := opt
-	o.RetimeOptions.warmStart = stats.Warm
-	o.RetimeOptions.initMemo = memo
-	res, err := d.RetimeRobust(ctx, o)
+	seeded := opt
+	seeded.RetimeOptions.warmStart = true
+	res, err := d.RetimeRobust(ctx, seeded)
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
-	w.d, w.opts, w.memo, w.res = d, opt, memo, res
-	return res, stats, nil
+	w.d, w.opts, w.res = d, opt, res
+	return res, nil
 }

@@ -10,7 +10,9 @@ import (
 
 	"serretime"
 	"serretime/internal/benchfmt"
+	"serretime/internal/circuit"
 	"serretime/internal/eco"
+	"serretime/internal/telemetry"
 )
 
 func robustOpts() serretime.RobustOptions {
@@ -39,19 +41,16 @@ func coldBytes(t *testing.T, bench []byte, opt serretime.RobustOptions) []byte {
 	return buf.Bytes()
 }
 
-// TestRetimeDeltaMatchesCold is the delta-path identity contract: every
-// RetimeDelta answer — warm or fallback — must be byte-identical to a
-// from-scratch RetimeRobust of the same mutated netlist (DESIGN.md §17).
-func TestRetimeDeltaMatchesCold(t *testing.T) {
-	d0, err := serretime.Synthesize(serretime.CircuitSpec{
-		Gates: 220, Conns: 520, FFs: 30, Depth: 7, FanoutSkew: 0.25,
-	})
+// ecoBase synthesizes a base circuit and round-trips it through .bench
+// into a Design and a circuit for the delta generator. Both sides start
+// from the same parsed bytes, which keeps their node IDs aligned as the
+// same deltas apply on both sides.
+func ecoBase(t *testing.T, spec serretime.CircuitSpec) (*serretime.Design, *circuit.Circuit, []byte) {
+	t.Helper()
+	d0, err := serretime.Synthesize(spec)
 	if err != nil {
 		t.Fatalf("synthesize: %v", err)
 	}
-	// Round-trip the base through .bench — the session server and the ECO
-	// client both start from the same parsed bytes, keeping their node IDs
-	// aligned as the same deltas apply on both sides.
 	var base bytes.Buffer
 	if err := d0.WriteBench(&base); err != nil {
 		t.Fatalf("encode base: %v", err)
@@ -64,6 +63,17 @@ func TestRetimeDeltaMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reparse base circuit: %v", err)
 	}
+	return d, c, base.Bytes()
+}
+
+// TestRetimeDeltaMatchesCold is the delta-path identity contract on a
+// netlist where seeding reaches the lazy fixpoint: every RetimeDelta
+// answer must be byte-identical to a from-scratch RetimeRobust of the
+// same mutated netlist (DESIGN.md §17).
+func TestRetimeDeltaMatchesCold(t *testing.T) {
+	d, c, base := ecoBase(t, serretime.CircuitSpec{
+		Gates: 220, Conns: 520, FFs: 30, Depth: 7, FanoutSkew: 0.25,
+	})
 	opt := robustOpts()
 	ctx := context.Background()
 
@@ -77,25 +87,19 @@ func TestRetimeDeltaMatchesCold(t *testing.T) {
 	if err := w.Result().Retimed.WriteBench(&warm0); err != nil {
 		t.Fatalf("encode warm base result: %v", err)
 	}
-	if cold := coldBytes(t, base.Bytes(), opt); !bytes.Equal(warm0.Bytes(), cold) {
+	if cold := coldBytes(t, base, opt); !bytes.Equal(warm0.Bytes(), cold) {
 		t.Fatalf("initial warm-started solve differs from cold solve")
 	}
 
 	g := eco.NewGen(c, 1)
-	warmCount := 0
 	for i := 0; i < 8; i++ {
 		ops, err := g.Next()
 		if err != nil {
 			t.Fatalf("delta %d: generate: %v", i, err)
 		}
-		res, stats, err := w.RetimeDelta(ctx, ops, opt)
+		res, err := w.RetimeDelta(ctx, ops, opt)
 		if err != nil {
 			t.Fatalf("delta %d (%+v): %v", i, ops, err)
-		}
-		if stats.Warm {
-			warmCount++
-		} else {
-			t.Logf("delta %d fell back: %s", i, stats.FallbackReason)
 		}
 		var got bytes.Buffer
 		if err := res.Retimed.WriteBench(&got); err != nil {
@@ -109,61 +113,113 @@ func TestRetimeDeltaMatchesCold(t *testing.T) {
 			t.Fatalf("delta %d: warm result differs from cold solve of the mutated netlist", i)
 		}
 	}
-	if warmCount == 0 {
-		t.Fatalf("no delta took the warm path")
-	}
 }
 
-// TestRetimeDeltaFallbacks pins the fallback triggers: option changes
-// that re-key the observability cache, non-closure engines, and deltas
-// larger than the dirty threshold must run cold — and still advance the
-// state so the next delta answers for the new netlist.
-func TestRetimeDeltaFallbacks(t *testing.T) {
-	d, err := serretime.Synthesize(serretime.CircuitSpec{
-		Gates: 60, Conns: 140, FFs: 10, Depth: 5,
-	})
-	if err != nil {
-		t.Fatalf("synthesize: %v", err)
+// TestRetimeDeltaOptionChanges: a delta without ops re-solves the held
+// netlist under new options, including a changed analysis and the
+// forest engine, and answers exactly what a session opened on the same
+// netlist under those options answers. A failed delta does not advance
+// the state.
+func TestRetimeDeltaOptionChanges(t *testing.T) {
+	spec := serretime.CircuitSpec{Gates: 60, Conns: 140, FFs: 10, Depth: 5}
+	synth := func() *serretime.Design {
+		d, err := serretime.Synthesize(spec)
+		if err != nil {
+			t.Fatalf("synthesize: %v", err)
+		}
+		return d
 	}
 	opt := robustOpts()
 	ctx := context.Background()
-	w, err := serretime.NewWarmState(ctx, d, opt)
+	w, err := serretime.NewWarmState(ctx, synth(), opt)
 	if err != nil {
 		t.Fatalf("NewWarmState: %v", err)
 	}
 
 	aopt := opt
 	aopt.Analysis.Frames = 4
-	if _, stats, err := w.RetimeDelta(ctx, nil, aopt); err != nil {
-		t.Fatalf("analysis-change delta: %v", err)
-	} else if stats.Warm || stats.FallbackReason != "analysis-options-changed" {
-		t.Fatalf("analysis-change delta: got %+v, want analysis-options-changed fallback", stats)
-	}
-
 	eopt := aopt
 	eopt.Engine = serretime.EngineForest
-	if _, stats, err := w.RetimeDelta(ctx, nil, eopt); err != nil {
-		t.Fatalf("engine delta: %v", err)
-	} else if stats.Warm || stats.FallbackReason != "engine-not-closure" {
-		t.Fatalf("engine delta: got %+v, want engine-not-closure fallback", stats)
+	for _, tc := range []struct {
+		name string
+		opt  serretime.RobustOptions
+	}{{"analysis-change", aopt}, {"forest-engine", eopt}, {"back-to-closure", aopt}} {
+		res, err := w.RetimeDelta(ctx, nil, tc.opt)
+		if err != nil {
+			t.Fatalf("%s delta: %v", tc.name, err)
+		}
+		open, err := serretime.NewWarmState(ctx, synth(), tc.opt)
+		if err != nil {
+			t.Fatalf("%s open: %v", tc.name, err)
+		}
+		if got, want := res.Retimed.String(), open.Result().Retimed.String(); got != want {
+			t.Fatalf("%s delta differs from a session opened under the same options", tc.name)
+		}
+		if w.Options().CanonicalKey() != tc.opt.CanonicalKey() {
+			t.Fatalf("%s delta did not advance the options", tc.name)
+		}
 	}
 
-	// An option-only delta under the committed options is warm again.
-	if _, stats, err := w.RetimeDelta(ctx, nil, aopt); err != nil {
-		t.Fatalf("warm-again delta: %v", err)
-	} else if !stats.Warm {
-		t.Fatalf("warm-again delta fell back: %s", stats.FallbackReason)
-	}
-
-	if _, stats, err := w.RetimeDelta(ctx, []serretime.DeltaOp{{Op: "rm_node", Name: "no_such_net"}}, aopt); err == nil {
+	d, res, committed := w.Design(), w.Result(), w.Options()
+	if _, err := w.RetimeDelta(ctx, []serretime.DeltaOp{{Op: "rm_node", Name: "no_such_net"}}, opt); err == nil {
 		t.Fatalf("bad delta did not fail")
-	} else if stats.Warm {
-		t.Fatalf("bad delta claimed the warm path")
 	}
-	// Failed deltas must not advance the state.
-	if _, stats, err := w.RetimeDelta(ctx, nil, aopt); err != nil {
+	if w.Design() != d || w.Result() != res || w.Options().CanonicalKey() != committed.CanonicalKey() {
+		t.Fatalf("failed delta advanced the state")
+	}
+	if _, err := w.RetimeDelta(ctx, nil, committed); err != nil {
 		t.Fatalf("post-failure delta: %v", err)
-	} else if !stats.Warm {
-		t.Fatalf("post-failure delta fell back: %s", stats.FallbackReason)
+	}
+}
+
+// TestRetimeDeltaKeepsObsCache pins the one saving a session keeps
+// besides the parse: a delta without ops under unchanged analysis
+// options re-solves the held Design, whose observability analysis is
+// cached, so it runs neither the signature simulation nor the ODC pass.
+// A structural delta solves a new Design, and a Frames change re-keys
+// the cache; both must run the analysis again.
+func TestRetimeDeltaKeepsObsCache(t *testing.T) {
+	d, c, _ := ecoBase(t, serretime.CircuitSpec{Gates: 120, Conns: 280, FFs: 16, Depth: 6})
+	opt := robustOpts()
+	ctx := context.Background()
+	w, err := serretime.NewWarmState(ctx, d, opt)
+	if err != nil {
+		t.Fatalf("NewWarmState: %v", err)
+	}
+	// analysisShards runs one delta under a fresh Trace and counts the
+	// shard spans of the observability analysis it recorded.
+	analysisShards := func(name string, ops []serretime.DeltaOp, o serretime.RobustOptions) int {
+		t.Helper()
+		tr := telemetry.NewTrace(telemetry.TraceID{})
+		o.Recorder = tr
+		if _, err := w.RetimeDelta(ctx, ops, o); err != nil {
+			t.Fatalf("%s delta: %v", name, err)
+		}
+		tr.Finish()
+		n := 0
+		tr.Doc("", "", "", "", false).Root.Walk(func(_ int, sp *telemetry.Span) {
+			if sp.Name == "par:sim.run" || sp.Name == "par:obs.compute" {
+				n++
+			}
+		})
+		return n
+	}
+	if n := analysisShards("option-only", nil, opt); n != 0 {
+		t.Errorf("option-only delta recorded %d analysis shard spans, want 0 (cache hit)", n)
+	}
+	ops, err := eco.NewGen(c, 3).Next()
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	if n := analysisShards("structural", ops, opt); n == 0 {
+		t.Error("structural delta recorded no analysis shard spans")
+	}
+	if n := analysisShards("option-only after structural", nil, opt); n != 0 {
+		t.Errorf("option-only delta after a structural one recorded %d analysis shard spans, want 0", n)
+	}
+	fopt := opt
+	fopt.Analysis.Frames = 4
+	if n := analysisShards("frames-change", nil, fopt); n == 0 {
+		t.Error("option-only delta that changes Frames recorded no analysis shard spans")
 	}
 }

@@ -324,7 +324,9 @@ func randomDAGCircuit(r *rand.Rand, nGates int) *Circuit {
 	return c
 }
 
-func name(p string, i int) string { return p + string(rune('a'+i%26)) + string(rune('0'+(i/26)%10)) + string(rune('0'+i%1000/100)) + itoa(i) }
+func name(p string, i int) string {
+	return p + string(rune('a'+i%26)) + string(rune('0'+(i/26)%10)) + string(rune('0'+i%1000/100)) + itoa(i)
+}
 
 func itoa(i int) string {
 	if i == 0 {

@@ -72,7 +72,7 @@ func (g *Gen) Next() ([]serretime.DeltaOp, error) {
 	if ops == nil {
 		return nil, fmt.Errorf("eco: no applicable perturbation for %s (delta %d)", g.c.Name, i)
 	}
-	if _, err := serretime.ApplyDeltaOps(g.c, ops); err != nil {
+	if err := serretime.ApplyDeltaOps(g.c, ops); err != nil {
 		return nil, fmt.Errorf("eco: delta %d does not apply to the mirror: %w", i, err)
 	}
 	return ops, nil

@@ -254,28 +254,6 @@ func (f *Forest) Link(p, q int32) error {
 	return nil
 }
 
-// LinkUp adds the constraint (q, p): q's decrease forces p — the child
-// pushes the parent (U(q) = true). Used when a positive subtree drags its
-// dependency chain upward.
-func (f *Forest) LinkUp(p, q int32) error {
-	if p == q {
-		return fmt.Errorf("forest: self-link of %d", p)
-	}
-	if f.SameTree(p, q) {
-		return nil
-	}
-	f.rec.Count(telemetry.CounterForestLinks, 1)
-	f.reroot(q)
-	f.parent[q] = p
-	f.up[q] = true
-	f.kids[p] = append(f.kids[p], q)
-	for x := p; x != None; x = f.parent[x] {
-		f.recompute(x)
-	}
-	f.enforce(q)
-	return nil
-}
-
 // enforce restores regularity on the path from v to its root: a child
 // with U=true must head a positive subtree (it pushes its parent); a child
 // with U=false must head a non-positive subtree (it hangs as baggage).

@@ -163,8 +163,8 @@ func (g *Graph) Name(v VertexID) string { return g.names[v] }
 func (g *Graph) Delay(v VertexID) float64 { return g.delay[v] }
 
 // Edge returns the edge record, assembled from the parallel attribute
-// arrays. Hot paths that need a single field should use EdgeFrom, EdgeTo
-// or EdgeW instead.
+// arrays. Hot paths that need only an endpoint should use EdgeFrom or
+// EdgeTo instead.
 func (g *Graph) Edge(e EdgeID) Edge {
 	return Edge{From: g.eFrom[e], To: g.eTo[e], W: g.eW[e], SrcPort: g.ePort[e]}
 }
@@ -174,9 +174,6 @@ func (g *Graph) EdgeFrom(e EdgeID) VertexID { return g.eFrom[e] }
 
 // EdgeTo returns the target vertex of e.
 func (g *Graph) EdgeTo(e EdgeID) VertexID { return g.eTo[e] }
-
-// EdgeW returns the base (unretimed) register count of e.
-func (g *Graph) EdgeW(e EdgeID) int32 { return g.eW[e] }
 
 // Out returns the out-edge IDs of v, a sub-slice of the packed CSR
 // adjacency in ascending EdgeID order. Callers must not modify it.

@@ -29,12 +29,6 @@ func (iv Interval) Shift(delta float64) Interval {
 	return Interval{iv.L + delta, iv.R + delta}
 }
 
-// Overlaps reports whether the two closed intervals intersect
-// (touching endpoints count as overlap, so their union is one interval).
-func (iv Interval) Overlaps(o Interval) bool {
-	return iv.L <= o.R && o.L <= iv.R
-}
-
 func (iv Interval) String() string {
 	return fmt.Sprintf("[%g, %g]", iv.L, iv.R)
 }

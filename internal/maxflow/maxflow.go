@@ -9,9 +9,9 @@ import "math"
 const Inf int64 = math.MaxInt64 / 4
 
 type edge struct {
-	to   int32
-	cap  int64
-	rev  int32
+	to  int32
+	cap int64
+	rev int32
 }
 
 // Graph is a flow network under construction.

@@ -411,12 +411,6 @@ type Options struct {
 	// the whole Section V computation plus the elw-recompute spans of the
 	// hold-repair loops. nil records nothing.
 	Recorder telemetry.Recorder
-	// Workers is threaded uniformly through the pipeline's option structs
-	// (see serretime.RetimeOptions.Workers). The Section V initialization
-	// has no parallel section today — its min-period binary search and
-	// hold-repair loops are inherently sequential — so the field is
-	// reserved: accepted, ignored, and guaranteed not to change results.
-	Workers int
 }
 
 // DefaultOptions matches Section V / VI of the paper.

@@ -241,7 +241,7 @@ func (s *Server) readNetlist(r *http.Request) (io.ReadCloser, string, error) {
 //
 //	algorithm    minobswin (default) | minobs | minarea
 //	engine       closure (default) | forest
-//	epsilon      clock-period relaxation ε (float)
+//	epsilon      clock-period relaxation ε (non-negative float)
 //	frames       time-frame expansion depth n
 //	words        signature width in 64-bit words
 //	seed         simulation seed
@@ -256,10 +256,10 @@ func (s *Server) readNetlist(r *http.Request) (io.ReadCloser, string, error) {
 //	             is the analytical propagation-probability estimate
 //
 // Unknown values fail with typed errors unwrapping to guard.ErrParse;
-// non-finite floats are rejected here so a NaN never reaches the hashing
-// or caching layers. Unknown parameter NAMES are rejected too: a typo
-// like acuracy=fast must not silently fall back to the expensive exact
-// path the caller was trying to avoid.
+// a non-finite or negative epsilon is rejected here so it never reaches
+// the hashing, caching or solving layers. Unknown parameter NAMES are
+// rejected too: a typo like acuracy=fast must not silently fall back to
+// the expensive exact path the caller was trying to avoid.
 func optionsFromQuery(r *http.Request) (serretime.RobustOptions, error) {
 	q := r.URL.Query()
 	var opt serretime.RobustOptions
@@ -301,21 +301,12 @@ func optionsFromQuery(r *http.Request) (serretime.RobustOptions, error) {
 	default:
 		return opt, guard.Optionf("service.submit", "engine", "unknown engine %q", eng)
 	}
-	for _, f := range []struct {
-		name string
-		dst  *float64
-	}{
-		{"epsilon", &opt.Epsilon},
-	} {
-		v := q.Get(f.name)
-		if v == "" {
-			continue
-		}
+	if v := q.Get("epsilon"); v != "" {
 		x, err := strconv.ParseFloat(v, 64)
-		if err != nil || math.IsNaN(x) || math.IsInf(x, 0) {
-			return opt, guard.Optionf("service.submit", f.name, "want a finite float, got %q", v)
+		if err != nil || math.IsNaN(x) || math.IsInf(x, 0) || x < 0 {
+			return opt, guard.Optionf("service.submit", "epsilon", "want a finite non-negative float, got %q", v)
 		}
-		*f.dst = x
+		opt.Epsilon = x
 	}
 	for _, f := range []struct {
 		name string

@@ -87,7 +87,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("serretimed_store_wal_corrupt_records_total", restored.CorruptRecords, "WAL records before the tail that failed CRC or decode")
 
 	// Warm ECO sessions.
-	sessOpen, sessOpened, sessWarm, sessFallback, sessEvicted := s.sessionStats()
+	sessOpen, sessOpened, sessDeltas, sessEvicted := s.sessionStats()
 	gauge("serretimed_sessions_open", sessOpen, "warm ECO sessions currently resident")
 	counter("serretimed_sessions_opened_total", sessOpened, "ECO sessions opened")
 	if len(sessEvicted) > 0 {
@@ -101,9 +101,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			fmt.Fprintf(&b, "serretimed_sessions_evicted_total{reason=%q} %d\n", r, sessEvicted[r])
 		}
 	}
-	fmt.Fprintf(&b, "# HELP serretimed_session_deltas_total session deltas by solve path\n# TYPE serretimed_session_deltas_total counter\n")
-	fmt.Fprintf(&b, "serretimed_session_deltas_total{path=\"warm\"} %d\n", sessWarm)
-	fmt.Fprintf(&b, "serretimed_session_deltas_total{path=\"fallback\"} %d\n", sessFallback)
+	counter("serretimed_session_deltas_total", sessDeltas, "session deltas applied")
 
 	counter("serretimed_cache_hits_total", hits, "submissions served from a finished identical job")
 	counter("serretimed_cache_misses_total", accepted+rejected, "submissions that found no identical live job")

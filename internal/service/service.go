@@ -245,15 +245,14 @@ type Server struct {
 	// counters only — never held across a solve; per-session locks
 	// serialize those. sessNonce prefixes every session ID so IDs from a
 	// previous boot are answerable with 410 Gone.
-	sessMu            sync.Mutex
-	sessions          map[string]*session
-	sessNonce         string
-	sessSeq           int64
-	sessOpened        int64
-	sessDeltaWarm     int64
-	sessDeltaFallback int64
-	sessEvicted       map[string]int64
-	sessSolve         chan struct{} // solve-slot semaphore (cap Workers)
+	sessMu      sync.Mutex
+	sessions    map[string]*session
+	sessNonce   string
+	sessSeq     int64
+	sessOpened  int64
+	sessDeltas  int64 // applied deltas, all sessions
+	sessEvicted map[string]int64
+	sessSolve   chan struct{} // solve-slot semaphore (cap Workers)
 
 	// counters (guarded by mu; scraped by /metrics)
 	accepted  int64 // jobs enqueued (cache misses)
@@ -340,17 +339,9 @@ func (s *Server) Submit(d *serretime.Design, opt serretime.RobustOptions) (*Job,
 // submission keeps the existing job's trace — the job's identity, and
 // therefore its trace, belongs to the first submission.
 func (s *Server) SubmitTrace(d *serretime.Design, opt serretime.RobustOptions, traceID telemetry.TraceID) (*Job, Disposition, error) {
-	if opt.Timeout == 0 {
-		opt.Timeout = s.cfg.Timeout
-	}
-	if opt.Retries == 0 {
-		opt.Retries = s.cfg.Retries
-	}
-	if opt.Workers == 0 {
-		opt.Workers = s.cfg.SolveWorkers
-	}
 	// The recorder is result-invariant (excluded from CanonicalKey), so
-	// the per-job trace recorder set below never fragments the cache key.
+	// the per-job trace recorder never fragments the cache key.
+	tr := s.applySolveDefaults(&opt, traceID)
 	key, bench, err := jobKey(d, opt)
 	if err != nil {
 		return nil, 0, err
@@ -377,9 +368,7 @@ func (s *Server) SubmitTrace(d *serretime.Design, opt serretime.RobustOptions, t
 			s.dropFromOrder(key)
 		}
 	}
-	tr := telemetry.NewTrace(traceID)
 	tr.Begin("queue-wait")
-	opt.Recorder = telemetry.Tee(s.cfg.Recorder, tr)
 	j := &Job{
 		ID:        key,
 		Name:      d.Name(),
@@ -403,6 +392,26 @@ func (s *Server) SubmitTrace(d *serretime.Design, opt serretime.RobustOptions, t
 		return st.JournalSubmitted(key, j.Name, bench, encodeOptions(j.opts), j.opts.CanonicalKey())
 	})
 	return j, Accepted, nil
+}
+
+// applySolveDefaults fills the server-side defaults (Timeout, Retries,
+// Workers) that zero fields leave open and points the solve's Recorder at
+// a fresh trace under traceID (a zero ID mints one), teed with
+// Config.Recorder. Submit, Restore and the session solves all go through
+// it, so a job and a session solve see the same defaults.
+func (s *Server) applySolveDefaults(opt *serretime.RobustOptions, traceID telemetry.TraceID) *telemetry.Trace {
+	if opt.Timeout == 0 {
+		opt.Timeout = s.cfg.Timeout
+	}
+	if opt.Retries == 0 {
+		opt.Retries = s.cfg.Retries
+	}
+	if opt.Workers == 0 {
+		opt.Workers = s.cfg.SolveWorkers
+	}
+	tr := telemetry.NewTrace(traceID)
+	opt.Recorder = telemetry.Tee(s.cfg.Recorder, tr)
+	return tr
 }
 
 // Disposition says how Submit resolved a submission.

@@ -474,8 +474,8 @@ func TestJobKeyCanonicalization(t *testing.T) {
 
 // TestOptionsFromQueryRejectsGarbage drives hostile query strings
 // through the option parser: every bad value must fail with an error
-// unwrapping to guard.ErrParse (HTTP 400), and non-finite floats must
-// never get through to the hashing layer.
+// unwrapping to guard.ErrParse (HTTP 400), and neither a non-finite
+// float nor a negative epsilon may get through to the solver.
 func TestOptionsFromQueryRejectsGarbage(t *testing.T) {
 	bad := []string{
 		"algorithm=quantum",
@@ -484,6 +484,7 @@ func TestOptionsFromQueryRejectsGarbage(t *testing.T) {
 		"epsilon=+Inf",
 		"epsilon=-Inf",
 		"epsilon=banana",
+		"epsilon=-0.5",
 		"frames=-1",
 		"words=zero",
 		"seed=1.5",

@@ -17,11 +17,11 @@ import (
 	"serretime/internal/telemetry"
 )
 
-// Warm-state ECO sessions (DESIGN.md §17). A session pins a parsed
-// design plus its committed solver artifacts (WarmState: init memo,
-// observability cache, last result) server-side, so a netlist delta
-// re-solves incrementally instead of from scratch. Sessions are
-// ephemeral by design: they live in memory only, never touch the job
+// ECO sessions (DESIGN.md §17). A session pins a parsed design and its
+// last committed result (WarmState) server-side, so a netlist delta is
+// applied to the held netlist and re-solved without a re-upload or
+// re-parse; every session solve seeds constraint discovery. Sessions
+// are ephemeral by design: they live in memory only, never touch the job
 // store, and do not survive a daemon restart — the session ID embeds a
 // per-boot nonce so a client resuming after a crash gets 410 Gone
 // instead of a silent cold re-solve under a stale identity.
@@ -37,7 +37,7 @@ var (
 	ErrSolversBusy = fmt.Errorf("service: all solve slots busy")
 )
 
-// session is one warm ECO session. mu serializes solves and guards all
+// session is one ECO session. mu serializes solves and guards all
 // mutable fields; it is held for the full duration of a delta solve, so
 // the table lock (Server.sessMu) must never wait on it — eviction and
 // sweeps use TryLock and skip busy sessions.
@@ -51,9 +51,6 @@ type session struct {
 	lastUsed time.Time // guarded by Server.sessMu (LRU bookkeeping)
 
 	deltas    int64
-	warmHits  int64
-	fallbacks int64
-	lastStats serretime.DeltaStats
 	lastMS    float64
 	result    []byte // canonical .bench of the last committed solve
 	resultSHA string
@@ -208,10 +205,8 @@ type SessionView struct {
 	Age     string `json:"age"`
 	IdleFor string `json:"idle_for"`
 	Busy    bool   `json:"busy,omitempty"`
-	// Deltas counts applied deltas; Warm/Fallbacks split them by path.
-	Deltas    int64 `json:"deltas"`
-	Warm      int64 `json:"warm"`
-	Fallbacks int64 `json:"fallbacks"`
+	// Deltas counts applied deltas; a rejected delta does not count.
+	Deltas int64 `json:"deltas"`
 	// Last solve summary (the open solve until the first delta).
 	Tier         string  `json:"tier"`
 	Degraded     bool    `json:"degraded,omitempty"`
@@ -230,8 +225,6 @@ func (s *Server) sessionView(ss *session, now time.Time, busy bool) SessionView 
 		IdleFor:      now.Sub(ss.lastUsed).Round(time.Millisecond).String(),
 		Busy:         busy,
 		Deltas:       ss.deltas,
-		Warm:         ss.warmHits,
-		Fallbacks:    ss.fallbacks,
 		Tier:         ss.tier.String(),
 		Degraded:     ss.degraded,
 		DeltaSER:     ss.deltaSER,
@@ -259,7 +252,7 @@ func (s *Server) Sessions() []SessionView {
 }
 
 // sessionStats snapshots the counters for /metrics.
-func (s *Server) sessionStats() (open int, opened, warm, fallback int64, evicted map[string]int64) {
+func (s *Server) sessionStats() (open int, opened, deltas int64, evicted map[string]int64) {
 	s.sessMu.Lock()
 	defer s.sessMu.Unlock()
 	s.sweepSessionsLocked(time.Now())
@@ -267,7 +260,7 @@ func (s *Server) sessionStats() (open int, opened, warm, fallback int64, evicted
 	for k, v := range s.sessEvicted {
 		evicted[k] = v
 	}
-	return len(s.sessions), s.sessOpened, s.sessDeltaWarm, s.sessDeltaFallback, evicted
+	return len(s.sessions), s.sessOpened, s.sessDeltas, evicted
 }
 
 // commitSolve records a finished solve's artifacts on the session.
@@ -299,12 +292,11 @@ type deltaRequest struct {
 	Ops []serretime.DeltaOp `json:"ops"`
 }
 
-// deltaResponse is the reply: how the delta was solved plus the same
+// deltaResponse is the reply: the delta's sequence number plus the same
 // result summary a session open returns.
 type deltaResponse struct {
-	Session string `json:"session"`
-	Seq     int64  `json:"seq"`
-	serretime.DeltaStats
+	Session      string  `json:"session"`
+	Seq          int64   `json:"seq"`
 	Tier         string  `json:"tier"`
 	Degraded     bool    `json:"degraded,omitempty"`
 	DeltaSER     float64 `json:"delta_ser"`
@@ -327,7 +319,7 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	tr := s.applySolveDefaults(&opt)
+	tr := s.applySolveDefaults(&opt, telemetry.TraceID{})
 	body, name, err := s.readNetlist(r)
 	if err != nil {
 		s.writeError(w, err)
@@ -366,11 +358,12 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleSessionDelta applies a JSON delta to the warm netlist and
-// re-solves — incrementally when the change is small and the options
-// keep the warm caches valid, cold otherwise; the response says which.
-// Option query parameters, when present, replace the session's options
-// for this and later deltas; an empty query keeps the committed ones.
+// handleSessionDelta applies a JSON delta to the session netlist and
+// re-solves it the way the session open solved the first one
+// (WarmState.RetimeDelta). Option query parameters, when present,
+// replace the session's options for this and later deltas; an empty
+// query keeps the committed ones. Only an applied delta advances the
+// session's delta count.
 func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
 		s.writeError(w, ErrDraining)
@@ -403,43 +396,32 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	tr := s.applySolveDefaults(&opt)
+	tr := s.applySolveDefaults(&opt, telemetry.TraceID{})
 
 	if !s.acquireSolveSlot() {
 		s.writeError(w, ErrSolversBusy)
 		return
 	}
 	start := time.Now()
-	res, stats, err := ss.warm.RetimeDelta(s.baseCtx, req.Ops, opt)
+	res, err := ss.warm.RetimeDelta(s.baseCtx, req.Ops, opt)
 	s.releaseSolveSlot()
 	s.foldSolve(tr)
-	ss.deltas++
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	if stats.Warm {
-		ss.warmHits++
-	} else {
-		ss.fallbacks++
-	}
+	ss.deltas++
 	s.sessMu.Lock()
-	if stats.Warm {
-		s.sessDeltaWarm++
-	} else {
-		s.sessDeltaFallback++
-	}
+	s.sessDeltas++
 	s.sessMu.Unlock()
 	ms := float64(time.Since(start).Microseconds()) / 1000
 	if err := ss.commitSolve(res, ms); err != nil {
 		s.writeError(w, err)
 		return
 	}
-	ss.lastStats = stats
 	writeJSON(w, http.StatusOK, deltaResponse{
 		Session:      ss.id,
 		Seq:          ss.deltas,
-		DeltaStats:   stats,
 		Tier:         res.Tier.String(),
 		Degraded:     res.Degraded,
 		DeltaSER:     res.DeltaSER(),
@@ -492,27 +474,9 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, errorResponse{Error: msg})
 }
 
-// applySolveDefaults applies the server-side defaults and
-// result-invariant fields exactly as Submit does for batch jobs. The
-// solve records into its own trace, teed with Config.Recorder; the trace
-// is neither persisted nor exposed, only folded (foldSolve).
-func (s *Server) applySolveDefaults(opt *serretime.RobustOptions) *telemetry.Trace {
-	if opt.Timeout == 0 {
-		opt.Timeout = s.cfg.Timeout
-	}
-	if opt.Retries == 0 {
-		opt.Retries = s.cfg.Retries
-	}
-	if opt.Workers == 0 {
-		opt.Workers = s.cfg.SolveWorkers
-	}
-	tr := telemetry.NewTrace(telemetry.TraceID{})
-	opt.Recorder = telemetry.Tee(s.cfg.Recorder, tr)
-	return tr
-}
-
 // foldSolve folds a finished session solve's trace into the /metrics
-// solver section, as observePhasesLocked does for a finished job.
+// solver section, as observePhasesLocked does for a finished job. A
+// session trace is neither persisted nor exposed.
 func (s *Server) foldSolve(tr *telemetry.Trace) {
 	tr.Finish()
 	doc := tr.Doc("", "", "", "", false)

@@ -240,17 +240,10 @@ func (s *Server) Restore(jobs []store.RecoveredJob, st store.Stats) RestoreSumma
 			sum.Dropped++
 			continue
 		}
-		// Reapply the server-side defaults and result-invariant fields
-		// exactly as Submit does for a fresh submission.
-		if opt.Timeout == 0 {
-			opt.Timeout = s.cfg.Timeout
-		}
-		if opt.Retries == 0 {
-			opt.Retries = s.cfg.Retries
-		}
-		if opt.Workers == 0 {
-			opt.Workers = s.cfg.SolveWorkers
-		}
+		// Reapply the server-side defaults exactly as Submit does for a
+		// fresh submission. A requeued job is a new solve: it gets a
+		// fresh trace, as a fresh submission does.
+		tr := s.applySolveDefaults(&opt, telemetry.TraceID{})
 		// The canonical .bench payload carries the design name in its
 		// leading comment; the filename here is only a format selector.
 		d, err := serretime.Parse(bytes.NewReader(rj.Netlist), "recovered.bench")
@@ -266,11 +259,7 @@ func (s *Server) Restore(jobs []store.RecoveredJob, st store.Stats) RestoreSumma
 			continue
 		}
 
-		// A requeued job is a new solve: it gets a fresh trace, exactly
-		// as Submit gives one to a fresh submission.
-		tr := telemetry.NewTrace(telemetry.TraceID{})
 		tr.Begin("queue-wait")
-		opt.Recorder = telemetry.Tee(s.cfg.Recorder, tr)
 		j := &Job{
 			ID:        key,
 			Name:      d.Name(),

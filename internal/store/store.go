@@ -222,10 +222,6 @@ func (d *Disk) intakePath(id string) string { return filepath.Join(d.intakeDir()
 func (d *Disk) resultPath(id string) string { return filepath.Join(d.resultsDir(), id) }
 func (d *Disk) tracePath(id string) string  { return filepath.Join(d.tracesDir(), id) }
 
-// TracesDir returns the directory of persisted per-job trace documents
-// (one JSON file per finished job) — an input of seranalyze -trace.
-func (d *Disk) TracesDir() string { return d.tracesDir() }
-
 // Open prepares the data directory layout. Journaling requires a
 // subsequent Recover (which also opens the appender), so a daemon can
 // never silently skip replay.
@@ -250,9 +246,6 @@ func Open(o Options) (*Disk, error) {
 
 // Dir returns the data directory.
 func (d *Disk) Dir() string { return d.dir }
-
-// Policy returns the fsync policy.
-func (d *Disk) Policy() SyncPolicy { return d.policy }
 
 func sha(b []byte) string {
 	h := sha256.Sum256(b)
@@ -692,19 +685,4 @@ func (d *Disk) sweep(live map[string]bool, st *Stats) {
 			}
 		}
 	}
-}
-
-// ReadResult re-reads a finished job's payload from disk, verifying it
-// against the given checksum — used by tests and diagnostics; the
-// service serves recovered results from memory.
-func (d *Disk) ReadResult(id, wantSHA string) ([]byte, error) {
-	data, err := d.fs.ReadFile(d.resultPath(id))
-	if err != nil {
-		return nil, guard.Storef("result.read", d.resultPath(id), err)
-	}
-	if got := sha(data); got != wantSHA {
-		return nil, guard.Storef("result.read", d.resultPath(id),
-			fmt.Errorf("checksum mismatch: want %.12s, got %.12s", wantSHA, got))
-	}
-	return data, nil
 }

@@ -12,12 +12,12 @@ import (
 	"serretime/internal/guard"
 )
 
-// TestRetimeRejectsNonFiniteOptions is the regression test for the
-// initCache float-key hazard: a NaN smuggled into the options used to
-// reach the memo map, where NaN != NaN makes every lookup miss (and
-// ±Inf poisons the Section V initialization itself). Both entry points
-// must now refuse non-finite floats at the boundary with a typed error
-// unwrapping to guard.ErrParse, before any solving or caching happens.
+// TestRetimeRejectsNonFiniteOptions pins the option boundary: a NaN
+// cannot equal itself as a cache key, ±Inf poisons the Section V
+// initialization, and a negative Epsilon fails every optimizer tier, so
+// RetimeRobust would silently answer from the identity tier. Both entry
+// points must refuse these at the boundary with a typed error unwrapping
+// to guard.ErrParse, before any solving or caching happens.
 func TestRetimeRejectsNonFiniteOptions(t *testing.T) {
 	d := smallDesign(t)
 	bad := []struct {
@@ -26,6 +26,7 @@ func TestRetimeRejectsNonFiniteOptions(t *testing.T) {
 	}{
 		{"epsilon/nan", func(o *RetimeOptions) { o.Epsilon = math.NaN() }},
 		{"epsilon/+inf", func(o *RetimeOptions) { o.Epsilon = math.Inf(1) }},
+		{"epsilon/negative", func(o *RetimeOptions) { o.Epsilon = -0.5 }},
 		{"ts/nan", func(o *RetimeOptions) { o.Ts = math.NaN() }},
 		{"th/-inf", func(o *RetimeOptions) { o.Th = math.Inf(-1) }},
 		{"area/nan", func(o *RetimeOptions) { o.AreaWeight = math.NaN() }},
@@ -58,7 +59,7 @@ func TestRetimeRejectsNonFiniteOptions(t *testing.T) {
 
 // TestNegativeZeroFolded checks the other half of the float-key hazard:
 // -0.0 and +0.0 compare equal but format differently, so they must fold
-// to one canonical key (and one memo entry).
+// to one canonical key.
 func TestNegativeZeroFolded(t *testing.T) {
 	zero := RetimeOptions{Algorithm: MinObsWin, Analysis: fastAnalysis}
 	neg := zero

@@ -111,11 +111,6 @@ type RetimeOptions struct {
 	// budget between degradation tiers; tests use it to wedge the budget
 	// (an absurdly large bound makes every P2' constraint infeasible).
 	RminOverride float64
-	// initMemo, when set by RetimeRobust, caches the Section V
-	// initialization and the rebased graph across degradation tiers that
-	// share (Ts, Th, Epsilon), so stepping down a tier does not repeat
-	// the min-period searches.
-	initMemo *initCache
 	// Recorder receives the run's telemetry: phase spans (obs-analysis,
 	// init, gains, minimize, verify, rebuild, analysis and the optimizer's
 	// inner phases), counters, gauges, and the worker-pool utilization
@@ -125,11 +120,11 @@ type RetimeOptions struct {
 	// its document gives the flat RunStats.
 	Recorder telemetry.Recorder
 	// Workers bounds the CPU workers of the parallel analyses (signature
-	// simulation, ODC observability, exact-solver W/D build). 0 (or
-	// negative) means one worker per available CPU; 1 runs the exact
-	// sequential code paths. Every result is bit-identical for every
-	// value (DESIGN.md §11). Analysis.Workers, when nonzero, overrides
-	// this for the observability analysis alone.
+	// simulation and ODC observability). 0 (or negative) means one
+	// worker per available CPU; 1 runs the exact sequential code paths.
+	// Every result is bit-identical for every value (DESIGN.md §11).
+	// Analysis.Workers, when nonzero, overrides this for the
+	// observability analysis alone.
 	Workers int
 	// warmStart bulk-seeds the optimizer's constraint engine with the P0
 	// requirement closure of each round's committed state instead of
@@ -165,12 +160,11 @@ func (o RetimeOptions) normalized() RetimeOptions {
 	return o
 }
 
-// validate rejects non-finite float parameters with typed errors
-// unwrapping to guard.ErrParse and folds negative zeros to +0, so
-// downstream float-keyed caches (the degradation chain's init memo, the
-// service's content-addressed result cache) never see a key that cannot
-// equal itself (NaN) or two spellings of one value (±0). op names the
-// entry point for the error text.
+// validate rejects non-finite float parameters and a negative Epsilon
+// with typed errors unwrapping to guard.ErrParse, and folds negative
+// zeros to +0, so the service's content-addressed result cache never
+// sees a key that cannot equal itself (NaN) or two spellings of one
+// value (±0). op names the entry point for the error text.
 func (o *RetimeOptions) validate(op string) error {
 	for _, f := range []struct {
 		name string
@@ -186,8 +180,11 @@ func (o *RetimeOptions) validate(op string) error {
 			return guard.Optionf(op, f.name, "must be finite, got %v", *f.v)
 		}
 		if *f.v == 0 {
-			*f.v = 0 // fold -0 to +0: map keys compare bits via ==, hashes format the sign
+			*f.v = 0 // fold -0 to +0: hashes format the sign
 		}
+	}
+	if o.Epsilon < 0 {
+		return guard.Optionf(op, "Epsilon", "must not be negative, got %v", o.Epsilon)
 	}
 	if o.Analysis.Accuracy > AccuracyFast {
 		return guard.Optionf(op, "Accuracy", "unknown accuracy %d", o.Analysis.Accuracy)
@@ -294,7 +291,13 @@ func (d *Design) retime(ctx context.Context, opt RetimeOptions) (*RetimeResult, 
 		return nil, err
 	}
 
-	init, base, err := d.initializeBase(ctx, opt)
+	init, err := retime.InitializeCtx(ctx, d.g, retime.Options{
+		Ts: opt.Ts, Th: opt.Th, Epsilon: opt.Epsilon, Recorder: opt.Recorder,
+	})
+	if err != nil {
+		return nil, err
+	}
+	base, err := d.g.Rebase(init.R)
 	if err != nil {
 		return nil, err
 	}
@@ -335,7 +338,6 @@ func (d *Design) retime(ctx context.Context, opt RetimeOptions) (*RetimeResult, 
 		SingleViolation: opt.SingleViolation,
 		StallSteps:      opt.StallSteps,
 		Recorder:        opt.Recorder,
-		Workers:         opt.Workers,
 		WarmStart:       opt.warmStart,
 	}
 	if opt.RminOverride != 0 {
@@ -399,34 +401,6 @@ func (d *Design) retime(ctx context.Context, opt RetimeOptions) (*RetimeResult, 
 		Runtime: elapsed,
 		Retimed: retimed,
 	}, nil
-}
-
-// initializeBase runs the Section V initialization and rebases the graph
-// onto it, consulting the degradation chain's memo (RetimeRobust) so
-// tiers sharing (Ts, Th, Epsilon) pay for the min-period searches once.
-// Memoized entries are read-only: Init.R is never written after creation
-// and the rebased Graph is immutable.
-func (d *Design) initializeBase(ctx context.Context, opt RetimeOptions) (*retime.Init, *graph.Graph, error) {
-	if opt.initMemo != nil {
-		if init, base, ok := opt.initMemo.get(opt.Ts, opt.Th, opt.Epsilon); ok {
-			return init, base, nil
-		}
-	}
-	init, err := retime.InitializeCtx(ctx, d.g, retime.Options{
-		Ts: opt.Ts, Th: opt.Th, Epsilon: opt.Epsilon, Recorder: opt.Recorder,
-		Workers: opt.Workers,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	base, err := d.g.Rebase(init.R)
-	if err != nil {
-		return nil, nil, err
-	}
-	if opt.initMemo != nil {
-		opt.initMemo.put(opt.Ts, opt.Th, opt.Epsilon, init, base)
-	}
-	return init, base, nil
 }
 
 // verifyMove checks sequential equivalence of the optimizer's (forward)

@@ -5,49 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"serretime/internal/graph"
 	"serretime/internal/guard"
-	"serretime/internal/retime"
 	"serretime/internal/telemetry"
 )
-
-// initCache memoizes the Section V initialization (and the graph rebased
-// onto it) per (Ts, Th, Epsilon) for one design, so the rungs of a
-// degradation chain share one initialization instead of re-running the
-// min-period searches: TierMinObsWin and TierMinObs use the same key and
-// reuse the entry, while TierMinObsWinRelaxed (different Epsilon)
-// computes its own. A cache belongs to one RetimeRobust call and must not
-// be shared across designs.
-type initCache struct {
-	mu      sync.Mutex
-	entries map[initKey]initEntry
-}
-
-type initKey struct{ ts, th, epsilon float64 }
-
-type initEntry struct {
-	init *retime.Init
-	base *graph.Graph
-}
-
-func (c *initCache) get(ts, th, epsilon float64) (*retime.Init, *graph.Graph, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[initKey{ts, th, epsilon}]
-	return e.init, e.base, ok
-}
-
-func (c *initCache) put(ts, th, epsilon float64, init *retime.Init, base *graph.Graph) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.entries == nil {
-		c.entries = map[initKey]initEntry{}
-	}
-	c.entries[initKey{ts, th, epsilon}] = initEntry{init, base}
-}
 
 // Tier identifies which rung of the graceful-degradation ladder produced
 // a RobustResult. Lower values are stronger answers.
@@ -138,20 +101,6 @@ type RobustResult struct {
 	Attempts []Attempt
 }
 
-// RetimeRobust runs the graceful-degradation chain: MinObsWin with ELW
-// constraints, then MinObsWin with a relaxed ELW budget, then Efficient
-// MinObs (P2' disabled), then the identity retiming. Each tier runs under
-// panic isolation, the per-attempt Timeout, and the StallSteps watchdog;
-// on failure the chain records the attempt and steps down. The result
-// says which tier answered, so callers can distinguish a full-strength
-// answer from a degraded one without parsing errors.
-//
-// If opt.Algorithm is not MinObsWin, the chain starts at the equivalent
-// rung (MinObs and MinArea start at TierMinObs) and only degrades from
-// there. An error is returned only when every tier failed — including
-// identity — or when the caller's ctx is done (errors unwrapping to
-// guard.ErrTimeout are not degraded past: the caller's deadline is
-// global).
 // CanonicalKey extends RetimeOptions.CanonicalKey with the chain-level
 // knobs that can change which tier answers (timeout, retries, relax
 // factor), with defaults applied. Two RobustOptions with equal keys
@@ -176,26 +125,29 @@ func (o *RobustOptions) validate(op string) error {
 	return nil
 }
 
+// RetimeRobust runs the graceful-degradation chain: MinObsWin with ELW
+// constraints, then MinObsWin with a relaxed ELW budget, then Efficient
+// MinObs (P2' disabled), then the identity retiming. Each tier runs under
+// panic isolation, the per-attempt Timeout, and the StallSteps watchdog;
+// on failure the chain records the attempt and steps down. The result
+// says which tier answered, so callers can distinguish a full-strength
+// answer from a degraded one without parsing errors.
+//
+// If opt.Algorithm is not MinObsWin, the chain starts at the equivalent
+// rung (MinObs and MinArea start at TierMinObs) and only degrades from
+// there. An error is returned only when every tier failed — including
+// identity — or when the caller's ctx is done (errors unwrapping to
+// guard.ErrTimeout are not degraded past: the caller's deadline is
+// global).
 func (d *Design) RetimeRobust(ctx context.Context, opt RobustOptions) (*RobustResult, error) {
-	// Validate and normalize parameters before anything is derived from
-	// them: the init memo below keys on raw (Ts, Th, Epsilon) floats, so a
-	// NaN (never equal to itself under map lookup) or a -0 (hashes apart
-	// from +0 in the canonical key) would silently defeat the memo and the
-	// service cache rather than fail.
+	// Validate before the rungs derive their options: a non-finite or
+	// out-of-range parameter fails here with a typed error instead of
+	// failing every tier.
 	if err := opt.validate("serretime.RetimeRobust"); err != nil {
 		return nil, err
 	}
 	if opt.RelaxFactor <= 1 {
 		opt.RelaxFactor = 2
-	}
-	// Tiers built from this options value share one initialization memo
-	// (the chain construction below copies RetimeOptions by value, so the
-	// pointer is what carries across rungs). The ECO session path
-	// (WarmState) pre-sets a memo that outlives one call, so option-only
-	// deltas re-enter the Section V initialization for free; batch
-	// callers always start fresh.
-	if opt.RetimeOptions.initMemo == nil {
-		opt.RetimeOptions.initMemo = &initCache{}
 	}
 	type rung struct {
 		tier Tier
