@@ -48,7 +48,6 @@ func ecoOptions(cfg config, eng serretime.EngineKind) serretime.RobustOptions {
 			Workers:   cfg.workers,
 		},
 		Timeout: cfg.timeout,
-		Retries: cfg.retries,
 	}
 }
 

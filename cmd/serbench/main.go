@@ -30,7 +30,7 @@
 //
 //	serbench [-scale auto|N] [-circuits name,name,...] [-in files] [-parallel N]
 //	         [-workers N] [-frames N] [-words N] [-engine closure|forest] [-verify]
-//	         [-timeout D] [-retries N] [-stallsteps N] [-faultinject names]
+//	         [-timeout D] [-stallsteps N] [-faultinject names]
 //	         [-trace out.jsonl] [-metrics]
 //	         [-cpuprofile f] [-memprofile f]
 //
@@ -122,7 +122,6 @@ type config struct {
 	verify      bool
 	autoCap     int
 	timeout     time.Duration
-	retries     int
 	stallSteps  int
 	faultInject string
 	tracePath   string
@@ -178,7 +177,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&cfg.verify, "verify", false, "co-simulate every optimizer move for sequential equivalence")
 	fs.IntVar(&cfg.autoCap, "autocap", 12000, "with -scale auto, target gate count per circuit; 12000 assumes the flat CSR engine (README \"Benchmark scaling\"), lower it on memory-constrained hosts")
 	fs.DurationVar(&cfg.timeout, "timeout", 0, "per-attempt wall-clock budget per circuit (0 = unbounded)")
-	fs.IntVar(&cfg.retries, "retries", 0, "extra attempts per degradation tier after a transient failure")
 	fs.IntVar(&cfg.stallSteps, "stallsteps", 0, "abort an optimizer run after this many steps without improvement (0 = off)")
 	fs.StringVar(&cfg.faultInject, "faultinject", "", "comma-separated circuit names whose runs are fault-injected (testing)")
 	fs.StringVar(&cfg.tracePath, "trace", "", "write every circuit's trace document (spans with their counters), one JSON line each; with -serve, every job's trace document from the server (read either with seranalyze -trace)")
@@ -406,7 +404,6 @@ func runOne(j job, cfg config, eng serretime.EngineKind) *row {
 			Workers:    cfg.workers,
 		},
 		Timeout: cfg.timeout,
-		Retries: cfg.retries,
 	}
 	start := time.Now()
 	refRes, err := d.RetimeRobust(ctx, ropt)

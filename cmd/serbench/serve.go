@@ -160,9 +160,6 @@ func submitURL(cfg config, name string) string {
 	if cfg.stallSteps > 0 {
 		q.Set("stallsteps", strconv.Itoa(cfg.stallSteps))
 	}
-	if cfg.retries > 0 {
-		q.Set("retries", strconv.Itoa(cfg.retries))
-	}
 	return strings.TrimRight(cfg.serveURL, "/") + "/v1/retime?" + q.Encode()
 }
 

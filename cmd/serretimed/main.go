@@ -69,7 +69,7 @@
 // Usage:
 //
 //	serretimed [-addr :8080] [-queue 64] [-jobs N] [-solve-workers N]
-//	           [-timeout 5m] [-retries N] [-cache N]
+//	           [-timeout 5m] [-cache N]
 //	           [-data-dir DIR] [-fsync always|interval|never]
 //	           [-fsync-interval 100ms] [-slowjob 2m]
 //	           [-max-sessions 32] [-session-ttl 15m]
@@ -102,7 +102,6 @@ func run(args []string) int {
 	workers := fs.Int("jobs", 0, "concurrent solves (0 = one per CPU)")
 	solveWorkers := fs.Int("solve-workers", 1, "per-solve analysis workers (internal/par budget)")
 	timeout := fs.Duration("timeout", 5*time.Minute, "default per-attempt solve budget")
-	retries := fs.Int("retries", 0, "default per-tier retry count")
 	cacheSize := fs.Int("cache", 4096, "retained finished jobs (content-addressed cache entries)")
 	drainWait := fs.Duration("drain", 30*time.Second, "graceful drain budget on SIGTERM")
 	dataDir := fs.String("data-dir", "", "persist jobs and results here; replayed on boot (empty = memory-only)")
@@ -123,7 +122,6 @@ func run(args []string) int {
 		Workers:      *workers,
 		SolveWorkers: *solveWorkers,
 		Timeout:      *timeout,
-		Retries:      *retries,
 		MaxJobs:      *cacheSize,
 		SlowJob:      *slowJob,
 		MaxSessions:  *maxSessions,

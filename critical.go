@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"sort"
 
-	"serretime/internal/elw"
 	"serretime/internal/graph"
+	"serretime/internal/ser"
 )
 
 // Contributor is one element's share of the design's SER.
@@ -23,79 +23,45 @@ type Contributor struct {
 }
 
 // CriticalElements ranks the top-n SER contributors of the unretimed
-// design at clock period phi (0 = critical path), splitting eq. (4) into
-// its per-gate and per-register-chain terms. This is the view a designer
-// uses to decide where hardening or retiming will pay off.
+// design at clock period phi (0 = critical path): the per-gate and
+// per-register-chain terms of eq. (4), as ser.Terms evaluates them for
+// Analyze. This is the view a designer uses to decide where hardening or
+// retiming will pay off.
 func (d *Design) CriticalElements(phi float64, n int, opt AnalysisOptions) ([]Contributor, error) {
 	if err := d.ensureObs(opt); err != nil {
 		return nil, err
 	}
-	opt = opt.normalized()
 	g := d.g
 	r := graph.NewRetiming(g)
-	if phi <= 0 {
-		_, crit, err := g.ArrivalTimes(r)
-		if err != nil {
-			return nil, err
-		}
-		phi = crit
-	}
-	p := elwParams(phi)
-	elws, err := elw.Exact(g, r, p, opt.MaxIntervals)
-	if err != nil {
-		return nil, err
-	}
-	lab, err := elw.ComputeLabels(g, r, p)
+	in, err := d.serInputs(g, r, elwParams(phi), opt)
 	if err != nil {
 		return nil, err
 	}
 	var out []Contributor
 	var total float64
-	for v := 1; v < g.NumVertices(); v++ {
-		w := elws[v].Measure()
-		ser := d.gateObs[v] * d.rates[v] * w / phi
-		total += ser
-		if ser > 0 {
-			out = append(out, Contributor{
-				Name: g.Name(graph.VertexID(v)), Kind: "gate",
-				SER: ser, Obs: d.gateObs[v], Window: w,
-			})
+	err = ser.Terms(g, r, in, func(t ser.Term) {
+		total += t.SER
+		if t.SER <= 0 {
+			return
 		}
-	}
-	base := p.Ts + p.Th
-	for i := 0; i < g.NumEdges(); i++ {
-		eid := graph.EdgeID(i)
-		k := g.WR(eid, r)
-		if k <= 0 {
-			continue
-		}
-		e := g.Edge(eid)
-		var adjacent float64
-		if e.To == graph.Host {
-			adjacent = base
+		c := Contributor{Kind: "gate", SER: t.SER, Obs: t.Obs, Window: t.Window}
+		if t.Regs == 0 {
+			c.Name = g.Name(t.Vertex)
 		} else {
-			adjacent = elws[e.To].Measure()
-			if lab.HasWindow[e.To] {
-				if shortfall := p.Th - lab.HoldSlack(g, p, eid); shortfall > 0 {
-					adjacent += shortfall
-				}
-			}
-		}
-		win := adjacent + float64(k-1)*base
-		ser := d.edgeObs[i] * d.regRate * win / phi
-		total += ser
-		if ser > 0 {
+			e := g.Edge(t.Edge)
 			name := "<input>"
 			if e.From != graph.Host {
 				name = g.Name(e.From)
 			} else if int(e.SrcPort) >= 0 && int(e.SrcPort) < len(d.c.PIs()) {
 				name = d.c.Node(d.c.PIs()[e.SrcPort]).Name
 			}
-			out = append(out, Contributor{
-				Name: fmt.Sprintf("%s (x%d)", name, k), Kind: "register",
-				SER: ser, Obs: d.edgeObs[i], Window: win,
-			})
+			c.Kind = "register"
+			c.Name = fmt.Sprintf("%s (x%d)", name, t.Regs)
 		}
+		out = append(out, c)
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].SER > out[j].SER })
 	if n > 0 && len(out) > n {

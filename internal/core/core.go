@@ -87,8 +87,6 @@ type Options struct {
 	// order (P2', P0, P1') reaches the same fixpoint and is benchmarked
 	// as an ablation.
 	CheckOrder []Kind
-	// MaxSteps caps the total number of algorithm steps (0 = automatic).
-	MaxSteps int
 	// Engine selects the closed-set machinery.
 	Engine Engine
 	// SingleViolation repairs one violation per iteration, exactly as
@@ -100,19 +98,14 @@ type Options struct {
 	// StallSteps arms a progress watchdog: when the committed objective
 	// has not improved for this many consecutive steps, Minimize aborts
 	// with guard.ErrStalled and returns the best retiming committed so
-	// far. 0 disables the watchdog (the MaxSteps cap still bounds the
-	// run).
+	// far. 0 disables the watchdog (the step cap of 80·|V|+2000 still
+	// bounds the run).
 	StallSteps int
 	// Recorder receives the run's telemetry: phase spans (positive-set,
 	// find-violations, elw-recompute, repair), move/violation counters,
 	// and the peak retiming span gauge. nil records nothing (the no-op
 	// recorder adds zero allocations to the hot path).
 	Recorder telemetry.Recorder
-	// Workers bounds the CPU workers of parallelizable sub-analyses —
-	// today the exact solver's W/D matrix build (MinObsExact). 0 (or
-	// negative) means one worker per available CPU; 1 is the sequential
-	// path. Results are bit-identical for every value (DESIGN.md §11).
-	Workers int
 	// WarmStart bulk-seeds every fresh closure engine with the P0
 	// requirement closure of the committed state (seedRequirementClosure)
 	// instead of letting the loop discover the same constraints one
@@ -279,10 +272,7 @@ func MinimizeCtx(ctx context.Context, g *graph.Graph, gains []int64, obsInt []in
 		// both reach the same fixpoint (see TestCheckOrderInvariance).
 		order = []Kind{KindP0, KindP2, KindP1}
 	}
-	maxSteps := opt.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = 80*g.NumVertices() + 2000
-	}
+	maxSteps := 80*g.NumVertices() + 2000
 	params := elw.Params{Phi: opt.Phi, Ts: opt.Ts, Th: opt.Th}
 	rec := telemetry.OrNop(opt.Recorder)
 

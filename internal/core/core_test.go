@@ -152,7 +152,7 @@ func TestMinimizeValidation(t *testing.T) {
 func TestMinObsExactSingleMove(t *testing.T) {
 	g, _, bb, gateObs, edgeObs := singleMove(1, 1)
 	gains, obsInt, _ := Gains(g, gateObs, edgeObs, kUnits)
-	res, err := MinObsExact(g, gains, obsInt, 100, 0, true, Options{})
+	res, err := MinObsExact(g, gains, obsInt, 100, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestPropertyMinObsMatchesExact(t *testing.T) {
 			t.Logf("seed %d: incremental error: %v", seed, err)
 			return false
 		}
-		ex, err := MinObsExact(g, gains, obsInt, phi, 0, true, Options{})
+		ex, err := MinObsExact(g, gains, obsInt, phi, 0, true)
 		if err != nil {
 			t.Logf("seed %d: exact error: %v", seed, err)
 			return false
@@ -374,7 +374,7 @@ func TestMinAreaMatchesExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		ex, err := MinObsExact(g, gains, obsInt, phi, 0, true, Options{})
+		ex, err := MinObsExact(g, gains, obsInt, phi, 0, true)
 		if err != nil {
 			continue
 		}

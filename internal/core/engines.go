@@ -132,17 +132,19 @@ func (e *closureEngine) PositiveSet() ([]int32, []bool) {
 func (e *closureEngine) Weight(v int32) int32 { return e.w[v] }
 
 // seedArc records the constraint p → q without the incremental-cache
-// maintenance of AddConstraint. Bulk loaders (seedRequirementClosure)
-// use it and invalidate the cached set once, when done.
-func (e *closureEngine) seedArc(p, q int32) {
+// maintenance of AddConstraint and reports whether the arc is new. Bulk
+// loaders (seedRequirementClosure) use it and invalidate the cached set
+// once, when done.
+func (e *closureEngine) seedArc(p, q int32) bool {
 	key := [2]int32{p, q}
 	if _, dup := e.arcSet[key]; dup {
-		return
+		return false
 	}
 	e.arcSet[key] = struct{}{}
 	e.arcs = append(e.arcs, key)
 	e.arcOut[p] = append(e.arcOut[p], q)
 	e.arcIn[q] = append(e.arcIn[q], p)
+	return true
 }
 
 func (e *closureEngine) SetWeight(q int32, w int32) error {
@@ -159,14 +161,9 @@ func (e *closureEngine) AddConstraint(p, q int32) error {
 	if p == q {
 		return fmt.Errorf("core: self-constraint at %d", p)
 	}
-	key := [2]int32{p, q}
-	if _, dup := e.arcSet[key]; dup {
+	if !e.seedArc(p, q) {
 		return nil
 	}
-	e.arcSet[key] = struct{}{}
-	e.arcs = append(e.arcs, key)
-	e.arcOut[p] = append(e.arcOut[p], q)
-	e.arcIn[q] = append(e.arcIn[q], p)
 	if e.cacheValid && e.mask[p] && !e.mask[q] {
 		// Phase 1: explore q's arc-closure without mutating; a frozen
 		// vertex inside means the cached set cannot absorb q.

@@ -22,7 +22,7 @@ func TestForestEngineNearExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: forest engine error: %v", seed, err)
 		}
-		ex, err := MinObsExact(g, gains, obsInt, phi, 0, true, Options{})
+		ex, err := MinObsExact(g, gains, obsInt, phi, 0, true)
 		if err != nil {
 			continue
 		}

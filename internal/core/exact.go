@@ -7,12 +7,6 @@ import (
 	"serretime/internal/mcf"
 )
 
-// MinObsExact solves the MinObs retiming (register observability
-// minimization under P0 and the clock period constraint P1', without ELW
-// constraints) exactly, via the classic W/D-matrix difference-constraint
-// program and the min-cost-flow dual — the formulation [17] hands to an LP
-// solver. It costs Θ(|V|²) memory and exists to validate the incremental
-// algorithm; use Minimize for real work.
 // canCapture marks vertices whose glitches can ever be latched: those
 // reaching the host (a register boundary or primary output lies on the
 // way) or reaching a cycle (every cycle permanently carries registers).
@@ -75,12 +69,18 @@ func canCapture(g *graph.Graph) []bool {
 	return cap
 }
 
+// MinObsExact solves the MinObs retiming (register observability
+// minimization under P0 and the clock period constraint P1', without ELW
+// constraints) exactly, via the classic W/D-matrix difference-constraint
+// program and the min-cost-flow dual — the formulation [17] hands to an LP
+// solver. It costs Θ(|V|²) memory and exists to validate the incremental
+// algorithm; use Minimize for real work.
+//
 // forwardOnly restricts the program to r <= 0 (forward moves), the
 // direction Algorithm 1 explores; pass false for the unrestricted optimum
 // (the gap, if any, measures what a backward phase could add — see
-// DESIGN.md). Of opt only Workers and Recorder are consumed: they shard
-// the Θ(|V|²) W/D matrix build across CPUs without changing the result.
-func MinObsExact(g *graph.Graph, gains []int64, obsInt []int64, phi, ts float64, forwardOnly bool, opt Options) (*Result, error) {
+// DESIGN.md).
+func MinObsExact(g *graph.Graph, gains []int64, obsInt []int64, phi, ts float64, forwardOnly bool) (*Result, error) {
 	if len(gains) != g.NumVertices() {
 		return nil, fmt.Errorf("core: gains length mismatch")
 	}
@@ -101,10 +101,7 @@ func MinObsExact(g *graph.Graph, gains []int64, obsInt []int64, phi, ts float64,
 	// reach a register or primary output (a dangling cone) carry no
 	// timing obligation — the label-based check skips them too.
 	capture := canCapture(g)
-	wd, err := g.ComputeWDPar(nil, opt.Workers, opt.Recorder)
-	if err != nil {
-		return nil, fmt.Errorf("core: exact MinObs: %w", err)
-	}
+	wd := g.ComputeWD()
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
 			if !capture[v] {

@@ -13,28 +13,15 @@ import (
 // injection exercises.
 var failpoints = struct {
 	sync.Mutex
-	// armed counts remaining firings per name: < 0 = fire forever.
-	armed map[string]int
-}{armed: map[string]int{}}
+	armed map[string]struct{}
+}{armed: map[string]struct{}{}}
 
 // ArmFailpoint makes the named failpoint panic on every visit until
 // disarmed.
 func ArmFailpoint(name string) {
 	failpoints.Lock()
 	defer failpoints.Unlock()
-	failpoints.armed[name] = -1
-}
-
-// ArmFailpointCount makes the named failpoint panic on its next n visits
-// and then disarm itself — a transient fault. n <= 0 disarms.
-func ArmFailpointCount(name string, n int) {
-	failpoints.Lock()
-	defer failpoints.Unlock()
-	if n <= 0 {
-		delete(failpoints.armed, name)
-		return
-	}
-	failpoints.armed[name] = n
+	failpoints.armed[name] = struct{}{}
 }
 
 // DisarmFailpoint disables the named failpoint.
@@ -48,15 +35,7 @@ func DisarmFailpoint(name string) {
 // no-op (one cheap map read) otherwise.
 func Failpoint(name string) {
 	failpoints.Lock()
-	n, armed := failpoints.armed[name]
-	if armed && n > 0 {
-		n--
-		if n == 0 {
-			delete(failpoints.armed, name)
-		} else {
-			failpoints.armed[name] = n
-		}
-	}
+	_, armed := failpoints.armed[name]
 	failpoints.Unlock()
 	if armed {
 		panic(fmt.Sprintf("guard: injected fault at %q", name))

@@ -355,13 +355,8 @@ func holdRepair(g *graph.Graph, r graph.Retiming, eid graph.EdgeID) bool {
 	return false
 }
 
-// MinPeriodSetupHold finds the smallest period (on the delay grid) for
+// minPeriodSetupHoldCtx finds the smallest period (on the delay grid) for
 // which SetupHold succeeds.
-func MinPeriodSetupHold(g *graph.Graph, ts, th float64) (graph.Retiming, float64, bool) {
-	r, phi, ok, _ := minPeriodSetupHoldCtx(context.Background(), g, ts, th, telemetry.Nop)
-	return r, phi, ok
-}
-
 func minPeriodSetupHoldCtx(ctx context.Context, g *graph.Graph, ts, th float64, rec telemetry.Recorder) (graph.Retiming, float64, bool, error) {
 	_, crit, err := g.ArrivalTimes(graph.NewRetiming(g))
 	if err != nil {

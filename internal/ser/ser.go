@@ -168,7 +168,25 @@ type Analysis struct {
 	RegisterObs float64
 }
 
-// Compute evaluates eq. (4) for graph g under retiming r.
+// Term is one element's term of eq. (4): a combinational gate, or the
+// chain of registers on one edge.
+type Term struct {
+	// Vertex is the gate of a gate term.
+	Vertex graph.VertexID
+	// Edge is the edge of a register term.
+	Edge graph.EdgeID
+	// Regs counts the registers of a register term; 0 marks a gate term.
+	Regs int
+	// Obs is the element's observability and Window its |ELW|.
+	Obs, Window float64
+	// SER is the term itself: obs · err · |ELW| / Φ.
+	SER float64
+}
+
+// Terms evaluates the per-element terms of eq. (4) for graph g under
+// retiming r and hands each to fn: every gate in vertex order, then every
+// edge carrying registers in edge order. Compute sums them; a ranking of
+// the SER contributors lists them.
 //
 // Register ELWs: the register adjacent to the consuming gate v sees
 // ELW(v)−d(v), whose measure equals |ELW(v)|; deeper chain registers and
@@ -180,27 +198,30 @@ type Analysis struct {
 // shortfall Th − slack. This is the timing-masking degradation the
 // paper's P2' constraint exists to prevent (Section III-B); evaluating it
 // makes the SER of hold-marginal placements honest.
-func Compute(g *graph.Graph, r graph.Retiming, in Inputs) (*Analysis, error) {
+func Terms(g *graph.Graph, r graph.Retiming, in Inputs, fn func(Term)) error {
 	if len(in.GateObs) != g.NumVertices() || len(in.GateRate) != g.NumVertices() {
-		return nil, fmt.Errorf("ser: obs/rate length mismatch")
+		return fmt.Errorf("ser: obs/rate length mismatch")
 	}
 	if len(in.EdgeObs) != g.NumEdges() {
-		return nil, fmt.Errorf("ser: edge obs length mismatch")
+		return fmt.Errorf("ser: edge obs length mismatch")
 	}
 	if err := g.CheckLegal(r); err != nil {
-		return nil, err
+		return err
 	}
 	elws, err := elw.Exact(g, r, in.Params, in.MaxIntervals)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	lab, err := elw.ComputeLabels(g, r, in.Params)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	a := &Analysis{}
 	for v := 1; v < g.NumVertices(); v++ {
-		a.Gates += in.GateObs[v] * in.GateRate[v] * elws[v].Measure() / in.Params.Phi
+		w := elws[v].Measure()
+		fn(Term{
+			Vertex: graph.VertexID(v), Obs: in.GateObs[v], Window: w,
+			SER: in.GateObs[v] * in.GateRate[v] * w / in.Params.Phi,
+		})
 	}
 	baseMeasure := in.Params.Ts + in.Params.Th
 	for i := 0; i < g.NumEdges(); i++ {
@@ -211,8 +232,6 @@ func Compute(g *graph.Graph, r graph.Retiming, in Inputs) (*Analysis, error) {
 		}
 		e := g.Edge(eid)
 		o := in.EdgeObs[i]
-		a.NumRegisters += int64(k)
-		a.RegisterObs += o * float64(k)
 		var adjacent float64
 		if e.To == graph.Host {
 			adjacent = baseMeasure
@@ -225,7 +244,29 @@ func Compute(g *graph.Graph, r graph.Retiming, in Inputs) (*Analysis, error) {
 			}
 		}
 		win := adjacent + float64(k-1)*baseMeasure
-		a.Registers += o * in.RegRate * win / in.Params.Phi
+		fn(Term{
+			Edge: eid, Regs: int(k), Obs: o, Window: win,
+			SER: o * in.RegRate * win / in.Params.Phi,
+		})
+	}
+	return nil
+}
+
+// Compute evaluates eq. (4) for graph g under retiming r: the sum of its
+// Terms, gates and registers accumulated separately.
+func Compute(g *graph.Graph, r graph.Retiming, in Inputs) (*Analysis, error) {
+	a := &Analysis{}
+	err := Terms(g, r, in, func(t Term) {
+		if t.Regs == 0 {
+			a.Gates += t.SER
+			return
+		}
+		a.NumRegisters += int64(t.Regs)
+		a.RegisterObs += t.Obs * float64(t.Regs)
+		a.Registers += t.SER
+	})
+	if err != nil {
+		return nil, err
 	}
 	a.SharedRegisters = g.SharedRegisters(r)
 	a.Total = a.Gates + a.Registers

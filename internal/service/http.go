@@ -249,7 +249,6 @@ func (s *Server) readNetlist(r *http.Request) (io.ReadCloser, string, error) {
 //	stallsteps   optimizer stall watchdog
 //	timeout      per-attempt budget (Go duration; server default applies
 //	             when absent)
-//	retries      per-tier retry count
 //	verify       co-simulate the retiming against the input (boolean);
 //	             result-invariant, so it does not fragment the cache key
 //	accuracy     exact (default) | fast — observability engine tier; fast
@@ -267,8 +266,8 @@ func optionsFromQuery(r *http.Request) (serretime.RobustOptions, error) {
 	for k := range q {
 		switch k {
 		case "algorithm", "engine", "epsilon", "frames", "words", "seed",
-			"maxintervals", "stallsteps", "timeout", "retries", "verify",
-			"accuracy", "name":
+			"maxintervals", "stallsteps", "timeout", "verify", "accuracy",
+			"name":
 		default:
 			unknown = append(unknown, k)
 		}
@@ -276,7 +275,7 @@ func optionsFromQuery(r *http.Request) (serretime.RobustOptions, error) {
 	if len(unknown) > 0 {
 		sort.Strings(unknown)
 		return opt, guard.Optionf("service.submit", unknown[0],
-			"unknown query parameter %q (known: accuracy, algorithm, engine, epsilon, frames, maxintervals, name, retries, seed, stallsteps, timeout, verify, words)", unknown[0])
+			"unknown query parameter %q (known: accuracy, algorithm, engine, epsilon, frames, maxintervals, name, seed, stallsteps, timeout, verify, words)", unknown[0])
 	}
 	acc, err := serretime.ParseAccuracy("service.submit", q.Get("accuracy"))
 	if err != nil {
@@ -316,7 +315,6 @@ func optionsFromQuery(r *http.Request) (serretime.RobustOptions, error) {
 		{"words", &opt.Analysis.SignatureWords},
 		{"maxintervals", &opt.Analysis.MaxIntervals},
 		{"stallsteps", &opt.StallSteps},
-		{"retries", &opt.Retries},
 	} {
 		v := q.Get(f.name)
 		if v == "" {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -318,29 +319,55 @@ func TestStoreFailureDegradesToMemoryOnly(t *testing.T) {
 }
 
 // TestOptionsBlobRoundTrip: the journaled options blob must reproduce
-// the canonical key — otherwise recovered jobs would re-solve under a
-// different identity than they were submitted with.
+// every option it keeps, and so the canonical key — otherwise recovered
+// jobs would re-solve under a different identity than they were
+// submitted with. Every kept field is set to a non-default value, so a
+// decoder that drops any one of them fails. A blob in the format older
+// versions journaled, which still carries removed options at their
+// defaults, must re-derive that version's key and job ID.
 func TestOptionsBlobRoundTrip(t *testing.T) {
 	opt := fastOpts()
 	opt.Algorithm = serretime.MinArea
 	opt.Engine = serretime.EngineForest
 	opt.Epsilon = 0.25
+	opt.Ts = 0.5
+	opt.Th = 4
 	opt.AreaWeight = 0.5
 	opt.Verify = true
 	opt.StallSteps = 7
+	opt.Analysis.Accuracy = serretime.AccuracyFast
+	opt.Analysis.MaxIntervals = 8
 	opt.Analysis.Seed = 42
 	opt.Timeout = 90 * time.Second
-	opt.Retries = 2
-	opt.RelaxFactor = 3
 
 	got, err := decodeOptions(encodeOptions(opt))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, opt) {
+		t.Fatalf("options not preserved:\n%+v\nvs\n%+v", got, opt)
 	}
 	if got.CanonicalKey() != opt.CanonicalKey() {
 		t.Fatalf("canonical key not preserved:\n%s\nvs\n%s", got.CanonicalKey(), opt.CanonicalKey())
 	}
 	if _, err := decodeOptions([]byte("{broken")); err == nil || !errors.Is(err, guard.ErrStore) {
 		t.Fatalf("bad blob: %v", err)
+	}
+
+	old, err := decodeOptions([]byte(`{"alg":1,"eng":1,"eps":0.2,"ts":0.5,"th":4,"area":0.5,"kunits":128,"verify":true,"stall":7,"frames":3,"words":2,"maxiv":8,"seed":42,"acc":1,"timeout":60000000000,"relax":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const oldKey = "alg=MinObs engine=forest eps=0.2 ts=0.5 th=4 area=0.5 rmin=0 kunits=128 single=false literal=false stall=7 acc=fast frames=3 words=2 seed=42 maxint=8 timeout=1m0s retries=0 relax=2"
+	if got := old.CanonicalKey(); got != oldKey {
+		t.Errorf("older blob re-derives another key:\n got %s\nwant %s", got, oldKey)
+	}
+	d, err := serretime.ParseBench(strings.NewReader("INPUT(a)\nOUTPUT(y)\nf = DFF(a)\ny = NOT(f)\n"), "tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const oldID = "0053dff9a6e5c53c1ebb9581f14114d0cb49d410ee5833ad7ba8cd6c1575648d"
+	if id, err := JobKey(d, old); err != nil || id != oldID {
+		t.Errorf("older blob re-derives job ID %s (%v), want %s", id, err, oldID)
 	}
 }

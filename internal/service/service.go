@@ -142,8 +142,6 @@ type Config struct {
 	// Timeout is the default per-attempt solve budget (RobustOptions.
 	// Timeout) when a submission doesn't set its own. Default 5m.
 	Timeout time.Duration
-	// Retries is the default per-tier retry count. Default 0.
-	Retries int
 	// MaxJobs bounds the retained finished jobs (the cache size);
 	// beyond it the oldest finished jobs are evicted. Default 4096.
 	MaxJobs int
@@ -321,7 +319,7 @@ func jobKey(d *serretime.Design, opt serretime.RobustOptions) (string, []byte, e
 }
 
 // Submit registers a parsed design for solving under the given options
-// (server defaults are applied to zero Timeout/Retries). It returns the
+// (the server default is applied to a zero Timeout). It returns the
 // job — possibly an existing one — and how the submission was resolved:
 //
 //	accepted  a fresh job was enqueued
@@ -394,17 +392,14 @@ func (s *Server) SubmitTrace(d *serretime.Design, opt serretime.RobustOptions, t
 	return j, Accepted, nil
 }
 
-// applySolveDefaults fills the server-side defaults (Timeout, Retries,
-// Workers) that zero fields leave open and points the solve's Recorder at
-// a fresh trace under traceID (a zero ID mints one), teed with
-// Config.Recorder. Submit, Restore and the session solves all go through
-// it, so a job and a session solve see the same defaults.
+// applySolveDefaults fills the server-side defaults (Timeout, Workers)
+// that zero fields leave open and points the solve's Recorder at a fresh
+// trace under traceID (a zero ID mints one), teed with Config.Recorder.
+// Submit, Restore and the session solves all go through it, so a job and
+// a session solve see the same defaults.
 func (s *Server) applySolveDefaults(opt *serretime.RobustOptions, traceID telemetry.TraceID) *telemetry.Trace {
 	if opt.Timeout == 0 {
 		opt.Timeout = s.cfg.Timeout
-	}
-	if opt.Retries == 0 {
-		opt.Retries = s.cfg.Retries
 	}
 	if opt.Workers == 0 {
 		opt.Workers = s.cfg.SolveWorkers

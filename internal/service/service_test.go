@@ -491,12 +491,15 @@ func TestOptionsFromQueryRejectsGarbage(t *testing.T) {
 		"timeout=-3s",
 		"timeout=fortnight",
 		"verify=perhaps",
-		"retries=-2",
 		"accuracy=banana",
 		// Unknown parameter names must 400, not silently no-op: the typo
 		// acuracy=fast would otherwise run the expensive exact path the
-		// caller was explicitly routing around.
+		// caller was explicitly routing around. retries is no longer an
+		// option: the solver is deterministic, so a retry cannot succeed
+		// where the first attempt failed.
 		"acuracy=fast",
+		"retries=1",
+		"retries=-2",
 		"frames=3&wrods=2",
 		"zzz=1&aaa=2",
 	}

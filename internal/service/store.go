@@ -81,54 +81,47 @@ func (s *Server) logf(format string, args ...any) {
 // fields CanonicalKey hashes). Result-invariant fields — Recorder,
 // worker budgets — are reapplied from the server's own
 // config at recovery, exactly as Submit applies them to fresh jobs.
+//
+// Older journals also carry "rmin", "kunits", "single", "literal",
+// "retries" and "relax", options that no longer exist. encoding/json
+// skips those fields; at the values a caller could set (their defaults)
+// the key prints them as fixed text, so such a job re-derives its ID.
 type optionsBlob struct {
-	Algorithm       int     `json:"alg"`
-	Engine          int     `json:"eng"`
-	Epsilon         float64 `json:"eps,omitempty"`
-	Ts              float64 `json:"ts,omitempty"`
-	Th              float64 `json:"th,omitempty"`
-	AreaWeight      float64 `json:"area,omitempty"`
-	RminOverride    float64 `json:"rmin,omitempty"`
-	KUnits          int     `json:"kunits,omitempty"`
-	SingleViolation bool    `json:"single,omitempty"`
-	LiteralGains    bool    `json:"literal,omitempty"`
-	Verify          bool    `json:"verify,omitempty"`
-	StallSteps      int     `json:"stall,omitempty"`
-	Frames          int     `json:"frames,omitempty"`
-	SignatureWords  int     `json:"words,omitempty"`
-	MaxIntervals    int     `json:"maxiv,omitempty"`
-	Seed            int64   `json:"seed,omitempty"`
+	Algorithm      int     `json:"alg"`
+	Engine         int     `json:"eng"`
+	Epsilon        float64 `json:"eps,omitempty"`
+	Ts             float64 `json:"ts,omitempty"`
+	Th             float64 `json:"th,omitempty"`
+	AreaWeight     float64 `json:"area,omitempty"`
+	Verify         bool    `json:"verify,omitempty"`
+	StallSteps     int     `json:"stall,omitempty"`
+	Frames         int     `json:"frames,omitempty"`
+	SignatureWords int     `json:"words,omitempty"`
+	MaxIntervals   int     `json:"maxiv,omitempty"`
+	Seed           int64   `json:"seed,omitempty"`
 	// Accuracy selects the observability engine tier. Old journals wrote
 	// no "acc" field; absent decodes to 0 = AccuracyExact, which is what
 	// those jobs ran with, so recovery keys stay stable across upgrades.
-	Accuracy    int           `json:"acc,omitempty"`
-	Timeout     time.Duration `json:"timeout,omitempty"`
-	Retries     int           `json:"retries,omitempty"`
-	RelaxFactor float64       `json:"relax,omitempty"`
+	Accuracy int           `json:"acc,omitempty"`
+	Timeout  time.Duration `json:"timeout,omitempty"`
 }
 
 func encodeOptions(opt serretime.RobustOptions) []byte {
 	b, err := json.Marshal(optionsBlob{
-		Algorithm:       int(opt.Algorithm),
-		Engine:          int(opt.Engine),
-		Epsilon:         opt.Epsilon,
-		Ts:              opt.Ts,
-		Th:              opt.Th,
-		AreaWeight:      opt.AreaWeight,
-		RminOverride:    opt.RminOverride,
-		KUnits:          opt.KUnits,
-		SingleViolation: opt.SingleViolation,
-		LiteralGains:    opt.LiteralGains,
-		Verify:          opt.Verify,
-		StallSteps:      opt.StallSteps,
-		Frames:          opt.Analysis.Frames,
-		SignatureWords:  opt.Analysis.SignatureWords,
-		MaxIntervals:    opt.Analysis.MaxIntervals,
-		Seed:            opt.Analysis.Seed,
-		Accuracy:        int(opt.Analysis.Accuracy),
-		Timeout:         opt.Timeout,
-		Retries:         opt.Retries,
-		RelaxFactor:     opt.RelaxFactor,
+		Algorithm:      int(opt.Algorithm),
+		Engine:         int(opt.Engine),
+		Epsilon:        opt.Epsilon,
+		Ts:             opt.Ts,
+		Th:             opt.Th,
+		AreaWeight:     opt.AreaWeight,
+		Verify:         opt.Verify,
+		StallSteps:     opt.StallSteps,
+		Frames:         opt.Analysis.Frames,
+		SignatureWords: opt.Analysis.SignatureWords,
+		MaxIntervals:   opt.Analysis.MaxIntervals,
+		Seed:           opt.Analysis.Seed,
+		Accuracy:       int(opt.Analysis.Accuracy),
+		Timeout:        opt.Timeout,
 	})
 	if err != nil {
 		return nil // unreachable: the blob is plain data
@@ -148,10 +141,6 @@ func decodeOptions(blob []byte) (serretime.RobustOptions, error) {
 	opt.Ts = b.Ts
 	opt.Th = b.Th
 	opt.AreaWeight = b.AreaWeight
-	opt.RminOverride = b.RminOverride
-	opt.KUnits = b.KUnits
-	opt.SingleViolation = b.SingleViolation
-	opt.LiteralGains = b.LiteralGains
 	opt.Verify = b.Verify
 	opt.StallSteps = b.StallSteps
 	opt.Analysis.Frames = b.Frames
@@ -160,8 +149,6 @@ func decodeOptions(blob []byte) (serretime.RobustOptions, error) {
 	opt.Analysis.Seed = b.Seed
 	opt.Analysis.Accuracy = serretime.Accuracy(b.Accuracy)
 	opt.Timeout = b.Timeout
-	opt.Retries = b.Retries
-	opt.RelaxFactor = b.RelaxFactor
 	return opt, nil
 }
 

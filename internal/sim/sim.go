@@ -45,11 +45,6 @@ type Config struct {
 	Recorder telemetry.Recorder
 }
 
-// DefaultConfig matches the paper's setup: 15 time frames; 256 random
-// vectors is enough for observability estimates to stabilize (see the
-// signature-width ablation bench).
-func DefaultConfig() Config { return Config{Words: 4, Frames: 15, Seed: 1} }
-
 func (cfg Config) validate() error {
 	if cfg.Words <= 0 {
 		return fmt.Errorf("sim: Words = %d, must be positive", cfg.Words)

@@ -110,9 +110,10 @@ type ResultMeta struct {
 type RecoveredJob struct {
 	ID   string
 	Name string
-	// OptKey is the canonical option key journaled at submission; the
-	// service cross-checks it against the re-derived key before
-	// re-enqueueing.
+	// OptKey is the canonical option key journaled at submission, kept
+	// for inspection. Recovery does not read it: for a pending job the
+	// service re-derives the job ID from Netlist and Opts and drops the
+	// job when that differs from ID.
 	OptKey string
 	// Opts is the service's opaque serialized options blob.
 	Opts []byte

@@ -174,9 +174,6 @@ const (
 	CounterWatchdogResets
 	// CounterTierTransitions counts degradation-chain step-downs.
 	CounterTierTransitions
-	// CounterRetries counts same-tier retry attempts after transient
-	// failures.
-	CounterRetries
 	// CounterLabelPatches is incremented by nothing: the solver state
 	// has one label path and counts every sweep as CounterLabelFulls. It
 	// stays because the benchmark's per-layer core.label_patch_ratio,
@@ -217,7 +214,6 @@ var counterNames = [NumCounters]string{
 	CounterForestBreaks:    "forest-breaks",
 	CounterWatchdogResets:  "watchdog-resets",
 	CounterTierTransitions: "tier-transitions",
-	CounterRetries:         "retries",
 	CounterLabelPatches:    "label-patches",
 	CounterLabelFulls:      "label-fulls",
 	CounterParRuns:         "par-runs",

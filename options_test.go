@@ -8,16 +8,17 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"serretime/internal/guard"
 )
 
 // TestRetimeRejectsNonFiniteOptions pins the option boundary: a NaN
 // cannot equal itself as a cache key, ±Inf poisons the Section V
-// initialization, and a negative Epsilon fails every optimizer tier, so
-// RetimeRobust would silently answer from the identity tier. Both entry
-// points must refuse these at the boundary with a typed error unwrapping
-// to guard.ErrParse, before any solving or caching happens.
+// initialization, and a negative Epsilon, Ts or Th fails every optimizer
+// tier, so RetimeRobust would silently answer from the identity tier.
+// Both entry points must refuse these at the boundary with a typed error
+// unwrapping to guard.ErrParse, before any solving or caching happens.
 func TestRetimeRejectsNonFiniteOptions(t *testing.T) {
 	d := smallDesign(t)
 	bad := []struct {
@@ -28,9 +29,10 @@ func TestRetimeRejectsNonFiniteOptions(t *testing.T) {
 		{"epsilon/+inf", func(o *RetimeOptions) { o.Epsilon = math.Inf(1) }},
 		{"epsilon/negative", func(o *RetimeOptions) { o.Epsilon = -0.5 }},
 		{"ts/nan", func(o *RetimeOptions) { o.Ts = math.NaN() }},
+		{"ts/negative", func(o *RetimeOptions) { o.Ts = -0.5 }},
 		{"th/-inf", func(o *RetimeOptions) { o.Th = math.Inf(-1) }},
+		{"th/negative", func(o *RetimeOptions) { o.Th = -1 }},
 		{"area/nan", func(o *RetimeOptions) { o.AreaWeight = math.NaN() }},
-		{"rmin/nan", func(o *RetimeOptions) { o.RminOverride = math.NaN() }},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
@@ -46,15 +48,6 @@ func TestRetimeRejectsNonFiniteOptions(t *testing.T) {
 			}
 		})
 	}
-	t.Run("relaxfactor/nan", func(t *testing.T) {
-		_, err := d.RetimeRobust(context.Background(), RobustOptions{
-			RetimeOptions: RetimeOptions{Algorithm: MinObsWin, Analysis: fastAnalysis},
-			RelaxFactor:   math.NaN(),
-		})
-		if !errors.Is(err, guard.ErrParse) {
-			t.Errorf("RelaxFactor NaN: want guard.ErrParse, got %v", err)
-		}
-	})
 }
 
 // TestNegativeZeroFolded checks the other half of the float-key hazard:
@@ -99,15 +92,46 @@ func TestCanonicalKeyNormalization(t *testing.T) {
 	}
 
 	var rzero RobustOptions
-	rspelled := RobustOptions{RelaxFactor: 2}
+	rspelled := RobustOptions{RetimeOptions: spelled}
 	if rzero.CanonicalKey() != rspelled.CanonicalKey() {
 		t.Errorf("robust defaults fragment the key:\n  %s\n  %s",
 			rzero.CanonicalKey(), rspelled.CanonicalKey())
 	}
 	rchanged := rzero
-	rchanged.Retries = 3
+	rchanged.Timeout = time.Minute
 	if rzero.CanonicalKey() == rchanged.CanonicalKey() {
-		t.Error("retry change does not split the robust key")
+		t.Error("timeout change does not split the robust key")
+	}
+}
+
+// TestCanonicalKeyGolden pins the full key text. The service derives job
+// IDs from it and journals those IDs, so a job journaled by an older
+// version recovers only while the text stays byte-identical. The fields
+// rmin, kunits, single, literal, retries and relax name options that no
+// longer exist and print the values they always had.
+func TestCanonicalKeyGolden(t *testing.T) {
+	set := RobustOptions{
+		RetimeOptions: RetimeOptions{
+			Algorithm: MinObs, Engine: EngineForest,
+			Epsilon: 0.2, Ts: 0.5, Th: 4, AreaWeight: 0.5, StallSteps: 7,
+			Verify: true, Workers: 3,
+			Analysis: AnalysisOptions{Accuracy: AccuracyFast, Frames: 3, SignatureWords: 2, Seed: 42, MaxIntervals: 8},
+		},
+		Timeout: time.Minute,
+	}
+	for _, tc := range []struct {
+		name string
+		opt  RobustOptions
+		want string
+	}{
+		{"zero", RobustOptions{},
+			"alg=MinObsWin engine=closure eps=0.1 ts=0 th=2 area=0 rmin=0 kunits=256 single=false literal=false stall=0 acc=exact frames=15 words=4 seed=1 maxint=0 timeout=0s retries=0 relax=2"},
+		{"set", set,
+			"alg=MinObs engine=forest eps=0.2 ts=0.5 th=4 area=0.5 rmin=0 kunits=128 single=false literal=false stall=7 acc=fast frames=3 words=2 seed=42 maxint=8 timeout=1m0s retries=0 relax=2"},
+	} {
+		if got := tc.opt.CanonicalKey(); got != tc.want {
+			t.Errorf("%s key:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -24,6 +24,8 @@ const (
 	DefaultTh = 2.0
 )
 
+// elwParams is the ELW timing at clock period phi under the default setup
+// and hold times.
 func elwParams(phi float64) elw.Params {
 	return elw.Params{Phi: phi, Ts: DefaultTs, Th: DefaultTh}
 }
@@ -87,30 +89,16 @@ type RetimeOptions struct {
 	Analysis AnalysisOptions
 	// Engine selects the optimizer machinery.
 	Engine EngineKind
-	// SingleViolation repairs one violation per iteration (verbatim
-	// Algorithm 1; slower, same fixpoint).
-	SingleViolation bool
-	// LiteralGains uses the paper's literal b(v) formula instead of the
-	// eq.(5)-consistent one (ablation; see DESIGN.md).
-	LiteralGains bool
 	// AreaWeight λ adds λ·(register-count gain) to the objective — the
 	// area/power-weighted extension of the paper's Section VII.
 	AreaWeight float64
 	// Verify co-simulates the optimizer's move against the initialized
 	// circuit and fails on any output divergence.
 	Verify bool
-	// KUnits is the integer scaling of observabilities (default: the
-	// number of simulated vectors K, as in the paper).
-	KUnits int
 	// StallSteps arms the optimizer watchdog: the run aborts with an
 	// error unwrapping to guard.ErrStalled when the objective has not
 	// improved for this many consecutive steps. 0 disables the watchdog.
 	StallSteps int
-	// RminOverride replaces the Section V shortest-path bound Rmin of the
-	// P2' constraints when nonzero. RetimeRobust uses it to relax the ELW
-	// budget between degradation tiers; tests use it to wedge the budget
-	// (an absurdly large bound makes every P2' constraint infeasible).
-	RminOverride float64
 	// Recorder receives the run's telemetry: phase spans (obs-analysis,
 	// init, gains, minimize, verify, rebuild, analysis and the optimizer's
 	// inner phases), counters, gauges, and the worker-pool utilization
@@ -134,12 +122,17 @@ type RetimeOptions struct {
 	// ECO session path sets it (DESIGN.md §17), and CanonicalKey, which
 	// keys batch results, never sees it.
 	warmStart bool
+	// rminOverride replaces the Section V shortest-path bound Rmin of the
+	// P2' constraints when nonzero. Only tests set it, to wedge the ELW
+	// budget (an absurdly large bound makes every P2' constraint
+	// infeasible); the relaxed tier of RetimeRobust shrinks it. Like
+	// warmStart it is never keyed.
+	rminOverride float64
 }
 
 // normalized applies the documented defaults (ε = 0.10, Ts/Th = 0/2,
-// KUnits = simulated vector count, analysis defaults) so the solver, the
-// canonical option hash, and the service cache all see one value per
-// configuration.
+// analysis defaults) so the solver, the canonical option hash, and the
+// service cache all see one value per configuration.
 func (o RetimeOptions) normalized() RetimeOptions {
 	if o.Epsilon == 0 {
 		o.Epsilon = 0.10
@@ -154,27 +147,30 @@ func (o RetimeOptions) normalized() RetimeOptions {
 		o.Analysis.Workers = o.Workers
 	}
 	o.Analysis = o.Analysis.normalized()
-	if o.KUnits == 0 {
-		o.KUnits = 64 * o.Analysis.SignatureWords
-	}
 	return o
 }
 
-// validate rejects non-finite float parameters and a negative Epsilon
-// with typed errors unwrapping to guard.ErrParse, and folds negative
-// zeros to +0, so the service's content-addressed result cache never
-// sees a key that cannot equal itself (NaN) or two spellings of one
-// value (±0). op names the entry point for the error text.
+// kUnits is the integer scaling of observabilities: the number of
+// simulated vectors K, as in the paper.
+func (o RetimeOptions) kUnits() int { return 64 * o.Analysis.SignatureWords }
+
+// validate rejects non-finite float parameters and a negative Epsilon,
+// Ts or Th with typed errors unwrapping to guard.ErrParse, and folds
+// negative zeros to +0, so the service's content-addressed result cache
+// never sees a key that cannot equal itself (NaN) or two spellings of one
+// value (±0), and no out-of-range parameter fails every tier of
+// RetimeRobust instead of failing at the boundary. op names the entry
+// point for the error text.
 func (o *RetimeOptions) validate(op string) error {
 	for _, f := range []struct {
-		name string
-		v    *float64
+		name   string
+		v      *float64
+		signed bool
 	}{
-		{"Epsilon", &o.Epsilon},
-		{"Ts", &o.Ts},
-		{"Th", &o.Th},
-		{"AreaWeight", &o.AreaWeight},
-		{"RminOverride", &o.RminOverride},
+		{"Epsilon", &o.Epsilon, false},
+		{"Ts", &o.Ts, false},
+		{"Th", &o.Th, false},
+		{"AreaWeight", &o.AreaWeight, true},
 	} {
 		if math.IsNaN(*f.v) || math.IsInf(*f.v, 0) {
 			return guard.Optionf(op, f.name, "must be finite, got %v", *f.v)
@@ -182,9 +178,9 @@ func (o *RetimeOptions) validate(op string) error {
 		if *f.v == 0 {
 			*f.v = 0 // fold -0 to +0: hashes format the sign
 		}
-	}
-	if o.Epsilon < 0 {
-		return guard.Optionf(op, "Epsilon", "must not be negative, got %v", o.Epsilon)
+		if *f.v < 0 && !f.signed {
+			return guard.Optionf(op, f.name, "must not be negative, got %v", *f.v)
+		}
 	}
 	if o.Analysis.Accuracy > AccuracyFast {
 		return guard.Optionf(op, "Accuracy", "unknown accuracy %d", o.Analysis.Accuracy)
@@ -207,16 +203,19 @@ func canonFloat(v float64) string {
 // documented result-invariant are excluded: Workers (bit-identical for
 // every count, DESIGN.md §11), Recorder, and Verify (a check that can
 // only turn a result into an error, never change it). The unexported
-// warmStart is not result-invariant (DESIGN.md §17) and is left out for
-// another reason: only the session path sets it, on a private copy that
-// is never keyed. The service's content-addressed cache hashes this
-// string next to the normalized netlist.
+// warmStart and rminOverride are not result-invariant (DESIGN.md §17)
+// and are left out for another reason: only the session path and tests
+// set them, on private copies that are never keyed. The service's
+// content-addressed cache hashes this string next to the normalized
+// netlist, and its job journal stores the hash, so the key text must
+// not drift: "rmin=0", "kunits=" (always 64 × words), "single=false"
+// and "literal=false" are fixed text printing the values those former
+// options always had.
 func (o RetimeOptions) CanonicalKey() string {
 	n := o.normalized()
-	return fmt.Sprintf("alg=%s engine=%s eps=%s ts=%s th=%s area=%s rmin=%s kunits=%d single=%t literal=%t stall=%d %s",
+	return fmt.Sprintf("alg=%s engine=%s eps=%s ts=%s th=%s area=%s rmin=0 kunits=%d single=false literal=false stall=%d %s",
 		n.Algorithm, n.Engine, canonFloat(n.Epsilon), canonFloat(n.Ts), canonFloat(n.Th),
-		canonFloat(n.AreaWeight), canonFloat(n.RminOverride), n.KUnits,
-		n.SingleViolation, n.LiteralGains, n.StallSteps, n.Analysis.CanonicalKey())
+		canonFloat(n.AreaWeight), n.kUnits(), n.StallSteps, n.Analysis.CanonicalKey())
 }
 
 // RetimeResult reports a full retiming run.
@@ -303,18 +302,14 @@ func (d *Design) retime(ctx context.Context, opt RetimeOptions) (*RetimeResult, 
 	}
 
 	rec.SpanStart(telemetry.PhaseGains)
-	k := opt.KUnits
-	gainsFn := core.Gains
-	if opt.LiteralGains {
-		gainsFn = core.GainsLiteral
-	}
+	k := opt.kUnits()
 	gateObs, edgeObs := d.gateObs, d.edgeObs
 	if opt.Algorithm == MinArea {
 		// Min-area: every register costs 1 regardless of position.
 		gateObs = ones(len(d.gateObs))
 		edgeObs = ones(len(d.edgeObs))
 	}
-	gains, obsInt, err := gainsFn(base, gateObs, edgeObs, k)
+	gains, obsInt, err := core.Gains(base, gateObs, edgeObs, k)
 	if err != nil {
 		rec.SpanEnd(telemetry.PhaseGains, err)
 		return nil, err
@@ -334,14 +329,13 @@ func (d *Design) retime(ctx context.Context, opt RetimeOptions) (*RetimeResult, 
 
 	copt := core.Options{
 		Phi: init.Phi, Ts: opt.Ts, Th: opt.Th, Rmin: init.Rmin,
-		ELWConstraints:  opt.Algorithm == MinObsWin,
-		SingleViolation: opt.SingleViolation,
-		StallSteps:      opt.StallSteps,
-		Recorder:        opt.Recorder,
-		WarmStart:       opt.warmStart,
+		ELWConstraints: opt.Algorithm == MinObsWin,
+		StallSteps:     opt.StallSteps,
+		Recorder:       opt.Recorder,
+		WarmStart:      opt.warmStart,
 	}
-	if opt.RminOverride != 0 {
-		copt.Rmin = opt.RminOverride
+	if opt.rminOverride != 0 {
+		copt.Rmin = opt.rminOverride
 	}
 	if opt.Engine == EngineForest {
 		copt.Engine = core.EngineForest
@@ -382,12 +376,13 @@ func (d *Design) retime(ctx context.Context, opt RetimeOptions) (*RetimeResult, 
 	}
 
 	rec.SpanStart(telemetry.PhaseAnalysis)
-	before, err := d.analyzeAt(d.g, graph.NewRetiming(d.g), init.Phi, opt.Analysis)
+	p := elw.Params{Phi: init.Phi, Ts: opt.Ts, Th: opt.Th}
+	before, err := d.analyzeAt(d.g, graph.NewRetiming(d.g), p, opt.Analysis)
 	if err != nil {
 		rec.SpanEnd(telemetry.PhaseAnalysis, err)
 		return nil, err
 	}
-	after, err := d.analyzeAt(d.g, total, init.Phi, opt.Analysis)
+	after, err := d.analyzeAt(d.g, total, p, opt.Analysis)
 	rec.SpanEnd(telemetry.PhaseAnalysis, err)
 	if err != nil {
 		return nil, err

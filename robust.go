@@ -2,11 +2,10 @@ package serretime
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
 	"time"
 
+	"serretime/internal/elw"
 	"serretime/internal/graph"
 	"serretime/internal/guard"
 	"serretime/internal/telemetry"
@@ -21,7 +20,7 @@ const (
 	// constraints, exactly as requested.
 	TierMinObsWin Tier = iota
 	// TierMinObsWinRelaxed is MinObsWin re-run with a relaxed ELW budget
-	// (the clock-period relaxation ε is multiplied by RelaxFactor, and
+	// (the clock-period relaxation ε is multiplied by relaxFactor, and
 	// any Rmin override is shrunk by it), trading some timing-masking
 	// fidelity for feasibility.
 	TierMinObsWinRelaxed
@@ -70,14 +69,11 @@ type RobustOptions struct {
 	RetimeOptions
 	// Timeout bounds each attempt (0 = only the caller's ctx applies).
 	Timeout time.Duration
-	// Retries is the number of extra attempts per tier after a transient
-	// failure (internal fault or stall). Timeouts are never retried at
-	// the same tier — a second identical run would time out identically.
-	Retries int
-	// RelaxFactor scales the period relaxation ε for the relaxed tier
-	// (default 2).
-	RelaxFactor float64
 }
+
+// relaxFactor scales the period relaxation ε (and any Rmin override) for
+// the relaxed tier.
+const relaxFactor = 2
 
 // Attempt records one run of the degradation chain.
 type Attempt struct {
@@ -101,37 +97,26 @@ type RobustResult struct {
 	Attempts []Attempt
 }
 
-// CanonicalKey extends RetimeOptions.CanonicalKey with the chain-level
-// knobs that can change which tier answers (timeout, retries, relax
-// factor), with defaults applied. Two RobustOptions with equal keys
-// request the same computation.
+// CanonicalKey extends RetimeOptions.CanonicalKey with the per-attempt
+// timeout, the one chain-level knob that can change which tier answers.
+// Two RobustOptions with equal keys request the same computation. The
+// trailing "retries=0 relax=2" is fixed text: it keeps the key, and so
+// every journaled job ID, equal to the one older versions derived when
+// those were options.
 func (o RobustOptions) CanonicalKey() string {
-	relax := o.RelaxFactor
-	if !(relax > 1) {
-		relax = 2
-	}
-	return fmt.Sprintf("%s timeout=%s retries=%d relax=%s",
-		o.RetimeOptions.CanonicalKey(), o.Timeout, o.Retries, canonFloat(relax))
-}
-
-// validate extends RetimeOptions.validate to the chain-level floats.
-func (o *RobustOptions) validate(op string) error {
-	if err := o.RetimeOptions.validate(op); err != nil {
-		return err
-	}
-	if math.IsNaN(o.RelaxFactor) || math.IsInf(o.RelaxFactor, 0) {
-		return guard.Optionf(op, "RelaxFactor", "must be finite, got %v", o.RelaxFactor)
-	}
-	return nil
+	return fmt.Sprintf("%s timeout=%s retries=0 relax=%d",
+		o.RetimeOptions.CanonicalKey(), o.Timeout, relaxFactor)
 }
 
 // RetimeRobust runs the graceful-degradation chain: MinObsWin with ELW
 // constraints, then MinObsWin with a relaxed ELW budget, then Efficient
 // MinObs (P2' disabled), then the identity retiming. Each tier runs under
 // panic isolation, the per-attempt Timeout, and the StallSteps watchdog;
-// on failure the chain records the attempt and steps down. The result
-// says which tier answered, so callers can distinguish a full-strength
-// answer from a degraded one without parsing errors.
+// on failure the chain records the attempt and steps down. No tier is
+// retried: the solver is deterministic, so a second run of a failed
+// attempt would fail the same way. The result says which tier answered,
+// so callers can distinguish a full-strength answer from a degraded one
+// without parsing errors.
 //
 // If opt.Algorithm is not MinObsWin, the chain starts at the equivalent
 // rung (MinObs and MinArea start at TierMinObs) and only degrades from
@@ -146,9 +131,6 @@ func (d *Design) RetimeRobust(ctx context.Context, opt RobustOptions) (*RobustRe
 	if err := opt.validate("serretime.RetimeRobust"); err != nil {
 		return nil, err
 	}
-	if opt.RelaxFactor <= 1 {
-		opt.RelaxFactor = 2
-	}
 	type rung struct {
 		tier Tier
 		opts RetimeOptions
@@ -160,13 +142,11 @@ func (d *Design) RetimeRobust(ctx context.Context, opt RobustOptions) (*RobustRe
 		if relaxed.Epsilon == 0 {
 			relaxed.Epsilon = 0.10
 		}
-		relaxed.Epsilon *= opt.RelaxFactor
-		if relaxed.RminOverride != 0 {
-			relaxed.RminOverride /= opt.RelaxFactor
-		}
+		relaxed.Epsilon *= relaxFactor
+		relaxed.rminOverride /= relaxFactor
 		minobs := opt.RetimeOptions
 		minobs.Algorithm = MinObs
-		minobs.RminOverride = 0
+		minobs.rminOverride = 0
 		chain = []rung{
 			{TierMinObsWin, opt.RetimeOptions},
 			{TierMinObsWinRelaxed, relaxed},
@@ -195,32 +175,23 @@ func (d *Design) RetimeRobust(ctx context.Context, opt RobustOptions) (*RobustRe
 
 	var lastErr error
 	for i, r := range chain {
-		for try := 0; try <= opt.Retries; try++ {
-			if try > 0 {
-				rec.Count(telemetry.CounterRetries, 1)
-			}
-			if i > 0 && try == 0 {
-				rec.Count(telemetry.CounterTierTransitions, 1)
-			}
-			res, err := attempt(r.tier, func(actx context.Context) (*RetimeResult, error) {
-				return d.RetimeCtx(actx, r.opts)
-			})
-			if err == nil {
-				out.RetimeResult = res
-				out.Tier = r.tier
-				out.Degraded = r.tier != chain[0].tier
-				return out, nil
-			}
-			lastErr = err
-			if cerr := guard.Checkpoint(ctx, "serretime.RetimeRobust"); cerr != nil {
-				// The caller's own deadline expired: degrading further
-				// would just burn it again.
-				return nil, cerr
-			}
-			if errors.Is(err, guard.ErrTimeout) {
-				// Per-attempt timeout: deterministic, skip the retries.
-				break
-			}
+		if i > 0 {
+			rec.Count(telemetry.CounterTierTransitions, 1)
+		}
+		res, err := attempt(r.tier, func(actx context.Context) (*RetimeResult, error) {
+			return d.RetimeCtx(actx, r.opts)
+		})
+		if err == nil {
+			out.RetimeResult = res
+			out.Tier = r.tier
+			out.Degraded = r.tier != chain[0].tier
+			return out, nil
+		}
+		lastErr = err
+		if cerr := guard.Checkpoint(ctx, "serretime.RetimeRobust"); cerr != nil {
+			// The caller's own deadline expired: degrading further
+			// would just burn it again.
+			return nil, cerr
 		}
 	}
 
@@ -245,13 +216,12 @@ func (d *Design) RetimeRobust(ctx context.Context, opt RobustOptions) (*RobustRe
 // is the input itself.
 func (d *Design) identityResult(ctx context.Context, opt RetimeOptions) (*RetimeResult, error) {
 	return guard.Do(ctx, "serretime.identity", func(context.Context) (*RetimeResult, error) {
-		if opt.Analysis.Workers == 0 {
-			opt.Analysis.Workers = opt.Workers
-		}
+		opt = opt.normalized()
 		if err := d.ensureObsRec(opt.Analysis, opt.Recorder); err != nil {
 			return nil, err
 		}
-		an, err := d.analyzeAt(d.g, graph.NewRetiming(d.g), 0, opt.Analysis)
+		p := elw.Params{Ts: opt.Ts, Th: opt.Th} // Phi 0: the critical path
+		an, err := d.analyzeAt(d.g, graph.NewRetiming(d.g), p, opt.Analysis)
 		if err != nil {
 			return nil, err
 		}

@@ -145,7 +145,7 @@ func TestWedgedELWBudget(t *testing.T) {
 	opt := RetimeOptions{
 		Algorithm:    MinObsWin,
 		Analysis:     fastAnalysis,
-		RminOverride: 1e12,
+		rminOverride: 1e12,
 		StallSteps:   50,
 	}
 	res, err := d.Retime(opt)
@@ -295,31 +295,6 @@ func TestRobustIdentityFallback(t *testing.T) {
 	}
 }
 
-// TestRobustRetriesTransientFault arms a one-shot fault: the first
-// attempt trips it, and the bounded retry at the same tier must then
-// succeed at full strength — no degradation.
-func TestRobustRetriesTransientFault(t *testing.T) {
-	guard.ArmFailpointCount("core.Minimize", 1)
-	defer guard.DisarmFailpoint("core.Minimize")
-	d := smallDesign(t)
-	res, err := d.RetimeRobust(context.Background(), RobustOptions{
-		RetimeOptions: RetimeOptions{Algorithm: MinObsWin, Analysis: fastAnalysis},
-		Retries:       1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tier != TierMinObsWin || res.Degraded {
-		t.Fatalf("want full-strength answer after retry, got tier %s degraded=%v", res.Tier, res.Degraded)
-	}
-	if len(res.Attempts) != 2 {
-		t.Fatalf("want 2 attempts (fault, retry), got %d: %+v", len(res.Attempts), res.Attempts)
-	}
-	if !errors.Is(res.Attempts[0].Err, guard.ErrInternal) {
-		t.Errorf("first attempt error does not unwrap to guard.ErrInternal: %v", res.Attempts[0].Err)
-	}
-}
-
 // TestRobustPerAttemptTimeout gives every attempt an already-expired
 // budget: the whole chain, identity included, must time out and the
 // error must unwrap to guard.ErrTimeout.
@@ -362,7 +337,7 @@ func TestStallWatchdog(t *testing.T) {
 	res, err := d.Retime(RetimeOptions{
 		Algorithm:    MinObsWin,
 		Analysis:     fastAnalysis,
-		RminOverride: 1e12,
+		rminOverride: 1e12,
 		StallSteps:   3,
 	})
 	if err == nil {

@@ -30,6 +30,7 @@ import (
 	"serretime/internal/benchfmt"
 	"serretime/internal/bliffmt"
 	"serretime/internal/circuit"
+	"serretime/internal/elw"
 	"serretime/internal/gen"
 	"serretime/internal/graph"
 	"serretime/internal/guard"
@@ -478,22 +479,15 @@ func (d *Design) Analyze(phi float64, opt AnalysisOptions) (*Analysis, error) {
 		if err := d.ensureObs(opt); err != nil {
 			return nil, err
 		}
-		return d.analyzeAt(d.g, graph.NewRetiming(d.g), phi, opt)
+		return d.analyzeAt(d.g, graph.NewRetiming(d.g), elwParams(phi), opt)
 	})
 }
 
-func (d *Design) analyzeAt(g *graph.Graph, r graph.Retiming, phi float64, opt AnalysisOptions) (*Analysis, error) {
-	opt = opt.normalized()
-	if phi <= 0 {
-		_, crit, err := g.ArrivalTimes(r)
-		if err != nil {
-			return nil, err
-		}
-		phi = crit
-	}
-	in := ser.Inputs{
-		GateObs: d.gateObs, EdgeObs: d.edgeObs, GateRate: d.rates,
-		RegRate: d.regRate, Params: elwParams(phi), MaxIntervals: opt.MaxIntervals,
+// analyzeAt evaluates eq. (4) for g under r with the ELW timing p.
+func (d *Design) analyzeAt(g *graph.Graph, r graph.Retiming, p elw.Params, opt AnalysisOptions) (*Analysis, error) {
+	in, err := d.serInputs(g, r, p, opt)
+	if err != nil {
+		return nil, err
 	}
 	an, err := ser.Compute(g, r, in)
 	if err != nil {
@@ -502,6 +496,23 @@ func (d *Design) analyzeAt(g *graph.Graph, r graph.Retiming, phi float64, opt An
 	return &Analysis{
 		SER: an.Total, GateSER: an.Gates, RegisterSER: an.Registers,
 		Registers: an.NumRegisters, SharedFFs: an.SharedRegisters,
-		RegisterObs: an.RegisterObs, Phi: phi,
+		RegisterObs: an.RegisterObs, Phi: in.Params.Phi,
+	}, nil
+}
+
+// serInputs gathers the cached analysis into the inputs of eq. (4) with
+// the ELW timing p; a non-positive p.Phi is replaced by the combinational
+// critical path of g under r.
+func (d *Design) serInputs(g *graph.Graph, r graph.Retiming, p elw.Params, opt AnalysisOptions) (ser.Inputs, error) {
+	if p.Phi <= 0 {
+		_, crit, err := g.ArrivalTimes(r)
+		if err != nil {
+			return ser.Inputs{}, err
+		}
+		p.Phi = crit
+	}
+	return ser.Inputs{
+		GateObs: d.gateObs, EdgeObs: d.edgeObs, GateRate: d.rates,
+		RegRate: d.regRate, Params: p, MaxIntervals: opt.MaxIntervals,
 	}, nil
 }

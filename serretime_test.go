@@ -2,9 +2,14 @@ package serretime
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"sync"
 	"testing"
+
+	"serretime/internal/elw"
+	"serretime/internal/graph"
+	"serretime/internal/ser"
 )
 
 func TestLoadBenchAndStats(t *testing.T) {
@@ -330,6 +335,42 @@ func TestCriticalElements(t *testing.T) {
 	}
 	if len(all) < len(crit) {
 		t.Fatal("unlimited listing shorter than top-5")
+	}
+	// The listing and Analyze evaluate the same terms of eq. (4).
+	var sum float64
+	for _, c := range all {
+		sum += c.SER
+	}
+	an, err := d.Analyze(0, AnalysisOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(sum-an.SER) > 1e-12*an.SER {
+		t.Fatalf("contributors sum to %g, Analyze reports %g", sum, an.SER)
+	}
+}
+
+// TestRetimeReportsSERAtSolveTiming: Before and After evaluate eq. (4)
+// at the setup and hold times the solve used, not at the defaults.
+func TestRetimeReportsSERAtSolveTiming(t *testing.T) {
+	d, err := LoadBench("testdata/s27.bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.Retime(RetimeOptions{Th: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := ser.Inputs{
+		GateObs: d.gateObs, EdgeObs: d.edgeObs, GateRate: d.rates, RegRate: d.regRate,
+		Params: elw.Params{Phi: res.Phi, Ts: DefaultTs, Th: 4},
+	}
+	want, err := ser.Compute(d.g, graph.NewRetiming(d.g), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Before.SER != want.Total {
+		t.Fatalf("Before.SER = %g, eq. (4) at Th=4 gives %g", res.Before.SER, want.Total)
 	}
 }
 

@@ -20,7 +20,8 @@ import (
 )
 
 // warmStartCases pairs circuits with option sets covering both
-// algorithms, both gains formulations, and the fast analysis engine.
+// algorithms, wide and deep generated circuits, and the fast analysis
+// engine.
 func warmStartCases(t *testing.T) []struct {
 	name string
 	d    func() *Design
@@ -57,8 +58,8 @@ func warmStartCases(t *testing.T) []struct {
 			RetimeOptions{Algorithm: MinObs, Analysis: small}},
 		{"gen-wide-minobswin", fromSpec(CircuitSpec{Name: "warm-wide", Gates: 420, Conns: 980, FFs: 48, Depth: 9, FanoutSkew: 0.25}),
 			RetimeOptions{Algorithm: MinObsWin, Analysis: small}},
-		{"gen-deep-literal", fromSpec(CircuitSpec{Name: "warm-deep", Gates: 300, Conns: 640, FFs: 30, Depth: 24}),
-			RetimeOptions{Algorithm: MinObsWin, LiteralGains: true, Analysis: small}},
+		{"gen-deep-minobswin", fromSpec(CircuitSpec{Name: "warm-deep", Gates: 300, Conns: 640, FFs: 30, Depth: 24}),
+			RetimeOptions{Algorithm: MinObsWin, Analysis: small}},
 		{"gen-deep-fast", fromSpec(CircuitSpec{Name: "warm-deep-fast", Gates: 300, Conns: 640, FFs: 30, Depth: 24}),
 			RetimeOptions{Algorithm: MinObs, Analysis: AnalysisOptions{Accuracy: AccuracyFast, Frames: 3, SignatureWords: 1}}},
 		{"par2500-minobswin", fromFile(filepath.Join("testdata", "par2500.bench")),
