@@ -3,7 +3,7 @@
 
 GO ?= go
 # Benchmarks of the parallel analysis front-end (ISSUE 4): signature
-# simulation, fault injection, ODC observability, W/D build.
+# simulation and ODC observability.
 FRONTEND_BENCH = BenchmarkFrontEnd
 BENCHTIME ?= 1s
 

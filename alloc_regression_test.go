@@ -3,7 +3,7 @@ package serretime
 // Allocation-regression guards for the flat CSR front end. The point of the
 // CSR refactor is that a steady-state analysis pass performs O(1)
 // allocations: the circuit's CSR view is cached, the signature planes and
-// fault slabs are pooled, and the per-gate dedup maps of the old TopoOrder
+// ODC mask slabs are pooled, and the per-gate dedup maps of the old TopoOrder
 // are gone. These tests pin that property with testing.AllocsPerRun so a
 // future change cannot quietly reintroduce per-node or per-gate allocation
 // (the pre-CSR baseline was ~1 alloc per gate in sim.Run: see
@@ -11,6 +11,7 @@ package serretime
 // explicit CI step.
 
 import (
+	"context"
 	"testing"
 
 	"serretime/internal/circuit"
@@ -37,7 +38,7 @@ func TestAllocRegressionSimRun(t *testing.T) {
 	c, _ := allocCircuit(t)
 	cfg := sim.Config{Words: 4, Frames: 10, Seed: 3, Workers: 1}
 	run := func() {
-		tr, err := sim.Run(c, cfg)
+		tr, err := sim.Run(context.Background(), c, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,13 +55,13 @@ func TestAllocRegressionSimRun(t *testing.T) {
 
 func TestAllocRegressionObsCompute(t *testing.T) {
 	c, _ := allocCircuit(t)
-	tr, err := sim.Run(c, sim.Config{Words: 4, Frames: 10, Seed: 3, Workers: 1})
+	tr, err := sim.Run(context.Background(), c, sim.Config{Words: 4, Frames: 10, Seed: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Release()
 	run := func() {
-		if _, err := obs.Compute(tr, obs.Options{Workers: 1}); err != nil {
+		if _, err := obs.Compute(context.Background(), tr, obs.Options{Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -77,7 +78,7 @@ func TestAllocRegressionObsCompute(t *testing.T) {
 func TestAllocRegressionObsComputeFast(t *testing.T) {
 	c, _ := allocCircuit(t)
 	run := func() {
-		if _, err := obs.ComputeFast(c, 10, obs.Options{Workers: 1}); err != nil {
+		if _, err := obs.ComputeFast(context.Background(), c, 10, obs.Options{Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -96,16 +97,12 @@ func TestAllocRegressionObsComputeFast(t *testing.T) {
 
 func TestAllocRegressionComputeWD(t *testing.T) {
 	_, g := allocCircuit(t)
-	run := func() {
-		if _, err := g.ComputeWDPar(nil, 1, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run() // warm the scratch pool
-	// The W/D matrices themselves (2 slices + struct) dominate; scratch is
-	// pooled. Anything growing with |V| beyond the matrices is a regression.
+	run := func() { g.ComputeWD() }
+	// The W/D matrices themselves (2 slices + struct) and one row-fill
+	// scratch dominate. Anything growing with |V| beyond them is a
+	// regression.
 	const maxAllocs = 16
 	if got := testing.AllocsPerRun(10, run); got > maxAllocs {
-		t.Fatalf("ComputeWDPar steady state: %.0f allocs/run, want <= %d", got, maxAllocs)
+		t.Fatalf("ComputeWD: %.0f allocs/run, want <= %d", got, maxAllocs)
 	}
 }

@@ -1,9 +1,9 @@
 package serretime
 
 // Front-end benchmarks of the analysis engine: the n-time-frame signature
-// simulation, the fault-injection ground truth, the backward ODC
-// observability pass, and the Leiserson–Saxe W/D matrix build — the phases
-// that dominate wall-clock before the optimizer starts (ISSUE 4).
+// simulation and the backward ODC observability pass (and, in
+// BenchmarkFrontEndFast, the analytical engine) — the phases that dominate
+// wall-clock before the optimizer starts.
 //
 // Sub-benchmark names are structured key=value segments
 // (circuit=X/phase=Y/workers=N) so that `cmd/benchjson` can turn the
@@ -14,6 +14,7 @@ package serretime
 // TestFrontEndDeterminism* and DESIGN.md §11).
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"runtime"
@@ -25,7 +26,6 @@ import (
 	"serretime/internal/benchfmt"
 	"serretime/internal/circuit"
 	"serretime/internal/gen"
-	"serretime/internal/graph"
 	"serretime/internal/obs"
 	"serretime/internal/sim"
 )
@@ -63,18 +63,6 @@ func benchCircuit(b *testing.B, name string) *circuit.Circuit {
 	return c
 }
 
-// firstGate returns a mid-circuit gate to fault-inject.
-func firstGate(b *testing.B, c *circuit.Circuit) circuit.NodeID {
-	b.Helper()
-	for id := c.NumNodes() / 2; id < c.NumNodes(); id++ {
-		if c.Node(circuit.NodeID(id)).Kind == circuit.KindGate {
-			return circuit.NodeID(id)
-		}
-	}
-	b.Fatal("no gate found")
-	return 0
-}
-
 func BenchmarkFrontEnd(b *testing.B) {
 	for _, name := range []string{"par2500", "par6000"} {
 		c := benchCircuit(b, name)
@@ -83,51 +71,26 @@ func BenchmarkFrontEnd(b *testing.B) {
 			b.Run(fmt.Sprintf("circuit=%s/phase=sim/workers=%d", name, w), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					tr, err := sim.Run(c, cfg)
+					tr, err := sim.Run(context.Background(), c, cfg)
 					if err != nil {
 						b.Fatal(err)
 					}
 					tr.Release()
 				}
 			})
-			tr, err := sim.Run(c, cfg)
+			tr, err := sim.Run(context.Background(), c, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
-			target := firstGate(b, c)
-			b.Run(fmt.Sprintf("circuit=%s/phase=inject/workers=%d", name, w), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := sim.InjectFlip(tr, target); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
 			b.Run(fmt.Sprintf("circuit=%s/phase=obs/workers=%d", name, w), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := obs.Compute(tr, obs.Options{Workers: w}); err != nil {
+					if _, err := obs.Compute(context.Background(), tr, obs.Options{Workers: w}); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 		}
-	}
-	// W/D is Θ(|V|²) memory; benchmark it on the mid-size circuit only.
-	c := benchCircuit(b, "par2500")
-	g, err := graph.FromCircuit(c, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range frontEndWorkers() {
-		b.Run(fmt.Sprintf("circuit=par2500/phase=wd/workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := g.ComputeWDPar(nil, w, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -175,30 +138,21 @@ func BenchmarkFrontEndLarge(b *testing.B) {
 		b.Run(fmt.Sprintf("circuit=par50k/phase=sim/workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				tr, err := sim.Run(c, cfg)
+				tr, err := sim.Run(context.Background(), c, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
 				tr.Release()
 			}
 		})
-		tr, err := sim.Run(c, cfg)
+		tr, err := sim.Run(context.Background(), c, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		target := firstGate(b, c)
-		b.Run(fmt.Sprintf("circuit=par50k/phase=inject/workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.InjectFlip(tr, target); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		b.Run(fmt.Sprintf("circuit=par50k/phase=obs/workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := obs.Compute(tr, obs.Options{Workers: w}); err != nil {
+				if _, err := obs.Compute(context.Background(), tr, obs.Options{Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -209,7 +163,7 @@ func BenchmarkFrontEndLarge(b *testing.B) {
 
 // BenchmarkFrontEndFast measures the analytical propagation-probability
 // engine (accuracy=fast) against the same horizon the exact benchmarks
-// use. The fastobs phase replaces sim+inject+obs wholesale — one number
+// use. The fastobs phase replaces sim+obs wholesale — one number
 // per circuit per worker count is the honest comparison. par100k is the
 // asymptotic leg: at 100k gates the fast engine must finish well under a
 // second single-worker (tracked in BENCH_fastser.json via `make
@@ -221,7 +175,7 @@ func BenchmarkFrontEndFast(b *testing.B) {
 			b.Run(fmt.Sprintf("circuit=%s/phase=fastobs/workers=%d", name, w), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := obs.ComputeFast(c, frames, obs.Options{Workers: w}); err != nil {
+					if _, err := obs.ComputeFast(context.Background(), c, frames, obs.Options{Workers: w}); err != nil {
 						b.Fatal(err)
 					}
 				}

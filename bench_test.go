@@ -16,6 +16,7 @@ package serretime
 //     (check order, engine, batching, literal gains, signature width).
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -68,10 +69,10 @@ func prepare(b *testing.B, name string, scale int) *preparedProblem {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := d.ensureObs(AnalysisOptions{}); err != nil {
+	if err := d.ensureObs(context.Background(), AnalysisOptions{}, 0, nil); err != nil {
 		b.Fatal(err)
 	}
-	init, err := retime.Initialize(d.g, retime.DefaultOptions())
+	init, err := retime.Initialize(context.Background(), d.g, retime.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func BenchmarkTableI_MinObs(b *testing.B) {
 			p := prepare(b, c.name, c.scale)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Minimize(p.base, p.gains, p.obsI, coreOpts(p, false)); err != nil {
+				if _, err := core.Minimize(context.Background(), p.base, p.gains, p.obsI, coreOpts(p, false)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -137,7 +138,7 @@ func BenchmarkTableI_MinObsWin(b *testing.B) {
 			p := prepare(b, c.name, c.scale)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Minimize(p.base, p.gains, p.obsI, coreOpts(p, true)); err != nil {
+				if _, err := core.Minimize(context.Background(), p.base, p.gains, p.obsI, coreOpts(p, true)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -153,7 +154,7 @@ func BenchmarkTableI_Initialization(b *testing.B) {
 			p := prepare(b, c.name, c.scale)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := retime.Initialize(p.d.g, retime.DefaultOptions()); err != nil {
+				if _, err := retime.Initialize(context.Background(), p.d.g, retime.DefaultOptions()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -214,7 +215,7 @@ func BenchmarkFigure2_ConstraintDetection(b *testing.B) {
 	opt.SingleViolation = true // every constraint individually detected
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Minimize(p.base, p.gains, p.obsI, opt); err != nil {
+		if _, err := core.Minimize(context.Background(), p.base, p.gains, p.obsI, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -263,7 +264,7 @@ func BenchmarkAblation_CheckOrder(b *testing.B) {
 			opt.CheckOrder = order
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Minimize(p.base, p.gains, p.obsI, opt); err != nil {
+				if _, err := core.Minimize(context.Background(), p.base, p.gains, p.obsI, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -284,7 +285,7 @@ func BenchmarkAblation_Engine(b *testing.B) {
 			opt.Engine = eng.e
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Minimize(p.base, p.gains, p.obsI, opt); err != nil {
+				if _, err := core.Minimize(context.Background(), p.base, p.gains, p.obsI, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -305,7 +306,7 @@ func BenchmarkAblation_Batching(b *testing.B) {
 			opt.SingleViolation = mode.single
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Minimize(p.base, p.gains, p.obsI, opt); err != nil {
+				if _, err := core.Minimize(context.Background(), p.base, p.gains, p.obsI, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -328,7 +329,7 @@ func BenchmarkAblation_LiteralGains(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Minimize(p.base, gains, obsI, coreOpts(p, true)); err != nil {
+				if _, err := core.Minimize(context.Background(), p.base, gains, obsI, coreOpts(p, true)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -354,7 +355,7 @@ func BenchmarkTelemetry_Overhead(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				opt.Recorder = mode.rec()
-				if _, err := core.Minimize(p.base, p.gains, p.obsI, opt); err != nil {
+				if _, err := core.Minimize(context.Background(), p.base, p.gains, p.obsI, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -374,7 +375,7 @@ func BenchmarkAblation_SignatureWidth(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				d.gateObs = nil // force recomputation
-				if err := d.ensureObs(AnalysisOptions{SignatureWords: words}); err != nil {
+				if err := d.ensureObs(context.Background(), AnalysisOptions{SignatureWords: words}, 0, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,7 +1,7 @@
-// Command retime reads a netlist (ISCAS89 .bench, or BLIF when the file
-// ends in .blif), retimes it for soft error minimization (or register
-// count), and writes the retimed netlist in the format implied by the
-// output extension.
+// Command retime reads a netlist (ISCAS89 .bench, BLIF or structural
+// Verilog, picked by the .bench, .blif or .v extension in any case),
+// retimes it for soft error minimization (or register count), and writes
+// the retimed netlist in the format implied by the output extension.
 //
 // Usage:
 //
@@ -10,41 +10,65 @@
 //	       [-workers N]
 //
 // A summary of the run (clock period, Rmin, SER before/after, register
-// counts, iterations) is printed to standard output.
+// counts, iterations) is printed to standard output. Without -out the
+// retimed netlist goes to standard output in .bench syntax and the
+// summary to standard error, so the netlist can be redirected to a file.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
 	"serretime"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable entry point: it parses args, retimes the input,
+// prints the summary and writes the netlist, and returns the process exit
+// code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("retime", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		in         = flag.String("in", "", "input .bench netlist (required)")
-		out        = flag.String("out", "", "output .bench netlist (default: stdout)")
-		algo       = flag.String("algo", "minobswin", "objective: minobswin, minobs or minarea")
-		epsilon    = flag.Float64("epsilon", 0.10, "clock period relaxation over the minimum")
-		areaWeight = flag.Float64("area-weight", 0, "lambda for the area-weighted objective (Section VII extension)")
-		engine     = flag.String("engine", "closure", "optimizer engine: closure or forest")
-		verify     = flag.Bool("verify", false, "co-simulate the optimizer move for sequential equivalence")
-		frames     = flag.Int("frames", 15, "time-frame expansion depth")
-		words      = flag.Int("words", 4, "signature width in 64-bit words")
-		seed       = flag.Int64("seed", 1, "simulation seed")
-		workers    = flag.Int("workers", 0, "CPU workers for the parallel analyses (0 = one per CPU, 1 = sequential); results are identical for every value")
+		in         = fs.String("in", "", "input netlist: .bench, .blif or .v (required)")
+		out        = fs.String("out", "", "output netlist: .bench, .blif or .v (default: .bench on stdout)")
+		algo       = fs.String("algo", "minobswin", "objective: minobswin, minobs or minarea")
+		epsilon    = fs.Float64("epsilon", 0.10, "clock period relaxation over the minimum")
+		areaWeight = fs.Float64("area-weight", 0, "lambda for the area-weighted objective (Section VII extension)")
+		engine     = fs.String("engine", "closure", "optimizer engine: closure or forest")
+		verify     = fs.Bool("verify", false, "co-simulate the optimizer move for sequential equivalence")
+		frames     = fs.Int("frames", 15, "time-frame expansion depth")
+		words      = fs.Int("words", 4, "signature width in 64-bit words")
+		seed       = fs.Int64("seed", 1, "simulation seed")
+		workers    = fs.Int("workers", 0, "CPU workers for the parallel analyses (0 = one per CPU, 1 = sequential); results are identical for every value")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *in == "" {
-		fmt.Fprintln(os.Stderr, "retime: -in is required")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "retime: -in is required")
+		fs.Usage()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "retime:", err)
+		return 1
+	}
+	format := serretime.FormatBench
+	if *out != "" {
+		var err error
+		if format, err = serretime.FormatOf(*out); err != nil {
+			return fail(err)
+		}
 	}
 	d, err := serretime.Load(*in)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	opt := serretime.RetimeOptions{
 		Epsilon:    *epsilon,
@@ -61,61 +85,64 @@ func main() {
 	case "minarea":
 		opt.Algorithm = serretime.MinArea
 	default:
-		fatal(fmt.Errorf("unknown -algo %q", *algo))
+		return fail(fmt.Errorf("unknown -algo %q", *algo))
 	}
 	switch *engine {
 	case "closure":
 	case "forest":
 		opt.Engine = serretime.EngineForest
 	default:
-		fatal(fmt.Errorf("unknown -engine %q", *engine))
+		return fail(fmt.Errorf("unknown -engine %q", *engine))
 	}
 
 	res, err := d.Retime(opt)
 	if err != nil {
-		fatal(err)
+		return fail(err)
+	}
+	report := stdout
+	if *out == "" {
+		report = stderr
 	}
 	st, _ := d.Stats()
-	fmt.Printf("circuit      %s (|V|=%d |E|=%d #FF=%d depth=%d)\n",
+	fmt.Fprintf(report, "circuit      %s (|V|=%d |E|=%d #FF=%d depth=%d)\n",
 		d.Name(), st.Vertices, st.Edges, st.FFs, st.Depth)
-	fmt.Printf("algorithm    %v (engine %s)\n", res.Algorithm, *engine)
-	fmt.Printf("clock        phi=%.3g (min %.3g, epsilon %.0f%%), Rmin=%.3g, setup+hold init: %v\n",
+	fmt.Fprintf(report, "algorithm    %v (engine %s)\n", res.Algorithm, *engine)
+	fmt.Fprintf(report, "clock        phi=%.3g (min %.3g, epsilon %.0f%%), Rmin=%.3g, setup+hold init: %v\n",
 		res.Phi, res.PhiMin, *epsilon*100, res.Rmin, res.SetupHoldOK)
-	fmt.Printf("SER          %.4e -> %.4e  (%+.2f%%)\n", res.Before.SER, res.After.SER, res.DeltaSER())
-	fmt.Printf("             gates %.3e -> %.3e, registers %.3e -> %.3e\n",
+	fmt.Fprintf(report, "SER          %.4e -> %.4e  (%+.2f%%)\n", res.Before.SER, res.After.SER, res.DeltaSER())
+	fmt.Fprintf(report, "             gates %.3e -> %.3e, registers %.3e -> %.3e\n",
 		res.Before.GateSER, res.After.GateSER, res.Before.RegisterSER, res.After.RegisterSER)
-	fmt.Printf("register obs %.4g -> %.4g\n", res.Before.RegisterObs, res.After.RegisterObs)
-	fmt.Printf("flip-flops   %d -> %d  (%+.2f%%)\n", res.Before.SharedFFs, res.After.SharedFFs, res.DeltaFF())
-	fmt.Printf("optimizer    %d rounds, %d steps, %v\n", res.Rounds, res.Steps, res.Runtime)
+	fmt.Fprintf(report, "register obs %.4g -> %.4g\n", res.Before.RegisterObs, res.After.RegisterObs)
+	fmt.Fprintf(report, "flip-flops   %d -> %d  (%+.2f%%)\n", res.Before.SharedFFs, res.After.SharedFFs, res.DeltaFF())
+	fmt.Fprintf(report, "optimizer    %d rounds, %d steps, %v\n", res.Rounds, res.Steps, res.Runtime)
 	if *verify {
-		fmt.Println("equivalence  verified (exact state transport + co-simulation)")
+		fmt.Fprintln(report, "equivalence  verified (exact state transport + co-simulation)")
 	}
 
+	write := res.Retimed.WriteBench
+	switch format {
+	case serretime.FormatBLIF:
+		write = res.Retimed.WriteBLIF
+	case serretime.FormatVerilog:
+		write = res.Retimed.WriteVerilog
+	}
 	if *out == "" {
-		fmt.Print(res.Retimed.String())
-		return
+		if err := write(stdout); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
 	f, err := os.Create(*out)
 	if err != nil {
-		fatal(err)
-	}
-	write := res.Retimed.WriteBench
-	switch {
-	case strings.HasSuffix(*out, ".blif"):
-		write = res.Retimed.WriteBLIF
-	case strings.HasSuffix(*out, ".v"):
-		write = res.Retimed.WriteVerilog
+		return fail(err)
 	}
 	if err := write(f); err != nil {
-		fatal(err)
+		f.Close()
+		return fail(err)
 	}
 	if err := f.Close(); err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("wrote        %s\n", *out)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "retime:", err)
-	os.Exit(1)
+	fmt.Fprintf(report, "wrote        %s\n", *out)
+	return 0
 }

@@ -1,6 +1,7 @@
 package serretime
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -28,7 +29,7 @@ type Contributor struct {
 // Analyze. This is the view a designer uses to decide where hardening or
 // retiming will pay off.
 func (d *Design) CriticalElements(phi float64, n int, opt AnalysisOptions) ([]Contributor, error) {
-	if err := d.ensureObs(opt); err != nil {
+	if err := d.ensureObs(context.Background(), opt, 0, nil); err != nil {
 		return nil, err
 	}
 	g := d.g

@@ -32,6 +32,7 @@ package serretime
 // any estimator can reach against this reference.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -105,16 +106,16 @@ func TestFastCrossValidation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr, err := sim.Run(c, sim.Config{Words: 64, Frames: 15, Seed: 1})
+			tr, err := sim.Run(context.Background(), c, sim.Config{Words: 64, Frames: 15, Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			exact, err := obs.Compute(tr, obs.Options{})
+			exact, err := obs.Compute(context.Background(), tr, obs.Options{})
 			tr.Release()
 			if err != nil {
 				t.Fatal(err)
 			}
-			fast, err := obs.ComputeFast(c, 15, obs.Options{})
+			fast, err := obs.ComputeFast(context.Background(), c, 15, obs.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,7 +162,7 @@ func TestFastDeterminismAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	obsFor := func(workers int) []float64 {
-		if err := d.ensureObs(AnalysisOptions{Accuracy: AccuracyFast, Workers: workers}); err != nil {
+		if err := d.ensureObs(context.Background(), AnalysisOptions{Accuracy: AccuracyFast}, workers, nil); err != nil {
 			t.Fatal(err)
 		}
 		out := make([]float64, len(d.gateObs))
@@ -194,12 +195,12 @@ func TestAccuracyJoinsObsCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ensureObs(AnalysisOptions{Accuracy: AccuracyExact}); err != nil {
+	if err := d.ensureObs(context.Background(), AnalysisOptions{Accuracy: AccuracyExact}, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	exact := make([]float64, len(d.gateObs))
 	copy(exact, d.gateObs)
-	if err := d.ensureObs(AnalysisOptions{Accuracy: AccuracyFast}); err != nil {
+	if err := d.ensureObs(context.Background(), AnalysisOptions{Accuracy: AccuracyFast}, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if d.obsOpt.Accuracy != AccuracyFast {
@@ -216,7 +217,7 @@ func TestAccuracyJoinsObsCache(t *testing.T) {
 		t.Fatal("fast request returned the cached exact analysis verbatim")
 	}
 	// And back: exact must not see fast's numbers either.
-	if err := d.ensureObs(AnalysisOptions{Accuracy: AccuracyExact}); err != nil {
+	if err := d.ensureObs(context.Background(), AnalysisOptions{Accuracy: AccuracyExact}, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := range exact {
@@ -241,10 +242,6 @@ func TestAccuracyCanonicalKeys(t *testing.T) {
 	rf := RobustOptions{RetimeOptions: RetimeOptions{Analysis: AnalysisOptions{Accuracy: AccuracyFast}}}.CanonicalKey()
 	if re == rf {
 		t.Fatalf("fast and exact jobs share a service canonical key %q", re)
-	}
-	// Workers stays result-invariant in fast mode too.
-	if a, b := (AnalysisOptions{Accuracy: AccuracyFast}).CanonicalKey(), (AnalysisOptions{Accuracy: AccuracyFast, Workers: 7}).CanonicalKey(); a != b {
-		t.Fatalf("workers fragments the fast key: %q vs %q", a, b)
 	}
 }
 

@@ -8,6 +8,7 @@ package serretime
 // through the public pipeline).
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -74,7 +75,7 @@ func TestFigure2ActiveConstraints(t *testing.T) {
 	g := b.Build()
 	gains := []int64{0, -1, 10}
 	obsI := []int64{1, 1, 1}
-	res, err := core.Minimize(g, gains, obsI, core.Options{Phi: 100, Th: 2})
+	res, err := core.Minimize(context.Background(), g, gains, obsI, core.Options{Phi: 100, Th: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestFigure2ActiveConstraints(t *testing.T) {
 	b2.AddEdge(a2, v2, 1)
 	b2.AddEdge(v2, graph.Host, 0)
 	g2 := b2.Build()
-	res2, err := core.Minimize(g2, []int64{0, -100, 800}, []int64{500, 900, 100},
+	res2, err := core.Minimize(context.Background(), g2, []int64{0, -100, 800}, []int64{500, 900, 100},
 		core.Options{Phi: 6, Th: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +118,7 @@ func TestFigure2ActiveConstraints(t *testing.T) {
 	b3.AddEdge(v3, c3, 0)
 	b3.AddEdge(c3, graph.Host, 0)
 	g3 := b3.Build()
-	res3, err := core.Minimize(g3, []int64{0, -900, 800, -100}, []int64{500, 900, 100, 500},
+	res3, err := core.Minimize(context.Background(), g3, []int64{0, -900, 800, -100}, []int64{500, 900, 100, 500},
 		core.Options{Phi: 100, Th: 2, Rmin: 6, ELWConstraints: true})
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package bliffmt
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -160,11 +161,11 @@ func TestRoundTripBehavioral(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same nodes, same wiring: identical traces under the same seed.
-	ta, err := sim.Run(c, sim.Config{Words: 2, Frames: 6, Seed: 9})
+	ta, err := sim.Run(context.Background(), c, sim.Config{Words: 2, Frames: 6, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := sim.Run(back, sim.Config{Words: 2, Frames: 6, Seed: 9})
+	tb, err := sim.Run(context.Background(), back, sim.Config{Words: 2, Frames: 6, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

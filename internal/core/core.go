@@ -234,18 +234,13 @@ type violation struct {
 
 // Minimize runs Algorithm 1 on g (already rebased to the Section V
 // initialization) with per-vertex gains (from Gains) and per-edge integer
-// observabilities obsInt.
-func Minimize(g *graph.Graph, gains []int64, obsInt []int64, opt Options) (*Result, error) {
-	return MinimizeCtx(context.Background(), g, gains, obsInt, opt)
-}
-
-// MinimizeCtx is Minimize under cooperative cancellation: the iteration
-// loop checks ctx at every step and aborts with an error unwrapping to
-// guard.ErrTimeout once it is done. On cancellation (and on a watchdog
-// stall, see Options.StallSteps) the returned Result is non-nil and holds
-// the last *committed* retiming — a legal, verified-improving prefix of
-// the full run that callers may still use — alongside the error.
-func MinimizeCtx(ctx context.Context, g *graph.Graph, gains []int64, obsInt []int64, opt Options) (*Result, error) {
+// observabilities obsInt. The iteration loop checks ctx at every step and
+// aborts with an error unwrapping to guard.ErrTimeout once it is done. On
+// cancellation (and on a watchdog stall, see Options.StallSteps) the
+// returned Result is non-nil and holds the last *committed* retiming — a
+// legal, verified-improving prefix of the full run that callers may still
+// use — alongside the error.
+func Minimize(ctx context.Context, g *graph.Graph, gains []int64, obsInt []int64, opt Options) (*Result, error) {
 	// Fault-injection sites: tests arm these to exercise the callers'
 	// panic-isolation and degradation paths (guard.Run turns the panic
 	// into guard.ErrInternal).

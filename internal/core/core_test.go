@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -47,7 +48,7 @@ func TestGains(t *testing.T) {
 func TestMinimizeSingleMove(t *testing.T) {
 	g, _, bb, gateObs, edgeObs := singleMove(1, 1)
 	gains, obsInt, _ := Gains(g, gateObs, edgeObs, kUnits)
-	res, err := Minimize(g, gains, obsInt, Options{Phi: 100, Ts: 0, Th: 2})
+	res, err := Minimize(context.Background(), g, gains, obsInt, Options{Phi: 100, Ts: 0, Th: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestMinimizeBlockedByP1(t *testing.T) {
 	// constraints freezes at the host.
 	g, _, _, gateObs, edgeObs := singleMove(5, 5)
 	gains, obsInt, _ := Gains(g, gateObs, edgeObs, kUnits)
-	res, err := Minimize(g, gains, obsInt, Options{Phi: 6, Ts: 0, Th: 2})
+	res, err := Minimize(context.Background(), g, gains, obsInt, Options{Phi: 6, Ts: 0, Th: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestMinObsWinRespectsRmin(t *testing.T) {
 	gains, obsInt, _ := Gains(g, gateObs, edgeObs, kUnits)
 
 	// Baseline MinObs happily moves the register (obs 0.9 -> 0.1).
-	base, err := Minimize(g, gains, obsInt, Options{Phi: 100, Ts: 0, Th: 2})
+	base, err := Minimize(context.Background(), g, gains, obsInt, Options{Phi: 100, Ts: 0, Th: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestMinObsWinRespectsRmin(t *testing.T) {
 
 	// MinObsWin with Rmin = 6 (the initial hold slack) must refuse: the
 	// moved register would launch a 5-delay path.
-	win, err := Minimize(g, gains, obsInt, Options{Phi: 100, Ts: 0, Th: 2, Rmin: 6, ELWConstraints: true})
+	win, err := Minimize(context.Background(), g, gains, obsInt, Options{Phi: 100, Ts: 0, Th: 2, Rmin: 6, ELWConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestMinObsWinRespectsRmin(t *testing.T) {
 	}
 
 	// Relaxing Rmin to 5 allows the move again.
-	rel, err := Minimize(g, gains, obsInt, Options{Phi: 100, Ts: 0, Th: 2, Rmin: 5, ELWConstraints: true})
+	rel, err := Minimize(context.Background(), g, gains, obsInt, Options{Phi: 100, Ts: 0, Th: 2, Rmin: 5, ELWConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,13 +139,13 @@ func TestMinObsWinRespectsRmin(t *testing.T) {
 func TestMinimizeValidation(t *testing.T) {
 	g, _, _, gateObs, edgeObs := singleMove(1, 1)
 	gains, obsInt, _ := Gains(g, gateObs, edgeObs, kUnits)
-	if _, err := Minimize(g, gains[:1], obsInt, Options{Phi: 10}); err == nil {
+	if _, err := Minimize(context.Background(), g, gains[:1], obsInt, Options{Phi: 10}); err == nil {
 		t.Fatal("short gains accepted")
 	}
-	if _, err := Minimize(g, gains, obsInt[:1], Options{Phi: 10}); err == nil {
+	if _, err := Minimize(context.Background(), g, gains, obsInt[:1], Options{Phi: 10}); err == nil {
 		t.Fatal("short obsInt accepted")
 	}
-	if _, err := Minimize(g, gains, obsInt, Options{Phi: 0}); err == nil {
+	if _, err := Minimize(context.Background(), g, gains, obsInt, Options{Phi: 0}); err == nil {
 		t.Fatal("zero period accepted")
 	}
 }
@@ -232,7 +233,7 @@ func TestPropertyMinObsMatchesExact(t *testing.T) {
 		if g.Check() != nil {
 			return true
 		}
-		inc, err := Minimize(g, gains, obsInt, Options{Phi: phi, Ts: 0, Th: 2})
+		inc, err := Minimize(context.Background(), g, gains, obsInt, Options{Phi: phi, Ts: 0, Th: 2})
 		if err != nil {
 			t.Logf("seed %d: incremental error: %v", seed, err)
 			return false
@@ -265,7 +266,7 @@ func TestPropertyMinObsWinInvariants(t *testing.T) {
 			return true
 		}
 		p := elw.Params{Phi: phi, Ts: 0, Th: 2}
-		lab, err := elw.ComputeLabels(g, graph.NewRetiming(g), p)
+		lab, err := elw.ComputeLabels(g, graph.NewRetiming(g), p, nil)
 		if err != nil {
 			return true
 		}
@@ -278,7 +279,7 @@ func TestPropertyMinObsWinInvariants(t *testing.T) {
 			return true
 		}
 		opt := Options{Phi: phi, Ts: 0, Th: 2, Rmin: rmin, ELWConstraints: true}
-		res, err := Minimize(g, gains, obsInt, opt)
+		res, err := Minimize(context.Background(), g, gains, obsInt, opt)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -294,7 +295,7 @@ func TestPropertyMinObsWinInvariants(t *testing.T) {
 		if res.Objective > res.Initial {
 			return false
 		}
-		lab, err = elw.ComputeLabels(g, res.R, p)
+		lab, err = elw.ComputeLabels(g, res.R, p, nil)
 		if err != nil {
 			return false
 		}
@@ -322,7 +323,7 @@ func TestPropertyWinNeverBeatsUnconstrained(t *testing.T) {
 			return true
 		}
 		p := elw.Params{Phi: phi, Ts: 0, Th: 2}
-		lab, err := elw.ComputeLabels(g, graph.NewRetiming(g), p)
+		lab, err := elw.ComputeLabels(g, graph.NewRetiming(g), p, nil)
 		if err != nil {
 			return true
 		}
@@ -333,11 +334,11 @@ func TestPropertyWinNeverBeatsUnconstrained(t *testing.T) {
 		if !found {
 			return true
 		}
-		base, err := Minimize(g, gains, obsInt, Options{Phi: phi, Ts: 0, Th: 2})
+		base, err := Minimize(context.Background(), g, gains, obsInt, Options{Phi: phi, Ts: 0, Th: 2})
 		if err != nil {
 			return false
 		}
-		win, err := Minimize(g, gains, obsInt, Options{Phi: phi, Ts: 0, Th: 2, Rmin: rmin, ELWConstraints: true})
+		win, err := Minimize(context.Background(), g, gains, obsInt, Options{Phi: phi, Ts: 0, Th: 2, Rmin: rmin, ELWConstraints: true})
 		if err != nil {
 			return false
 		}
@@ -370,7 +371,7 @@ func TestMinAreaMatchesExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inc, err := Minimize(g, gains, obsInt, Options{Phi: phi, Ts: 0, Th: 2})
+		inc, err := Minimize(context.Background(), g, gains, obsInt, Options{Phi: phi, Ts: 0, Th: 2})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -18,7 +19,7 @@ func TestForestEngineNearExact(t *testing.T) {
 		if g.Check() != nil {
 			continue
 		}
-		fe, err := Minimize(g, gains, obsInt, Options{Phi: phi, Ts: 0, Th: 2, Engine: EngineForest})
+		fe, err := Minimize(context.Background(), g, gains, obsInt, Options{Phi: phi, Ts: 0, Th: 2, Engine: EngineForest})
 		if err != nil {
 			t.Fatalf("seed %d: forest engine error: %v", seed, err)
 		}
@@ -52,12 +53,12 @@ func TestEnginesAgreeOnMinObsWin(t *testing.T) {
 			continue
 		}
 		opt := Options{Phi: phi, Ts: 0, Th: 2, Rmin: g.MinDelay(), ELWConstraints: true}
-		cl, err := Minimize(g, gains, obsInt, opt)
+		cl, err := Minimize(context.Background(), g, gains, obsInt, opt)
 		if err != nil {
 			t.Fatalf("seed %d: closure: %v", seed, err)
 		}
 		opt.Engine = EngineForest
-		fo, err := Minimize(g, gains, obsInt, opt)
+		fo, err := Minimize(context.Background(), g, gains, obsInt, opt)
 		if err != nil {
 			t.Fatalf("seed %d: forest: %v", seed, err)
 		}
@@ -83,12 +84,12 @@ func TestBatchMatchesSingle(t *testing.T) {
 			continue
 		}
 		opt := Options{Phi: phi, Ts: 0, Th: 2, Rmin: g.MinDelay(), ELWConstraints: true}
-		batch, err := Minimize(g, gains, obsInt, opt)
+		batch, err := Minimize(context.Background(), g, gains, obsInt, opt)
 		if err != nil {
 			t.Fatalf("seed %d: batch: %v", seed, err)
 		}
 		opt.SingleViolation = true
-		single, err := Minimize(g, gains, obsInt, opt)
+		single, err := Minimize(context.Background(), g, gains, obsInt, opt)
 		if err != nil {
 			t.Fatalf("seed %d: single: %v", seed, err)
 		}
@@ -117,7 +118,7 @@ func TestCheckOrderInvariance(t *testing.T) {
 		}
 		var objs []int64
 		for _, order := range orders {
-			res, err := Minimize(g, gains, obsInt, Options{
+			res, err := Minimize(context.Background(), g, gains, obsInt, Options{
 				Phi: phi, Ts: 0, Th: 2, Rmin: g.MinDelay(),
 				ELWConstraints: true, CheckOrder: order,
 			})

@@ -34,7 +34,7 @@ func BenchmarkLabels500(b *testing.B) {
 	r := graph.NewRetiming(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ComputeLabels(g, r, p); err != nil {
+		if _, err := ComputeLabels(g, r, p, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

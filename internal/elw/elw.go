@@ -145,25 +145,15 @@ type Labels struct {
 	LT, RT []graph.VertexID
 }
 
-// ComputeLabels evaluates eq. (6) under retiming r.
-func ComputeLabels(g *graph.Graph, r graph.Retiming, p Params) (*Labels, error) {
-	return ComputeLabelsRec(g, r, p, nil)
-}
-
-// ComputeLabelsRec is ComputeLabels under telemetry: the computation is
-// recorded as one elw-recompute span and counted, making the dominant
-// cost of the P1'/P2' checks visible in traces. A nil recorder records
-// nothing.
-func ComputeLabelsRec(g *graph.Graph, r graph.Retiming, p Params, rec telemetry.Recorder) (*Labels, error) {
+// ComputeLabels evaluates eq. (6) under retiming r. The computation is
+// recorded to rec as one elw-recompute span and counted, making the
+// dominant cost of the P1'/P2' checks visible in traces; a nil rec
+// records nothing.
+func ComputeLabels(g *graph.Graph, r graph.Retiming, p Params, rec telemetry.Recorder) (_ *Labels, err error) {
 	rec = telemetry.OrNop(rec)
 	rec.SpanStart(telemetry.PhaseELWRecompute)
 	rec.Count(telemetry.CounterELWRecomputes, 1)
-	lab, err := computeLabels(g, r, p)
-	rec.SpanEnd(telemetry.PhaseELWRecompute, err)
-	return lab, err
-}
-
-func computeLabels(g *graph.Graph, r graph.Retiming, p Params) (*Labels, error) {
+	defer func() { rec.SpanEnd(telemetry.PhaseELWRecompute, err) }()
 	if err := p.validate(); err != nil {
 		return nil, err
 	}

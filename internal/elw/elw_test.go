@@ -42,7 +42,7 @@ func TestExactChain(t *testing.T) {
 func TestLabelsChain(t *testing.T) {
 	g, a, bb := chain()
 	p := DefaultParams(10)
-	lab, err := ComputeLabels(g, graph.NewRetiming(g), p)
+	lab, err := ComputeLabels(g, graph.NewRetiming(g), p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestExactDisjointUnion(t *testing.T) {
 func TestLabelsCriticalEndpoints(t *testing.T) {
 	g, a, bb, c := fanouts()
 	p := DefaultParams(10)
-	lab, err := ComputeLabels(g, graph.NewRetiming(g), p)
+	lab, err := ComputeLabels(g, graph.NewRetiming(g), p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestRegisteredFanoutPins(t *testing.T) {
 	if !elws[a].Equal(want) {
 		t.Fatalf("ELW(A) = %v", elws[a])
 	}
-	lab, err := ComputeLabels(g, graph.NewRetiming(g), p)
+	lab, err := ComputeLabels(g, graph.NewRetiming(g), p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestP1Violation(t *testing.T) {
 	b.AddEdge(bb, graph.Host, 0)
 	g := b.Build()
 	p := DefaultParams(8)
-	lab, err := ComputeLabels(g, graph.NewRetiming(g), p)
+	lab, err := ComputeLabels(g, graph.NewRetiming(g), p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestP2ViolationAndHoldSlack(t *testing.T) {
 	g := b.Build()
 	p := DefaultParams(10)
 	r := graph.NewRetiming(g)
-	lab, err := ComputeLabels(g, r, p)
+	lab, err := ComputeLabels(g, r, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestParamValidation(t *testing.T) {
 	if _, err := Exact(g, graph.NewRetiming(g), Params{Phi: -1}, 0); err == nil {
 		t.Fatal("negative phi accepted")
 	}
-	if _, err := ComputeLabels(g, graph.NewRetiming(g), Params{Phi: 1, Ts: -1}); err == nil {
+	if _, err := ComputeLabels(g, graph.NewRetiming(g), Params{Phi: 1, Ts: -1}, nil); err == nil {
 		t.Fatal("negative Ts accepted")
 	}
 }
@@ -301,7 +301,7 @@ func TestPropertyTheorem1(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		lab, err := ComputeLabels(g, rt, p)
+		lab, err := ComputeLabels(g, rt, p, nil)
 		if err != nil {
 			return false
 		}

@@ -34,7 +34,7 @@ func randomLabeled(t *testing.T, rng *rand.Rand) (*graph.Graph, graph.Retiming, 
 		t.Fatal(err)
 	}
 	p := Params{Phi: crit * (1 + rng.Float64()), Ts: 0, Th: 2}
-	lab, err := ComputeLabels(g, r, p)
+	lab, err := ComputeLabels(g, r, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

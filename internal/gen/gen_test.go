@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -112,7 +113,7 @@ func TestGenerateRetimable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	init, err := retime.Initialize(g, retime.DefaultOptions())
+	init, err := retime.Initialize(context.Background(), g, retime.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,6 @@
 package graph
 
-import (
-	"context"
-	"math"
-	"sync"
-
-	"serretime/internal/par"
-	"serretime/internal/telemetry"
-)
+import "math"
 
 // WD holds the classic Leiserson–Saxe path matrices:
 //
@@ -83,9 +76,8 @@ func heapPop(h *[]pqItem) pqItem {
 	return top
 }
 
-// wdScratch is the per-worker working set of the row fill: Dijkstra dists
-// and heap, Kahn indegrees and queue. One scratch serves every source a
-// worker processes, and a sync.Pool recycles it across ComputeWD calls.
+// wdScratch is the working set of the row fill: Dijkstra dists and heap,
+// Kahn indegrees and queue. One scratch serves every source row.
 type wdScratch struct {
 	dist  []int32
 	indeg []int32
@@ -93,56 +85,23 @@ type wdScratch struct {
 	h     []pqItem
 }
 
-var wdScratchPool sync.Pool
-
-func getWDScratch(n int) *wdScratch {
-	if v, ok := wdScratchPool.Get().(*wdScratch); ok && cap(v.dist) >= n {
-		v.dist = v.dist[:n]
-		v.indeg = v.indeg[:n]
-		v.queue = v.queue[:0]
-		v.h = v.h[:0]
-		return v
-	}
-	return &wdScratch{
+// ComputeWD builds the W/D matrices for the base weights of g. This costs
+// Θ(|V|²) memory and O(|V| · |E| log |V|) time; it exists for the exact
+// reference solver and for validation, not for the incremental algorithms.
+func (g *Graph) ComputeWD() *WD {
+	n := g.NumVertices()
+	m := &WD{n: n, w: make([]int32, n*n), d: make([]float64, n*n)}
+	// No matrix-wide init: wdFrom overwrites every entry of its row.
+	sc := &wdScratch{
 		dist:  make([]int32, n),
 		indeg: make([]int32, n),
 		queue: make([]VertexID, 0, n),
 		h:     make([]pqItem, 0, n),
 	}
-}
-
-func putWDScratch(sc *wdScratch) { wdScratchPool.Put(sc) }
-
-// ComputeWD builds the W/D matrices for the base weights of g. This costs
-// Θ(|V|²) memory and O(|V| · |E| log |V|) time; it exists for the exact
-// reference solver and for validation, not for the incremental algorithms.
-func (g *Graph) ComputeWD() *WD {
-	m, _ := g.ComputeWDPar(nil, 1, nil) // one worker + nil ctx cannot fail
-	return m
-}
-
-// ComputeWDPar is ComputeWD with the per-source row fills fanned across
-// workers. Each source writes only its own row of W and D, so the result
-// is bit-identical for every worker count; a done ctx aborts between
-// shards with a guard.ErrTimeout-wrapped error. workers <= 0 means one
-// worker per available CPU; rec receives pool utilization telemetry.
-func (g *Graph) ComputeWDPar(ctx context.Context, workers int, rec telemetry.Recorder) (*WD, error) {
-	n := g.NumVertices()
-	m := &WD{n: n, w: make([]int32, n*n), d: make([]float64, n*n)}
-	// No matrix-wide init: wdFrom overwrites every entry of its row.
-	pool := par.New("graph.wd", workers, rec)
-	err := pool.Run(ctx, n, func(worker, lo, hi int) error {
-		sc := getWDScratch(n)
-		defer putWDScratch(sc)
-		for src := lo; src < hi; src++ {
-			g.wdFrom(VertexID(src), m, sc)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	for src := 0; src < n; src++ {
+		g.wdFrom(VertexID(src), m, sc)
 	}
-	return m, nil
+	return m
 }
 
 // wdFrom fills row src of the matrices.

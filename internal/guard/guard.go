@@ -4,19 +4,20 @@
 // the iterative optimizers, and named failpoints for fault-injection
 // testing.
 //
-// The taxonomy is deliberately small. Every failure a caller can observe
-// from the public API unwraps to exactly one of the five sentinels, so
-// callers dispatch with errors.Is and never need to match message text:
+// The taxonomy is deliberately small. The toolkit's own failures unwrap
+// to one of five sentinels, so callers dispatch with errors.Is and never
+// need to match message text:
 //
-//	ErrParse      malformed input (netlist syntax, unmappable covers)
-//	ErrInfeasible a well-formed problem with no solution under the
-//	              requested constraints (wedged ELW budget, period too
-//	              tight)
-//	ErrTimeout    a context deadline or cancellation was observed
-//	ErrStalled    the optimizer's watchdog fired: the objective stopped
-//	              improving within the configured step budget
-//	ErrInternal   a recovered panic (with the captured stack) — a bug,
-//	              not a user error, but one that must not crash a server
+//	ErrParse    malformed input (netlist syntax, unmappable covers,
+//	            invalid option values)
+//	ErrTimeout  a context deadline or cancellation was observed
+//	ErrStalled  the optimizer's watchdog fired: the objective stopped
+//	            improving within the configured step budget
+//	ErrInternal a recovered panic (with the captured stack) — a bug,
+//	            not a user error, but one that must not crash a server
+//	ErrStore    a persistence-layer failure in the service's store
+//
+// Classify names any other error "other".
 package guard
 
 import (
@@ -30,11 +31,10 @@ import (
 // these, so errors.Is(err, guard.ErrParse) etc. classifies any error
 // produced by the toolkit.
 var (
-	ErrParse      = errors.New("parse error")
-	ErrInfeasible = errors.New("infeasible")
-	ErrTimeout    = errors.New("timeout")
-	ErrStalled    = errors.New("stalled")
-	ErrInternal   = errors.New("internal fault")
+	ErrParse    = errors.New("parse error")
+	ErrTimeout  = errors.New("timeout")
+	ErrStalled  = errors.New("stalled")
+	ErrInternal = errors.New("internal fault")
 	// ErrStore marks a persistence-layer failure (WAL append, payload
 	// write, recovery replay). A store fault is environmental, not a user
 	// error and not a solver bug: the service reacts by degrading to
@@ -117,8 +117,8 @@ func Optionf(op, option, msgf string, args ...any) *OptionError {
 }
 
 // Classify names the taxonomy sentinel err unwraps to ("parse",
-// "infeasible", "timeout", "stalled", "internal"), or "other" for errors
-// from outside the taxonomy and "" for nil. The names are stable: they
+// "timeout", "stalled", "internal", "store"), or "other" for errors from
+// outside the taxonomy and "" for nil. The names are stable: they
 // key metrics labels and appear in service responses.
 func Classify(err error) string {
 	switch {
@@ -126,8 +126,6 @@ func Classify(err error) string {
 		return ""
 	case errors.Is(err, ErrParse):
 		return "parse"
-	case errors.Is(err, ErrInfeasible):
-		return "infeasible"
 	case errors.Is(err, ErrTimeout):
 		return "timeout"
 	case errors.Is(err, ErrStalled):
@@ -199,19 +197,6 @@ func (e *InternalError) Error() string {
 }
 
 func (e *InternalError) Unwrap() error { return ErrInternal }
-
-// InfeasibleError reports a well-formed problem with no solution under the
-// requested constraints.
-type InfeasibleError struct {
-	Op     string
-	Reason string
-}
-
-func (e *InfeasibleError) Error() string {
-	return fmt.Sprintf("%s: infeasible: %s", e.Op, e.Reason)
-}
-
-func (e *InfeasibleError) Unwrap() error { return ErrInfeasible }
 
 // StallError reports that the optimizer's watchdog fired: Steps iterations
 // elapsed with the objective pinned at Objective. Phase, when known, names

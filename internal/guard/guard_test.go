@@ -15,7 +15,6 @@ func TestTaxonomyUnwrap(t *testing.T) {
 	}{
 		{&ParseError{Format: "bench", Line: 3, Msg: "bad gate"}, ErrParse},
 		{&InternalError{Op: "core", Value: "boom"}, ErrInternal},
-		{&InfeasibleError{Op: "retime", Reason: "period too tight"}, ErrInfeasible},
 		{&StallError{Op: "core.Minimize", Steps: 10, Objective: 42}, ErrStalled},
 		{&TimeoutError{Op: "core.Minimize", Cause: context.Canceled}, ErrTimeout},
 	}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"testing"
 
 	"serretime/internal/benchfmt"
@@ -12,13 +13,13 @@ func BenchmarkComputeS27(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr, err := sim.Run(c, sim.Config{Words: 4, Frames: 15, Seed: 1})
+	tr, err := sim.Run(context.Background(), c, sim.Config{Words: 4, Frames: 15, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compute(tr, Options{}); err != nil {
+		if _, err := Compute(context.Background(), tr, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

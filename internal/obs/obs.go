@@ -66,14 +66,9 @@ func (r *Result) GateObs(n circuit.NodeID) float64 { return r.Obs[n] }
 // cleared before use, so pooling cannot change a result.
 var odcPool par.SlicePool[uint64]
 
-// Compute runs the backward ODC propagation over the trace.
-func Compute(tr *sim.Trace, opt Options) (*Result, error) {
-	return ComputeCtx(context.Background(), tr, opt)
-}
-
-// ComputeCtx is Compute with cancellation: a done ctx aborts between
-// shards with a guard.ErrTimeout-wrapped error.
-func ComputeCtx(ctx context.Context, tr *sim.Trace, opt Options) (*Result, error) {
+// Compute runs the backward ODC propagation over the trace. A done ctx
+// aborts between shards with a guard.ErrTimeout-wrapped error.
+func Compute(ctx context.Context, tr *sim.Trace, opt Options) (*Result, error) {
 	csr := tr.CSR()
 	if opt.Frame < 0 || opt.Frame >= tr.Frames {
 		return nil, fmt.Errorf("obs: frame %d outside trace of %d frames", opt.Frame, tr.Frames)

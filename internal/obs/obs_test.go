@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -20,11 +21,11 @@ func mustBuild(t testing.TB, b *circuit.Builder) *circuit.Circuit {
 
 func analyze(t testing.TB, c *circuit.Circuit, cfg sim.Config, opt Options) *Result {
 	t.Helper()
-	tr, err := sim.Run(c, cfg)
+	tr, err := sim.Run(context.Background(), c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Compute(tr, opt)
+	r, err := Compute(context.Background(), tr, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,14 +151,14 @@ func TestObsFrameOutOfRange(t *testing.T) {
 	b.Gate("y", circuit.FnBuf, "a")
 	b.PO("y")
 	c := mustBuild(t, b)
-	tr, err := sim.Run(c, sim.Config{Words: 1, Frames: 2, Seed: 1})
+	tr, err := sim.Run(context.Background(), c, sim.Config{Words: 1, Frames: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compute(tr, Options{Frame: 2}); err == nil {
+	if _, err := Compute(context.Background(), tr, Options{Frame: 2}); err == nil {
 		t.Fatal("out-of-range frame accepted")
 	}
-	if _, err := Compute(tr, Options{Frame: -1}); err == nil {
+	if _, err := Compute(context.Background(), tr, Options{Frame: -1}); err == nil {
 		t.Fatal("negative frame accepted")
 	}
 }

@@ -45,14 +45,14 @@ import (
 // the analysis cache (serretime.ensureObs) dispatches through.
 func ComputeDesign(ctx context.Context, c *circuit.Circuit, cfg sim.Config, opt Options) (*Result, error) {
 	if opt.Accuracy == AccuracyFast {
-		return ComputeFastCtx(ctx, c, cfg.Frames, opt)
+		return ComputeFast(ctx, c, cfg.Frames, opt)
 	}
-	tr, err := sim.RunCtx(ctx, c, cfg)
+	tr, err := sim.Run(ctx, c, cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer tr.Release()
-	return ComputeCtx(ctx, tr, opt)
+	return Compute(ctx, tr, opt)
 }
 
 // Accuracy selects the observability engine.
@@ -275,14 +275,9 @@ func ppSens(fn circuit.Func, ded []circuit.NodeID, x circuit.NodeID, p []float64
 // (Options.Frame, Options.DropFinalRegisters, the horizon) mirror
 // Compute exactly, so fast and exact results are directly comparable.
 // The returned Result has K == 0: no vectors were simulated, the
-// estimate is analytical.
-func ComputeFast(c *circuit.Circuit, frames int, opt Options) (*Result, error) {
-	return ComputeFastCtx(context.Background(), c, frames, opt)
-}
-
-// ComputeFastCtx is ComputeFast with cancellation: a done ctx aborts
-// between level shards with a guard.ErrTimeout-wrapped error.
-func ComputeFastCtx(ctx context.Context, c *circuit.Circuit, frames int, opt Options) (*Result, error) {
+// estimate is analytical. A done ctx aborts between level shards with a
+// guard.ErrTimeout-wrapped error.
+func ComputeFast(ctx context.Context, c *circuit.Circuit, frames int, opt Options) (*Result, error) {
 	csr, err := c.CSR()
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -113,7 +114,7 @@ func TestFastTransferMatchesTruthTable(t *testing.T) {
 
 func fastAnalyze(t testing.TB, c *circuit.Circuit, frames int, opt Options) *Result {
 	t.Helper()
-	r, err := ComputeFast(c, frames, opt)
+	r, err := ComputeFast(context.Background(), c, frames, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,13 +214,13 @@ func TestFastFrameValidation(t *testing.T) {
 	b.Gate("y", circuit.FnBuf, "a")
 	b.PO("y")
 	c := mustBuild(t, b)
-	if _, err := ComputeFast(c, 0, Options{}); err == nil {
+	if _, err := ComputeFast(context.Background(), c, 0, Options{}); err == nil {
 		t.Fatal("zero-frame horizon accepted")
 	}
-	if _, err := ComputeFast(c, 2, Options{Frame: 2}); err == nil {
+	if _, err := ComputeFast(context.Background(), c, 2, Options{Frame: 2}); err == nil {
 		t.Fatal("out-of-range frame accepted")
 	}
-	if _, err := ComputeFast(c, 2, Options{Frame: -1}); err == nil {
+	if _, err := ComputeFast(context.Background(), c, 2, Options{Frame: -1}); err == nil {
 		t.Fatal("negative frame accepted")
 	}
 }

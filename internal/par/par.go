@@ -1,13 +1,13 @@
 // Package par is the deterministic parallel substrate of the analysis
 // engine: a bounded fork-join worker pool used to shard the signature
-// simulation, the ODC observability pass and the W/D matrix build across
-// CPU cores (DESIGN.md §11).
+// simulation, the ODC observability pass and the fast propagation-
+// probability engine across CPU cores (DESIGN.md §11).
 //
 // Determinism is the design constraint. A Pool never changes results, for
 // any worker count, because the sharded code obeys two rules:
 //
 //   - every shard writes only into a pre-partitioned, disjoint region of
-//     the output (signature words, ODC mask words, W/D matrix rows);
+//     the output (signature words, ODC mask words, per-level node slots);
 //   - nothing order-dependent (RNG draws, float accumulation across
 //     shards) happens inside a parallel section.
 //
@@ -82,10 +82,11 @@ func (p *Pool) Workers() int { return p.workers }
 // All spans run to completion even when one fails; the error of the
 // lowest-numbered failing span is returned, so the reported error does
 // not depend on goroutine scheduling. A panic inside fn is captured as a
-// *guard.InternalError (unwrapping to guard.ErrInternal); a done context
-// is reported as a *guard.TimeoutError before a span starts. With one
-// worker (or n <= 1) fn runs inline on the calling goroutine and panics
-// propagate unchanged — the exact unsharded code path.
+// *guard.InternalError (unwrapping to guard.ErrInternal); a done ctx
+// (which must not be nil) is reported as a *guard.TimeoutError before a
+// span starts. With one worker (or n <= 1) fn runs inline on the calling
+// goroutine and panics propagate unchanged — the exact unsharded code
+// path.
 func (p *Pool) Run(ctx context.Context, n int, fn func(worker, lo, hi int) error) error {
 	if n <= 0 {
 		return nil
@@ -95,10 +96,8 @@ func (p *Pool) Run(ctx context.Context, n int, fn func(worker, lo, hi int) error
 		w = n
 	}
 	if w == 1 {
-		if ctx != nil {
-			if cerr := guard.Checkpoint(ctx, p.op); cerr != nil {
-				return cerr
-			}
+		if cerr := guard.Checkpoint(ctx, p.op); cerr != nil {
+			return cerr
 		}
 		if p.shard == nil {
 			return fn(0, 0, n)
@@ -142,11 +141,9 @@ func (p *Pool) Run(ctx context.Context, n int, fn func(worker, lo, hi int) error
 					}
 				}
 			}()
-			if ctx != nil {
-				if cerr := guard.Checkpoint(ctx, p.op); cerr != nil {
-					errs[i] = cerr
-					return
-				}
+			if cerr := guard.Checkpoint(ctx, p.op); cerr != nil {
+				errs[i] = cerr
+				return
 			}
 			errs[i] = fn(i, lo, hi)
 		}(i, lo, hi)

@@ -141,16 +141,6 @@ func TestRunCancellation(t *testing.T) {
 	}
 }
 
-// TestRunNilContext: nil ctx means "not cancellable" and must not panic.
-func TestRunNilContext(t *testing.T) {
-	for _, w := range []int{1, 3} {
-		p := New("par.test", w, nil)
-		if err := p.Run(nil, 9, func(worker, lo, hi int) error { return nil }); err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-	}
-}
-
 // TestRunBoundedWorkers: concurrently active shards never exceed the pool
 // width (one span per worker makes this structural; the test guards the
 // invariant against future chunked scheduling).

@@ -4,7 +4,7 @@ import "sync"
 
 // SlicePool recycles equally-typed scratch slices across calls and
 // workers, killing the per-call slab allocations of the sharded analysis
-// paths (signature buffers, ODC mask slabs, per-source W/D scratch).
+// paths (signature planes, ODC mask slabs, fast-engine planes).
 // The zero value is ready to use; a SlicePool is safe for concurrent use.
 type SlicePool[T any] struct {
 	p sync.Pool

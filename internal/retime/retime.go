@@ -36,15 +36,6 @@ func Feasible(g *graph.Graph, r graph.Retiming, phi, ts float64) bool {
 	return crit <= phi-ts+eps
 }
 
-// FEAS runs the Leiserson–Saxe relaxation for the target period phi:
-// it repeatedly increments r(v) (moving registers backward, from fanouts
-// to fanins) for every vertex whose arrival time exceeds phi − ts.
-//
-// The host is never retimed (registers cannot move into the environment),
-// so the relaxation reports failure when a violating vertex drives a
-// primary output combinationally; FEASBackward covers the symmetric cases.
-// Together they form a sound (always-legal) but possibly conservative
-// min-period search; see MinPeriod.
 // feasPassCap bounds the relaxation pass count. The exact Leiserson–Saxe
 // bound is |V| passes, but convergence in practice tracks the logic depth;
 // capping keeps infeasible probes cheap on very large graphs at the cost
@@ -58,39 +49,52 @@ func feasPassCap(g *graph.Graph) int {
 	return n
 }
 
-func FEAS(g *graph.Graph, phi, ts float64) (graph.Retiming, bool) {
-	r, ok, _ := feasCtx(context.Background(), g, phi, ts)
-	return r, ok
+// feasPass is one Leiserson–Saxe relaxation pass over r: it increments
+// r(v) for every vertex whose arrival time exceeds phi − ts. violated
+// reports whether any vertex moved; ok is false when the pass is blocked
+// (a violating vertex drives the host over a zero-weight edge, or r
+// leaves a zero-weight cycle), which ends the relaxation in failure.
+func feasPass(g *graph.Graph, r graph.Retiming, phi, ts float64) (violated, ok bool) {
+	arr, _, err := g.ArrivalTimes(r)
+	if err != nil {
+		return false, false
+	}
+	for v := 1; v < g.NumVertices(); v++ {
+		if arr[v] <= phi-ts+eps {
+			continue
+		}
+		// Incrementing v removes a register from each of its out-edges;
+		// a zero-weight edge into the host blocks the move.
+		for _, oe := range g.Out(graph.VertexID(v)) {
+			if g.Edge(oe).To == graph.Host && g.WR(oe, r) == 0 {
+				return false, false
+			}
+		}
+		r[v]++
+		violated = true
+	}
+	return violated, true
 }
 
-// feasCtx is FEAS with a cancellation checkpoint per relaxation pass. The
-// error is non-nil only for cancellation (unwrapping to guard.ErrTimeout);
-// plain infeasibility stays (nil, false, nil).
-func feasCtx(ctx context.Context, g *graph.Graph, phi, ts float64) (graph.Retiming, bool, error) {
+// FEAS runs the Leiserson–Saxe relaxation for the target period phi:
+// it repeatedly increments r(v) (moving registers backward, from fanouts
+// to fanins) for every vertex whose arrival time exceeds phi − ts.
+//
+// The host is never retimed (registers cannot move into the environment),
+// so the relaxation reports failure when a violating vertex drives a
+// primary output combinationally; FEASBackward covers the symmetric cases.
+// Together they form a sound (always-legal) but possibly conservative
+// min-period search; see MinPeriod.
+func FEAS(ctx context.Context, g *graph.Graph, phi, ts float64) (graph.Retiming, bool, error) {
 	r := graph.NewRetiming(g)
 	limit := feasPassCap(g)
 	for it := 0; it < limit; it++ {
 		if cerr := guard.CheckpointIn(ctx, "retime.FEAS", telemetry.PhaseInit.String()); cerr != nil {
 			return nil, false, cerr
 		}
-		arr, _, err := g.ArrivalTimes(r)
-		if err != nil {
+		violated, ok := feasPass(g, r, phi, ts)
+		if !ok {
 			return nil, false, nil
-		}
-		violated := false
-		for v := 1; v < g.NumVertices(); v++ {
-			if arr[v] <= phi-ts+eps {
-				continue
-			}
-			// Incrementing v removes a register from each of its
-			// out-edges; a zero-weight edge into the host blocks the move.
-			for _, oe := range g.Out(graph.VertexID(v)) {
-				if g.Edge(oe).To == graph.Host && g.WR(oe, r) == 0 {
-					return nil, false, nil
-				}
-			}
-			r[v]++
-			violated = true
 		}
 		if !violated {
 			return r, true, nil
@@ -103,12 +107,7 @@ func feasCtx(ctx context.Context, g *graph.Graph, phi, ts float64) (graph.Retimi
 // from the sink side and decrements r(v) (moving registers forward) for
 // every vertex whose backward path exceeds phi − ts. It covers circuits
 // whose critical paths end at primary outputs (where FEAS is blocked).
-func FEASBackward(g *graph.Graph, phi, ts float64) (graph.Retiming, bool) {
-	r, ok, _ := feasBackwardCtx(context.Background(), g, phi, ts)
-	return r, ok
-}
-
-func feasBackwardCtx(ctx context.Context, g *graph.Graph, phi, ts float64) (graph.Retiming, bool, error) {
+func FEASBackward(ctx context.Context, g *graph.Graph, phi, ts float64) (graph.Retiming, bool, error) {
 	r := graph.NewRetiming(g)
 	limit := feasPassCap(g)
 	for it := 0; it < limit; it++ {
@@ -170,37 +169,21 @@ func reverseArrivals(g *graph.Graph, r graph.Retiming) ([]float64, error) {
 // (FEASBackward) are preferred: they never pull registers out of the
 // environment and tend to reduce the register count.
 func tryPeriod(ctx context.Context, g *graph.Graph, phi, ts float64) (graph.Retiming, bool, error) {
-	if r, ok, err := feasBackwardCtx(ctx, g, phi, ts); ok || err != nil {
+	if r, ok, err := FEASBackward(ctx, g, phi, ts); ok || err != nil {
 		return r, ok, err
 	}
-	return feasCtx(ctx, g, phi, ts)
+	return FEAS(ctx, g, phi, ts)
 }
 
-// MinPeriod finds the smallest clock period (on the delay grid) reachable
-// by the FEAS/FEASBackward relaxations and a retiming realizing it. This
-// is an upper bound on the true minimum period: boundary registers pinned
-// at the environment can make some periods unreachable by single-direction
-// relaxation.
-func MinPeriod(g *graph.Graph, ts float64) (graph.Retiming, float64, error) {
-	return minPeriodCtx(context.Background(), g, ts)
-}
-
-func minPeriodCtx(ctx context.Context, g *graph.Graph, ts float64) (graph.Retiming, float64, error) {
-	_, crit, err := g.ArrivalTimes(graph.NewRetiming(g))
-	if err != nil {
-		return nil, 0, err
-	}
-	hi := snapUp(crit + ts) // the unretimed circuit achieves this
-	lo := snapUp(g.MaxDelay() + ts)
-	if lo > hi {
-		lo = hi
-	}
-	// Binary search on the 0.5 grid.
+// searchGrid binary-searches the delay grid for the smallest period in
+// [lo, hi] that fits accepts. hi is taken as accepted and never probed;
+// the first error fits returns aborts the search.
+func searchGrid(lo, hi float64, fits func(phi float64) (bool, error)) (float64, error) {
 	for lo < hi-eps {
 		mid := snapUp(lo + math.Floor((hi-lo)/(2*grid))*grid)
-		ok, cerr := probe(ctx, g, mid, ts)
-		if cerr != nil {
-			return nil, 0, cerr
+		ok, err := fits(mid)
+		if err != nil {
+			return 0, err
 		}
 		if ok {
 			hi = mid
@@ -208,19 +191,35 @@ func minPeriodCtx(ctx context.Context, g *graph.Graph, ts float64) (graph.Retimi
 			lo = mid + grid
 		}
 	}
-	r, ok, cerr := tryPeriod(ctx, g, hi, ts)
-	if cerr != nil {
-		return nil, 0, cerr
+	return hi, nil
+}
+
+// MinPeriod finds the smallest clock period (on the delay grid) reachable
+// by the FEAS/FEASBackward relaxations and a retiming realizing it. This
+// is an upper bound on the true minimum period: boundary registers pinned
+// at the environment can make some periods unreachable by single-direction
+// relaxation.
+func MinPeriod(ctx context.Context, g *graph.Graph, ts float64) (graph.Retiming, float64, error) {
+	_, crit, err := g.ArrivalTimes(graph.NewRetiming(g))
+	if err != nil {
+		return nil, 0, err
+	}
+	hi := snapUp(crit + ts) // the unretimed circuit achieves this
+	hi, err = searchGrid(snapUp(g.MaxDelay()+ts), hi, func(phi float64) (bool, error) {
+		_, ok, err := tryPeriod(ctx, g, phi, ts)
+		return ok, err
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	r, ok, err := tryPeriod(ctx, g, hi, ts)
+	if err != nil {
+		return nil, 0, err
 	}
 	if !ok {
 		return graph.NewRetiming(g), snapUp(crit + ts), nil
 	}
 	return r, hi, nil
-}
-
-func probe(ctx context.Context, g *graph.Graph, phi, ts float64) (bool, error) {
-	_, ok, err := tryPeriod(ctx, g, phi, ts)
-	return ok, err
 }
 
 func snapUp(x float64) float64 { return math.Ceil(x/grid-eps) * grid }
@@ -232,13 +231,9 @@ func snapUp(x float64) float64 { return math.Ceil(x/grid-eps) * grid }
 // repairs (moving a short-path register backward or forward across a
 // gate) with FEAS-style setup re-repairs; it can fail on reconvergent
 // structures, in which case ok is false (the caller falls back to
-// MinPeriod, as the paper prescribes).
-func SetupHold(g *graph.Graph, phi, ts, th float64) (graph.Retiming, bool) {
-	r, ok, _ := setupHoldCtx(context.Background(), g, phi, ts, th, telemetry.Nop)
-	return r, ok
-}
-
-func setupHoldCtx(ctx context.Context, g *graph.Graph, phi, ts, th float64, rec telemetry.Recorder) (graph.Retiming, bool, error) {
+// MinPeriod, as the paper prescribes). rec receives the elw-recompute
+// spans of the hold checks (nil records nothing).
+func SetupHold(ctx context.Context, g *graph.Graph, phi, ts, th float64, rec telemetry.Recorder) (graph.Retiming, bool, error) {
 	r, ok, cerr := tryPeriod(ctx, g, phi, ts)
 	if cerr != nil {
 		return nil, false, cerr
@@ -253,29 +248,16 @@ func setupHoldCtx(ctx context.Context, g *graph.Graph, phi, ts, th float64, rec 
 		if cerr := guard.CheckpointIn(ctx, "retime.SetupHold", telemetry.PhaseInit.String()); cerr != nil {
 			return nil, false, cerr
 		}
-		arr, _, err := g.ArrivalTimes(r)
-		if err != nil {
+		// Hold repairs may have recreated a long path; split it with a
+		// setup re-repair pass before checking hold again.
+		violated, ok := feasPass(g, r, phi, ts)
+		if !ok {
 			return nil, false, nil
-		}
-		violated := false
-		for v := 1; v < g.NumVertices(); v++ {
-			if arr[v] > phi-ts+eps {
-				// Hold repairs may have recreated a long path; splitting
-				// it needs a register from v's out-edges (blocked at the
-				// environment).
-				for _, oe := range g.Out(graph.VertexID(v)) {
-					if g.Edge(oe).To == graph.Host && g.WR(oe, r) == 0 {
-						return nil, false, nil
-					}
-				}
-				r[v]++
-				violated = true
-			}
 		}
 		if violated {
 			continue
 		}
-		lab, err := elw.ComputeLabelsRec(g, r, p, rec)
+		lab, err := elw.ComputeLabels(g, r, p, rec)
 		if err != nil {
 			return nil, false, nil
 		}
@@ -355,45 +337,36 @@ func holdRepair(g *graph.Graph, r graph.Retiming, eid graph.EdgeID) bool {
 	return false
 }
 
-// minPeriodSetupHoldCtx finds the smallest period (on the delay grid) for
+// minPeriodSetupHold finds the smallest period (on the delay grid) for
 // which SetupHold succeeds.
-func minPeriodSetupHoldCtx(ctx context.Context, g *graph.Graph, ts, th float64, rec telemetry.Recorder) (graph.Retiming, float64, bool, error) {
+func minPeriodSetupHold(ctx context.Context, g *graph.Graph, ts, th float64, rec telemetry.Recorder) (graph.Retiming, float64, bool, error) {
 	_, crit, err := g.ArrivalTimes(graph.NewRetiming(g))
 	if err != nil {
 		return nil, 0, false, nil
 	}
+	fits := func(phi float64) (bool, error) {
+		_, ok, err := SetupHold(ctx, g, phi, ts, th, rec)
+		return ok, err
+	}
 	lo := snapUp(g.MaxDelay() + ts)
 	hi := snapUp(crit + ts)
-	if lo > hi {
-		lo = hi
-	}
-	if _, ok, cerr := setupHoldCtx(ctx, g, hi, ts, th, rec); cerr != nil {
-		return nil, 0, false, cerr
+	if ok, err := fits(hi); err != nil {
+		return nil, 0, false, err
 	} else if !ok {
 		// Try some slack above the unretimed critical path before giving
 		// up: hold repairs may need headroom.
 		hi2 := snapUp(hi * 1.5)
-		if _, ok, cerr := setupHoldCtx(ctx, g, hi2, ts, th, rec); cerr != nil {
-			return nil, 0, false, cerr
-		} else if !ok {
-			return nil, 0, false, nil
+		if ok, err := fits(hi2); err != nil || !ok {
+			return nil, 0, false, err
 		}
 		lo, hi = hi+grid, hi2
 	}
-	for lo < hi-eps {
-		mid := snapUp(lo + math.Floor((hi-lo)/(2*grid))*grid)
-		_, ok, cerr := setupHoldCtx(ctx, g, mid, ts, th, rec)
-		if cerr != nil {
-			return nil, 0, false, cerr
-		}
-		if ok {
-			hi = mid
-		} else {
-			lo = mid + grid
-		}
+	hi, err = searchGrid(lo, hi, fits)
+	if err != nil {
+		return nil, 0, false, err
 	}
-	r, ok, cerr := setupHoldCtx(ctx, g, hi, ts, th, rec)
-	return r, hi, ok, cerr
+	r, ok, err := SetupHold(ctx, g, hi, ts, th, rec)
+	return r, hi, ok, err
 }
 
 // Options configures Initialize.
@@ -428,30 +401,20 @@ type Init struct {
 }
 
 // Initialize computes the initial retiming, relaxed clock period Φ and
-// shortest-path bound Rmin per Section V of the paper.
-func Initialize(g *graph.Graph, o Options) (*Init, error) {
-	return InitializeCtx(context.Background(), g, o)
-}
-
-// InitializeCtx is Initialize under cooperative cancellation: the
-// min-period searches and hold-repair loops check ctx and abort with an
-// error unwrapping to guard.ErrTimeout once it is done.
-func InitializeCtx(ctx context.Context, g *graph.Graph, o Options) (*Init, error) {
+// shortest-path bound Rmin per Section V of the paper. The min-period
+// searches and hold-repair loops check ctx and abort with an error
+// unwrapping to guard.ErrTimeout once it is done.
+func Initialize(ctx context.Context, g *graph.Graph, o Options) (init *Init, err error) {
 	rec := telemetry.OrNop(o.Recorder)
 	rec.SpanStart(telemetry.PhaseInit)
-	init, err := initializeCtx(ctx, g, o, rec)
-	rec.SpanEnd(telemetry.PhaseInit, err)
-	return init, err
-}
-
-func initializeCtx(ctx context.Context, g *graph.Graph, o Options, rec telemetry.Recorder) (*Init, error) {
+	defer func() { rec.SpanEnd(telemetry.PhaseInit, err) }()
 	if o.Epsilon < 0 {
 		return nil, fmt.Errorf("retime: negative epsilon %g", o.Epsilon)
 	}
-	init := &Init{}
-	r, phi, ok, cerr := minPeriodSetupHoldCtx(ctx, g, o.Ts, o.Th, rec)
-	if cerr != nil {
-		return nil, cerr
+	init = &Init{}
+	r, phi, ok, err := minPeriodSetupHold(ctx, g, o.Ts, o.Th, rec)
+	if err != nil {
+		return nil, err
 	}
 	if ok {
 		init.R = r
@@ -461,7 +424,7 @@ func initializeCtx(ctx context.Context, g *graph.Graph, o Options, rec telemetry
 		// Rmin: the minimal register-launched shortest path of the
 		// initialized circuit (independent of Φ).
 		p := elw.Params{Phi: init.Phi, Ts: o.Ts, Th: o.Th}
-		lab, err := elw.ComputeLabelsRec(g, r, p, rec)
+		lab, err := elw.ComputeLabels(g, r, p, rec)
 		if err != nil {
 			return nil, err
 		}
@@ -472,7 +435,7 @@ func initializeCtx(ctx context.Context, g *graph.Graph, o Options, rec telemetry
 		}
 		return init, nil
 	}
-	r, phi, err := minPeriodCtx(ctx, g, o.Ts)
+	r, phi, err = MinPeriod(ctx, g, o.Ts)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package retime
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -38,9 +39,9 @@ func TestFeasible(t *testing.T) {
 func TestFEASBackwardSplitsPipeline(t *testing.T) {
 	g := pipelineGraph()
 	// Period 1 requires both boundary registers inside: A|B|C each alone.
-	r, ok := FEASBackward(g, 1, 0)
-	if !ok {
-		t.Fatal("FEASBackward failed at period 1")
+	r, ok, err := FEASBackward(context.Background(), g, 1, 0)
+	if err != nil || !ok {
+		t.Fatalf("FEASBackward failed at period 1 (err %v)", err)
 	}
 	if err := g.CheckLegal(r); err != nil {
 		t.Fatal(err)
@@ -54,14 +55,14 @@ func TestFEASBlockedAtOutput(t *testing.T) {
 	// Forward FEAS cannot push registers past the PO; it must report
 	// failure rather than produce an illegal retiming.
 	g := pipelineGraph()
-	if _, ok := FEAS(g, 1, 0); ok {
+	if _, ok, err := FEAS(context.Background(), g, 1, 0); err != nil || ok {
 		t.Fatal("FEAS claimed success where the PO blocks increments")
 	}
 }
 
 func TestMinPeriodPipeline(t *testing.T) {
 	g := pipelineGraph()
-	r, phi, err := MinPeriod(g, 0)
+	r, phi, err := MinPeriod(context.Background(), g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestMinPeriodCombinationalBound(t *testing.T) {
 	b.AddEdge(a, bb, 0)
 	b.AddEdge(bb, graph.Host, 0)
 	g := b.Build()
-	_, phi, err := MinPeriod(g, 0)
+	_, phi, err := MinPeriod(context.Background(), g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestMinPeriodCombinationalBound(t *testing.T) {
 
 func TestMinPeriodWithSetup(t *testing.T) {
 	g := pipelineGraph()
-	_, phi, err := MinPeriod(g, 1.5)
+	_, phi, err := MinPeriod(context.Background(), g, 1.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +113,9 @@ func TestSetupHoldSimple(t *testing.T) {
 	b.AddEdge(a, bb, 1)
 	b.AddEdge(bb, graph.Host, 0)
 	g := b.Build()
-	r, ok := SetupHold(g, 4, 0, 2)
-	if !ok {
-		t.Fatal("SetupHold failed on an already-feasible circuit")
+	r, ok, err := SetupHold(context.Background(), g, 4, 0, 2, nil)
+	if err != nil || !ok {
+		t.Fatalf("SetupHold failed on an already-feasible circuit (err %v)", err)
 	}
 	if err := g.CheckLegal(r); err != nil {
 		t.Fatal(err)
@@ -135,18 +136,21 @@ func TestSetupHoldRepairsShortPath(t *testing.T) {
 	b.AddEdge(c, graph.Host, 0)
 	g := b.Build()
 	p := elw.Params{Phi: 11, Ts: 0, Th: 2}
-	lab, err := elw.ComputeLabels(g, graph.NewRetiming(g), p)
+	lab, err := elw.ComputeLabels(g, graph.NewRetiming(g), p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := lab.CheckP2(g, graph.NewRetiming(g), p, 2); ok {
 		t.Fatal("test premise broken: no hold violation unretimed")
 	}
-	r, ok := SetupHold(g, 11, 0, 2)
+	r, ok, err := SetupHold(context.Background(), g, 11, 0, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !ok {
 		t.Skip("heuristic could not repair; acceptable fallback path")
 	}
-	lab, err = elw.ComputeLabels(g, r, p)
+	lab, err = elw.ComputeLabels(g, r, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +161,7 @@ func TestSetupHoldRepairsShortPath(t *testing.T) {
 
 func TestInitializePipeline(t *testing.T) {
 	g := pipelineGraph()
-	init, err := Initialize(g, DefaultOptions())
+	init, err := Initialize(context.Background(), g, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +179,7 @@ func TestInitializePipeline(t *testing.T) {
 	}
 	// P2' must hold at the initialization point.
 	p := elw.Params{Phi: init.Phi, Ts: 0, Th: 2}
-	lab, err := elw.ComputeLabels(g, init.R, p)
+	lab, err := elw.ComputeLabels(g, init.R, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +197,7 @@ func TestInitializeS27(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	init, err := Initialize(g, DefaultOptions())
+	init, err := Initialize(context.Background(), g, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +211,7 @@ func TestInitializeS27(t *testing.T) {
 
 func TestInitializeRejectsNegativeEpsilon(t *testing.T) {
 	g := pipelineGraph()
-	if _, err := Initialize(g, Options{Epsilon: -1}); err == nil {
+	if _, err := Initialize(context.Background(), g, Options{Epsilon: -1}); err == nil {
 		t.Fatal("negative epsilon accepted")
 	}
 }
@@ -240,7 +244,7 @@ func TestPropertyMinPeriodSoundness(t *testing.T) {
 		if g.Check() != nil {
 			return true
 		}
-		r, phi, err := MinPeriod(g, 0)
+		r, phi, err := MinPeriod(context.Background(), g, 0)
 		if err != nil {
 			return false
 		}
@@ -269,7 +273,7 @@ func TestPropertyInitializeFeasible(t *testing.T) {
 		if g.Check() != nil {
 			return true
 		}
-		init, err := Initialize(g, DefaultOptions())
+		init, err := Initialize(context.Background(), g, DefaultOptions())
 		if err != nil {
 			return false
 		}
@@ -282,7 +286,7 @@ func TestPropertyInitializeFeasible(t *testing.T) {
 		// When setup+hold succeeded, P2' must hold at Rmin.
 		if init.SetupHoldOK {
 			p := elw.Params{Phi: init.Phi, Ts: 0, Th: 2}
-			lab, err := elw.ComputeLabels(g, init.R, p)
+			lab, err := elw.ComputeLabels(g, init.R, p, nil)
 			if err != nil {
 				return false
 			}

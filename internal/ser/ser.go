@@ -212,7 +212,7 @@ func Terms(g *graph.Graph, r graph.Retiming, in Inputs, fn func(Term)) error {
 	if err != nil {
 		return err
 	}
-	lab, err := elw.ComputeLabels(g, r, in.Params)
+	lab, err := elw.ComputeLabels(g, r, in.Params, nil)
 	if err != nil {
 		return err
 	}

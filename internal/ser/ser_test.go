@@ -1,6 +1,7 @@
 package ser
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -142,11 +143,11 @@ func TestFullPipelineS27(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := sim.Run(c, sim.Config{Words: 16, Frames: 15, Seed: 1})
+	tr, err := sim.Run(context.Background(), c, sim.Config{Words: 16, Frames: 15, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := obs.Compute(tr, obs.Options{})
+	res, err := obs.Compute(context.Background(), tr, obs.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

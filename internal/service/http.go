@@ -92,8 +92,6 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 		status = http.StatusServiceUnavailable
 	case errors.Is(err, guard.ErrParse):
 		status = http.StatusBadRequest
-	case errors.Is(err, guard.ErrInfeasible):
-		status = http.StatusUnprocessableEntity
 	case errors.Is(err, guard.ErrTimeout):
 		status = http.StatusGatewayTimeout
 	}
@@ -126,7 +124,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	j, disp, err := s.SubmitTrace(d, opt, traceID)
+	j, disp, err := s.Submit(d, opt, traceID)
 	if err != nil {
 		s.writeError(w, err)
 		return

@@ -13,6 +13,7 @@ import (
 	"serretime"
 	"serretime/internal/guard"
 	"serretime/internal/store"
+	"serretime/internal/telemetry"
 )
 
 func openStore(t *testing.T, dir string) (*store.Disk, []store.RecoveredJob, store.Stats) {
@@ -46,7 +47,7 @@ func TestRecoveryRestoresFinishedJobAsCacheHit(t *testing.T) {
 	cfgA.Store = diskA
 	a := New(context.Background(), cfgA)
 	a.Restore(jobs, st)
-	j, disp, err := a.Submit(d, fastOpts())
+	j, disp, err := a.Submit(d, fastOpts(), telemetry.TraceID{})
 	if err != nil || disp != Accepted {
 		t.Fatalf("submit: %v, %v", disp, err)
 	}
@@ -79,7 +80,7 @@ func TestRecoveryRestoresFinishedJobAsCacheHit(t *testing.T) {
 		t.Fatalf("restore summary: %+v", sum)
 	}
 
-	j2, disp, err := b.Submit(d, fastOpts())
+	j2, disp, err := b.Submit(d, fastOpts(), telemetry.TraceID{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestRecoveryRequeuesInterruptedJob(t *testing.T) {
 	d := tableIDesign(t, "s13207", 100)
 	opt := fastOpts()
 	opt.Timeout = time.Minute // pin: the blob round-trip must not depend on server defaults
-	key, err := JobKey(d, opt)
+	key, _, err := jobKey(d, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestRecoveryRequeuesInterruptedJob(t *testing.T) {
 	if _, err := s.Result(j); err != nil {
 		t.Fatalf("re-solved job failed: %v", err)
 	}
-	if _, disp, err := s.Submit(d, opt); err != nil || disp != Cached {
+	if _, disp, err := s.Submit(d, opt, telemetry.TraceID{}); err != nil || disp != Cached {
 		t.Fatalf("resubmission after re-solve: %v, %v", disp, err)
 	}
 }
@@ -168,7 +169,7 @@ func TestRecoveryRequeuesFastAccuracyJob(t *testing.T) {
 	opt := fastOpts()
 	opt.Timeout = time.Minute
 	opt.Analysis.Accuracy = serretime.AccuracyFast
-	key, err := JobKey(d, opt)
+	key, _, err := jobKey(d, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,12 +210,12 @@ func TestRecoveryRequeuesFastAccuracyJob(t *testing.T) {
 	}
 	// The cache answers under the fast key only; the exact-mode twin is
 	// still a fresh job.
-	if _, disp, err := s.Submit(d, opt); err != nil || disp != Cached {
+	if _, disp, err := s.Submit(d, opt, telemetry.TraceID{}); err != nil || disp != Cached {
 		t.Fatalf("fast resubmission: %v, %v", disp, err)
 	}
 	exact := opt
 	exact.Analysis.Accuracy = serretime.AccuracyExact
-	if _, disp, err := s.Submit(d, exact); err != nil || disp == Cached {
+	if _, disp, err := s.Submit(d, exact, telemetry.TraceID{}); err != nil || disp == Cached {
 		t.Fatalf("exact twin must not hit the fast cache entry: %v, %v", disp, err)
 	}
 }
@@ -281,7 +282,7 @@ func TestStoreFailureDegradesToMemoryOnly(t *testing.T) {
 	})
 	d := tableIDesign(t, "s13207", 100)
 
-	j, disp, err := svc.Submit(d, fastOpts())
+	j, disp, err := svc.Submit(d, fastOpts(), telemetry.TraceID{})
 	if err != nil || disp != Accepted {
 		t.Fatalf("submit with a failing store must still accept: %v, %v", disp, err)
 	}
@@ -367,7 +368,7 @@ func TestOptionsBlobRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	const oldID = "0053dff9a6e5c53c1ebb9581f14114d0cb49d410ee5833ad7ba8cd6c1575648d"
-	if id, err := JobKey(d, old); err != nil || id != oldID {
+	if id, _, err := jobKey(d, old); err != nil || id != oldID {
 		t.Errorf("older blob re-derives job ID %s (%v), want %s", id, err, oldID)
 	}
 }

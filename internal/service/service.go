@@ -294,18 +294,11 @@ func New(ctx context.Context, cfg Config) *Server {
 	return s
 }
 
-// JobKey is the content address of (netlist, options): the hex SHA-256
+// jobKey is the content address of (netlist, options): the hex SHA-256
 // of the canonical .bench serialization of the parsed design, a NUL, and
-// the canonical option key. Exported so clients (serbench -serve) and
-// tests can predict cache behavior.
-func JobKey(d *serretime.Design, opt serretime.RobustOptions) (string, error) {
-	key, _, err := jobKey(d, opt)
-	return key, err
-}
-
-// jobKey also returns the canonical .bench bytes the key hashes, so
-// Submit can journal the exact payload its identity commits to without
-// serializing the design twice.
+// the canonical option key. It also returns the canonical .bench bytes
+// the key hashes, so Submit can journal the exact payload its identity
+// commits to without serializing the design twice.
 func jobKey(d *serretime.Design, opt serretime.RobustOptions) (string, []byte, error) {
 	var buf bytes.Buffer
 	if err := d.WriteBench(&buf); err != nil {
@@ -328,15 +321,12 @@ func jobKey(d *serretime.Design, opt serretime.RobustOptions) (string, []byte, e
 //
 // A full queue returns ErrQueueFull (HTTP 429 upstream); a draining
 // server returns ErrDraining (HTTP 503).
-func (s *Server) Submit(d *serretime.Design, opt serretime.RobustOptions) (*Job, Disposition, error) {
-	return s.SubmitTrace(d, opt, telemetry.TraceID{})
-}
-
-// SubmitTrace is Submit with a caller-supplied trace ID (from a
-// Traceparent header); a zero ID mints one. A coalesced or cached
-// submission keeps the existing job's trace — the job's identity, and
-// therefore its trace, belongs to the first submission.
-func (s *Server) SubmitTrace(d *serretime.Design, opt serretime.RobustOptions, traceID telemetry.TraceID) (*Job, Disposition, error) {
+//
+// traceID names the job's trace (from a Traceparent header); a zero ID
+// mints one. A coalesced or cached submission keeps the existing job's
+// trace — the job's identity, and therefore its trace, belongs to the
+// first submission.
+func (s *Server) Submit(d *serretime.Design, opt serretime.RobustOptions, traceID telemetry.TraceID) (*Job, Disposition, error) {
 	// The recorder is result-invariant (excluded from CanonicalKey), so
 	// the per-job trace recorder never fragments the cache key.
 	tr := s.applySolveDefaults(&opt, traceID)

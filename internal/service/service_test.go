@@ -16,6 +16,7 @@ import (
 
 	"serretime"
 	"serretime/internal/guard"
+	"serretime/internal/telemetry"
 )
 
 // fastOpts keeps service tests quick: the queue/cache/drain contracts
@@ -354,14 +355,14 @@ func TestServiceQueueFull(t *testing.T) {
 	d1 := tableIDesign(t, "s35932", 1000000)
 	d2 := tableIDesign(t, "b14_1_opt", 1000000)
 
-	if _, disp, err := s.Submit(d1, fastOpts()); err != nil || disp != Accepted {
+	if _, disp, err := s.Submit(d1, fastOpts(), telemetry.TraceID{}); err != nil || disp != Accepted {
 		t.Fatalf("first submit: disp %v err %v", disp, err)
 	}
-	if _, _, err := s.Submit(d2, fastOpts()); !errors.Is(err, ErrQueueFull) {
+	if _, _, err := s.Submit(d2, fastOpts(), telemetry.TraceID{}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("second submit on a full queue: want ErrQueueFull, got %v", err)
 	}
 	// An identical submission coalesces even when the queue is full.
-	if _, disp, err := s.Submit(d1, fastOpts()); err != nil || disp != Coalesced {
+	if _, disp, err := s.Submit(d1, fastOpts(), telemetry.TraceID{}); err != nil || disp != Coalesced {
 		t.Fatalf("identical submit on a full queue: disp %v err %v", disp, err)
 	}
 
@@ -399,11 +400,11 @@ func TestServiceDrain(t *testing.T) {
 		byClass: make(map[string]int64),
 	}
 	// No workers: submitted jobs stay queued until the drain fails them.
-	j1, _, err := s.Submit(tableIDesign(t, "s35932", 1000000), fastOpts())
+	j1, _, err := s.Submit(tableIDesign(t, "s35932", 1000000), fastOpts(), telemetry.TraceID{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, _, err := s.Submit(tableIDesign(t, "b14_1_opt", 1000000), fastOpts())
+	j2, _, err := s.Submit(tableIDesign(t, "b14_1_opt", 1000000), fastOpts(), telemetry.TraceID{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +427,7 @@ func TestServiceDrain(t *testing.T) {
 			t.Errorf("drained job error: want ErrDraining, got %v", err)
 		}
 	}
-	if _, _, err := s.Submit(tableIDesign(t, "s13207", 1000000), fastOpts()); !errors.Is(err, ErrDraining) {
+	if _, _, err := s.Submit(tableIDesign(t, "s13207", 1000000), fastOpts(), telemetry.TraceID{}); !errors.Is(err, ErrDraining) {
 		t.Errorf("submit after drain: want ErrDraining, got %v", err)
 	}
 }
@@ -438,7 +439,7 @@ func TestServiceDrain(t *testing.T) {
 func TestJobKeyCanonicalization(t *testing.T) {
 	d := tableIDesign(t, "s35932", 1000000)
 	base := fastOpts()
-	k0, err := JobKey(d, base)
+	k0, _, err := jobKey(d, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,28 +447,28 @@ func TestJobKeyCanonicalization(t *testing.T) {
 	spelled := base
 	spelled.Epsilon = 0.10
 	spelled.Timeout = 0
-	if k, _ := JobKey(d, spelled); k != k0 {
+	if k, _, _ := jobKey(d, spelled); k != k0 {
 		t.Error("spelled-out defaults changed the job key")
 	}
 	invariant := base
 	invariant.Workers = 8
 	invariant.Verify = true
-	if k, _ := JobKey(d, invariant); k != k0 {
+	if k, _, _ := jobKey(d, invariant); k != k0 {
 		t.Error("result-invariant options (Workers, Verify) changed the job key")
 	}
 	relevant := base
 	relevant.Epsilon = 0.25
-	if k, _ := JobKey(d, relevant); k == k0 {
+	if k, _, _ := jobKey(d, relevant); k == k0 {
 		t.Error("changing epsilon did not change the job key")
 	}
 	frames := base
 	frames.Analysis.Frames = 4
-	if k, _ := JobKey(d, frames); k == k0 {
+	if k, _, _ := jobKey(d, frames); k == k0 {
 		t.Error("changing frames did not change the job key")
 	}
 
 	other := tableIDesign(t, "b14_1_opt", 1000000)
-	if k, _ := JobKey(other, base); k == k0 {
+	if k, _, _ := jobKey(other, base); k == k0 {
 		t.Error("different circuits share a job key")
 	}
 }
@@ -529,13 +530,13 @@ func TestOptionsFromQueryRejectsGarbage(t *testing.T) {
 func TestJobKeySplitsOnAccuracy(t *testing.T) {
 	d := tableIDesign(t, "s35932", 1000000)
 	base := fastOpts()
-	k0, err := JobKey(d, base)
+	k0, _, err := jobKey(d, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fast := base
 	fast.Analysis.Accuracy = serretime.AccuracyFast
-	if k, _ := JobKey(d, fast); k == k0 {
+	if k, _, _ := jobKey(d, fast); k == k0 {
 		t.Error("accuracy=fast did not change the job key")
 	}
 }

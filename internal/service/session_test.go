@@ -15,6 +15,7 @@ import (
 	"serretime"
 	"serretime/internal/benchfmt"
 	"serretime/internal/eco"
+	"serretime/internal/telemetry"
 )
 
 func openSessionHTTP(t *testing.T, base string, body []byte, query string) (openSessionResponse, int) {
@@ -315,7 +316,7 @@ func TestResultRetryAfterHonorsConfig(t *testing.T) {
 	}
 	s.initSessions()
 	// No workers: the job stays queued, so the result poll must defer.
-	j, _, err := s.Submit(tableIDesign(t, "s13207", 100), fastOpts())
+	j, _, err := s.Submit(tableIDesign(t, "s13207", 100), fastOpts(), telemetry.TraceID{})
 	if err != nil {
 		t.Fatal(err)
 	}

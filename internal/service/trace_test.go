@@ -258,7 +258,7 @@ func TestTraceSurvivesRestart(t *testing.T) {
 	diskA, jobs, st := openStore(t, dir)
 	a := New(context.Background(), Config{Workers: 1, Timeout: time.Minute, Store: diskA})
 	a.Restore(jobs, st)
-	j, disp, err := a.SubmitTrace(d, fastOpts(), want)
+	j, disp, err := a.Submit(d, fastOpts(), want)
 	if err != nil || disp != Accepted {
 		t.Fatalf("submit: %v, %v", disp, err)
 	}

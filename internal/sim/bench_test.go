@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"serretime/internal/benchfmt"
@@ -13,7 +14,7 @@ func BenchmarkRunS27x15Frames(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(c, Config{Words: 4, Frames: 15, Seed: 1}); err != nil {
+		if _, err := Run(context.Background(), c, Config{Words: 4, Frames: 15, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

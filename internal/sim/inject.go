@@ -1,35 +1,19 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 
 	"serretime/internal/circuit"
-	"serretime/internal/par"
 )
-
-// faultPool recycles the per-call faulty-value slabs (two of n·Words
-// uint64 each). The slabs are fully overwritten column-by-column before
-// being read, and SlicePool zeroes on Get, so pooling cannot change a
-// result.
-var faultPool par.SlicePool[uint64]
 
 // InjectFlip re-simulates the trace with node target's output forced to
 // its complement in frame 0 and returns, for every primary output and
 // frame, the XOR of the faulty and clean signatures. A set bit means the
 // injected error reached that output in that frame for that vector —
 // ground truth for observability (the ODC analysis of package obs is the
-// fast approximation of exactly this experiment).
-//
-// The whole re-simulation is word-column independent — sources copy, gates
-// evaluate and outputs diff one word at a time — so each frame is sharded
-// across the trace's worker count with bit-identical results.
+// fast approximation of exactly this experiment). It is a sequential
+// reference for tests; no solve runs it.
 func InjectFlip(tr *Trace, target circuit.NodeID) ([][][]uint64, error) {
-	return InjectFlipCtx(context.Background(), tr, target)
-}
-
-// InjectFlipCtx is InjectFlip with cancellation between shards.
-func InjectFlipCtx(ctx context.Context, tr *Trace, target circuit.NodeID) ([][][]uint64, error) {
 	c := tr.Circuit
 	csr := tr.csr
 	if int(target) < 0 || int(target) >= csr.N {
@@ -38,14 +22,9 @@ func InjectFlipCtx(ctx context.Context, tr *Trace, target circuit.NodeID) ([][][
 	w := tr.Words
 	n := csr.N
 	// faulty[node*w+i] holds the faulty value of the current frame.
-	cur := faultPool.Get(n * w)
-	prev := faultPool.Get(n * w)
-	defer func() {
-		faultPool.Put(cur)
-		faultPool.Put(prev)
-	}()
+	cur := make([]uint64, n*w)
+	prev := make([]uint64, n*w)
 	pos := c.POs()
-	pool := par.New("sim.inject", tr.workers, tr.rec)
 
 	// All diffs share one value slab and one header slab: three allocations
 	// for the whole experiment instead of two per frame.
@@ -61,60 +40,42 @@ func InjectFlipCtx(ctx context.Context, tr *Trace, target circuit.NodeID) ([][][
 	}
 	for f := 0; f < tr.Frames; f++ {
 		clean := tr.Plane(f)
-		fdiffs := diffs[f]
-		// pool.Run is synchronous, so the closure always sees the cur/prev
-		// of this frame; the swap below happens after every shard returned.
-		err := pool.Run(ctx, w, func(worker, lo, hi int) error {
-			// Sources: PIs always match the clean trace; DFFs carry the
-			// faulty previous-frame value (frame 0 state matches the clean
-			// trace).
-			for id := 0; id < n; id++ {
-				base := id * w
-				switch csr.Kind[id] {
-				case circuit.KindPI:
-					copy(cur[base+lo:base+hi], clean[base+lo:base+hi])
-				case circuit.KindDFF:
-					if f == 0 {
-						copy(cur[base+lo:base+hi], clean[base+lo:base+hi])
-					} else {
-						src := int(csr.Fanin[csr.FaninStart[id]]) * w
-						copy(cur[base+lo:base+hi], prev[src+lo:src+hi])
-					}
+		// Sources: PIs always match the clean trace; DFFs carry the faulty
+		// previous-frame value (frame 0 state matches the clean trace).
+		for id := 0; id < n; id++ {
+			base := id * w
+			switch csr.Kind[id] {
+			case circuit.KindPI:
+				copy(cur[base:base+w], clean[base:base+w])
+			case circuit.KindDFF:
+				if f == 0 {
+					copy(cur[base:base+w], clean[base:base+w])
+				} else {
+					src := int(csr.Fanin[csr.FaninStart[id]]) * w
+					copy(cur[base:base+w], prev[src:src+w])
 				}
 			}
-			for _, id := range tr.Order {
-				if csr.Kind[id] != circuit.KindGate {
-					if id == target && f == 0 {
-						base := int(id) * w
-						for i := lo; i < hi; i++ {
-							cur[base+i] = ^cur[base+i]
-						}
-					}
-					continue
-				}
+		}
+		for _, id := range tr.Order {
+			base := int(id) * w
+			if csr.Kind[id] == circuit.KindGate {
 				fanin := csr.FaninOf(id)
 				fn := csr.Fn[id]
-				base := int(id) * w
-				for i := lo; i < hi; i++ {
+				for i := 0; i < w; i++ {
 					cur[base+i] = fn.EvalFanin(cur, fanin, w, i)
 				}
-				if id == target && f == 0 {
-					for i := lo; i < hi; i++ {
-						cur[base+i] = ^cur[base+i]
-					}
+			}
+			if id == target && f == 0 {
+				for i := 0; i < w; i++ {
+					cur[base+i] = ^cur[base+i]
 				}
 			}
-			for i, po := range pos {
-				d := fdiffs[i]
-				pb := int(po) * w
-				for j := lo; j < hi; j++ {
-					d[j] = cur[pb+j] ^ clean[pb+j]
-				}
+		}
+		for i, po := range pos {
+			pb := int(po) * w
+			for j := 0; j < w; j++ {
+				diffs[f][i][j] = cur[pb+j] ^ clean[pb+j]
 			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
 		cur, prev = prev, cur
 	}

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestInjectFlipChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Run(c, Config{Words: 2, Frames: 3, Seed: 1})
+	tr, err := Run(context.Background(), c, Config{Words: 2, Frames: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestInjectFlipMasked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Run(c, Config{Words: 2, Frames: 2, Seed: 2})
+	tr, err := Run(context.Background(), c, Config{Words: 2, Frames: 2, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestInjectFlipThroughState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Run(c, Config{Words: 2, Frames: 3, Seed: 3})
+	tr, err := Run(context.Background(), c, Config{Words: 2, Frames: 3, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestInjectRejectsBadTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _ := Run(c, Config{Words: 1, Frames: 2, Seed: 1})
+	tr, _ := Run(context.Background(), c, Config{Words: 1, Frames: 2, Seed: 1})
 	if _, err := InjectFlip(tr, circuit.NodeID(99)); err == nil {
 		t.Fatal("bad target accepted")
 	}
@@ -131,11 +132,11 @@ func TestODCMatchesInjectionOnTrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Run(c, Config{Words: 8, Frames: 1, Seed: 5})
+	tr, err := Run(context.Background(), c, Config{Words: 8, Frames: 1, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := obs.Compute(tr, obs.Options{DropFinalRegisters: true})
+	res, err := obs.Compute(context.Background(), tr, obs.Options{DropFinalRegisters: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +159,11 @@ func TestODCCloseToInjectionOnS27(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Run(c, Config{Words: 8, Frames: 10, Seed: 7})
+	tr, err := Run(context.Background(), c, Config{Words: 8, Frames: 10, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := obs.Compute(tr, obs.Options{DropFinalRegisters: true})
+	res, err := obs.Compute(context.Background(), tr, obs.Options{DropFinalRegisters: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,10 @@
 // Signatures are []uint64 slices: every machine word carries 64 independent
 // random simulation vectors, so one pass over the netlist simulates 64·W
 // input patterns. Signature words are mutually independent columns, which
-// makes them the safe parallel axis: Run and InjectFlip shard the per-frame
-// evaluation across word ranges (DESIGN.md §11) and produce bit-identical
-// traces for every worker count.
+// makes them the safe parallel axis: Run shards the per-frame evaluation
+// across word ranges (DESIGN.md §11) and produces bit-identical traces for
+// every worker count. InjectFlip, the fault-injection ground truth that
+// tests compare the ODC analysis against, re-simulates sequentially.
 //
 // The trace is a single flat plane: word (frame, node, w) lives at
 // vals[(frame·N + node)·Words + w]. Evaluation walks the circuit's CSR
@@ -73,10 +74,6 @@ type Trace struct {
 	stride int      // words per frame: NumNodes · Words
 	vals   []uint64 // flat plane: vals[(frame·N + node)·Words + w]
 	arena  par.Arena[uint64]
-
-	// Sharding configuration inherited by derived analyses (InjectFlip).
-	workers int
-	rec     telemetry.Recorder
 }
 
 // Value returns the signature of node n in the given frame. The returned
@@ -116,14 +113,9 @@ func (t *Trace) Release() {
 }
 
 // Run simulates cfg.Frames cycles of c with fresh random primary-input
-// signatures every frame and random initial flip-flop contents.
-func Run(c *circuit.Circuit, cfg Config) (*Trace, error) {
-	return RunCtx(context.Background(), c, cfg)
-}
-
-// RunCtx is Run with cancellation: a done ctx aborts between shards with a
-// guard.ErrTimeout-wrapped error.
-func RunCtx(ctx context.Context, c *circuit.Circuit, cfg Config) (*Trace, error) {
+// signatures every frame and random initial flip-flop contents. A done
+// ctx aborts between shards with a guard.ErrTimeout-wrapped error.
+func Run(ctx context.Context, c *circuit.Circuit, cfg Config) (*Trace, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -140,8 +132,6 @@ func RunCtx(ctx context.Context, c *circuit.Circuit, cfg Config) (*Trace, error)
 		csr:     csr,
 		stride:  n * cfg.Words,
 		arena:   par.Arena[uint64]{Pool: &tracePool},
-		workers: cfg.Workers,
-		rec:     cfg.Recorder,
 	}
 	// One flat plane for all frames, recycled across Runs via the arena.
 	t.vals = t.arena.Alloc(cfg.Frames * t.stride)
@@ -191,6 +181,7 @@ func RunCtx(ctx context.Context, c *circuit.Circuit, cfg Config) (*Trace, error)
 			return nil
 		})
 		if err != nil {
+			t.Release()
 			return nil, err
 		}
 	}

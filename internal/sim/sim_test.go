@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -25,7 +26,7 @@ func xorLoop(t testing.TB) *circuit.Circuit {
 
 func TestRunShapes(t *testing.T) {
 	c := xorLoop(t)
-	tr, err := Run(c, Config{Words: 2, Frames: 4, Seed: 7})
+	tr, err := Run(context.Background(), c, Config{Words: 2, Frames: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestRunShapes(t *testing.T) {
 
 func TestRunSemantics(t *testing.T) {
 	c := xorLoop(t)
-	tr, err := Run(c, Config{Words: 1, Frames: 5, Seed: 42})
+	tr, err := Run(context.Background(), c, Config{Words: 1, Frames: 5, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +62,8 @@ func TestRunSemantics(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	c := xorLoop(t)
-	t1, _ := Run(c, Config{Words: 2, Frames: 3, Seed: 9})
-	t2, _ := Run(c, Config{Words: 2, Frames: 3, Seed: 9})
+	t1, _ := Run(context.Background(), c, Config{Words: 2, Frames: 3, Seed: 9})
+	t2, _ := Run(context.Background(), c, Config{Words: 2, Frames: 3, Seed: 9})
 	n, _ := c.Lookup("n")
 	for f := 0; f < 3; f++ {
 		for w := 0; w < 2; w++ {
@@ -71,7 +72,7 @@ func TestRunDeterministic(t *testing.T) {
 			}
 		}
 	}
-	t3, _ := Run(c, Config{Words: 2, Frames: 3, Seed: 10})
+	t3, _ := Run(context.Background(), c, Config{Words: 2, Frames: 3, Seed: 10})
 	same := true
 	for f := 0; f < 3; f++ {
 		for w := 0; w < 2; w++ {
@@ -87,10 +88,10 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestRunConfigValidation(t *testing.T) {
 	c := xorLoop(t)
-	if _, err := Run(c, Config{Words: 0, Frames: 1}); err == nil {
+	if _, err := Run(context.Background(), c, Config{Words: 0, Frames: 1}); err == nil {
 		t.Fatal("Words=0 accepted")
 	}
-	if _, err := Run(c, Config{Words: 1, Frames: 0}); err == nil {
+	if _, err := Run(context.Background(), c, Config{Words: 1, Frames: 0}); err == nil {
 		t.Fatal("Frames=0 accepted")
 	}
 }
@@ -115,7 +116,7 @@ func TestStepperMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Words: 2, Frames: 6, Seed: 3}
-	tr, err := Run(c, cfg)
+	tr, err := Run(context.Background(), c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

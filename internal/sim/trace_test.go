@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"serretime/internal/circuit"
@@ -20,7 +21,7 @@ func mustPanic(t *testing.T, label string, fn func()) {
 
 func TestTraceValueBounds(t *testing.T) {
 	c := xorLoop(t)
-	tr, err := Run(c, Config{Words: 2, Frames: 3, Seed: 1})
+	tr, err := Run(context.Background(), c, Config{Words: 2, Frames: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestTraceValueBounds(t *testing.T) {
 // shows through another cell.
 func TestTraceValueDisjoint(t *testing.T) {
 	c := xorLoop(t)
-	tr, err := Run(c, Config{Words: 2, Frames: 3, Seed: 1})
+	tr, err := Run(context.Background(), c, Config{Words: 2, Frames: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestTraceValueDisjoint(t *testing.T) {
 // documented node-major offsets.
 func TestTracePlaneIndexing(t *testing.T) {
 	c := xorLoop(t)
-	tr, err := Run(c, Config{Words: 3, Frames: 4, Seed: 9})
+	tr, err := Run(context.Background(), c, Config{Words: 3, Frames: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

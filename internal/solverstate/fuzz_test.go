@@ -68,7 +68,7 @@ func FuzzStateMoves(f *testing.F) {
 			if err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
-			want, err := elw.ComputeLabels(g, tent, params)
+			want, err := elw.ComputeLabels(g, tent, params, nil)
 			if err != nil {
 				t.Fatalf("step %d: oracle: %v", step, err)
 			}
@@ -85,7 +85,7 @@ func FuzzStateMoves(f *testing.F) {
 			if err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
-			want, err = elw.ComputeLabels(g, shadow, params)
+			want, err = elw.ComputeLabels(g, shadow, params, nil)
 			if err != nil {
 				t.Fatalf("step %d: oracle: %v", step, err)
 			}

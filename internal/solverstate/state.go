@@ -188,7 +188,7 @@ func (s *State) Labels() (*elw.Labels, error) {
 		return s.lab, nil
 	}
 	s.rec.Count(telemetry.CounterLabelFulls, 1)
-	lab, err := elw.ComputeLabelsRec(s.g, s.r, s.cfg.Params, s.rec)
+	lab, err := elw.ComputeLabels(s.g, s.r, s.cfg.Params, s.rec)
 	if err != nil {
 		return nil, err
 	}

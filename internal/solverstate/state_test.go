@@ -132,7 +132,7 @@ func TestStateMatchesOracles(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
-				want, err := elw.ComputeLabels(g, tent, params)
+				want, err := elw.ComputeLabels(g, tent, params, nil)
 				if err != nil {
 					t.Fatalf("seed %d step %d: oracle: %v", seed, step, err)
 				}
@@ -166,7 +166,7 @@ func TestStateMatchesOracles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := elw.ComputeLabels(g, shadow, params)
+			want, err := elw.ComputeLabels(g, shadow, params, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -277,7 +277,7 @@ func TestCommitDropsStaleLabels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := elw.ComputeLabels(g, shadow, params)
+		want, _ := elw.ComputeLabels(g, shadow, params, nil)
 		if v, diff := lab.FirstDiff(want); diff {
 			t.Fatalf("step %d: stale labels survived a blind commit (v%d)", step, v)
 		}

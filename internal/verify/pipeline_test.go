@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"testing"
 
 	"serretime/internal/core"
@@ -27,7 +28,7 @@ func TestOptimizerMovesEquivalentOnGenerated(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
-		init, err := retime.Initialize(g, retime.DefaultOptions())
+		init, err := retime.Initialize(context.Background(), g, retime.DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
@@ -53,7 +54,7 @@ func TestOptimizerMovesEquivalentOnGenerated(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
-		res, err := core.Minimize(base, gains, obsInt, core.Options{
+		res, err := core.Minimize(context.Background(), base, gains, obsInt, core.Options{
 			Phi: init.Phi, Ts: 0, Th: 2, Rmin: init.Rmin, ELWConstraints: true,
 		})
 		if err != nil {

@@ -111,8 +111,6 @@ type RetimeOptions struct {
 	// simulation and ODC observability). 0 (or negative) means one
 	// worker per available CPU; 1 runs the exact sequential code paths.
 	// Every result is bit-identical for every value (DESIGN.md §11).
-	// Analysis.Workers, when nonzero, overrides this for the
-	// observability analysis alone.
 	Workers int
 	// warmStart bulk-seeds the optimizer's constraint engine with the P0
 	// requirement closure of each round's committed state instead of
@@ -142,9 +140,6 @@ func (o RetimeOptions) normalized() RetimeOptions {
 	}
 	if o.Th == 0 {
 		o.Th = DefaultTh
-	}
-	if o.Analysis.Workers == 0 {
-		o.Analysis.Workers = o.Workers
 	}
 	o.Analysis = o.Analysis.normalized()
 	return o
@@ -264,12 +259,12 @@ func (d *Design) Retime(opt RetimeOptions) (*RetimeResult, error) {
 }
 
 // RetimeCtx is Retime under cooperative cancellation and panic isolation:
-// the initialization searches and the optimizer loop check ctx and abort
-// with an error unwrapping to guard.ErrTimeout once it is done, and any
-// internal panic is recovered into an error unwrapping to
-// guard.ErrInternal instead of crashing the caller. The receiver's
-// circuit is never modified, complete or not: the retimed netlist is
-// materialized as a fresh Design.
+// the analysis passes, the initialization searches and the optimizer loop
+// check ctx and abort with an error unwrapping to guard.ErrTimeout once
+// it is done, and any internal panic is recovered into an error
+// unwrapping to guard.ErrInternal instead of crashing the caller. The
+// receiver's circuit is never modified, complete or not: the retimed
+// netlist is materialized as a fresh Design.
 func (d *Design) RetimeCtx(ctx context.Context, opt RetimeOptions) (*RetimeResult, error) {
 	return guard.Do(ctx, "serretime.Retime", func(ctx context.Context) (*RetimeResult, error) {
 		return d.retime(ctx, opt)
@@ -284,13 +279,13 @@ func (d *Design) retime(ctx context.Context, opt RetimeOptions) (*RetimeResult, 
 	rec := telemetry.OrNop(opt.Recorder)
 
 	rec.SpanStart(telemetry.PhaseObs)
-	err := d.ensureObsRec(opt.Analysis, opt.Recorder)
+	err := d.ensureObs(ctx, opt.Analysis, opt.Workers, opt.Recorder)
 	rec.SpanEnd(telemetry.PhaseObs, err)
 	if err != nil {
 		return nil, err
 	}
 
-	init, err := retime.InitializeCtx(ctx, d.g, retime.Options{
+	init, err := retime.Initialize(ctx, d.g, retime.Options{
 		Ts: opt.Ts, Th: opt.Th, Epsilon: opt.Epsilon, Recorder: opt.Recorder,
 	})
 	if err != nil {
@@ -342,7 +337,7 @@ func (d *Design) retime(ctx context.Context, opt RetimeOptions) (*RetimeResult, 
 	}
 	start := time.Now()
 	rec.SpanStart(telemetry.PhaseMinimize)
-	cres, err := core.MinimizeCtx(ctx, base, gains, obsInt, copt)
+	cres, err := core.Minimize(ctx, base, gains, obsInt, copt)
 	rec.SpanEnd(telemetry.PhaseMinimize, err)
 	if err != nil {
 		return nil, err

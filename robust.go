@@ -215,9 +215,9 @@ func (d *Design) RetimeRobust(ctx context.Context, opt RobustOptions) (*RobustRe
 // degradation chain: Before and After coincide and the "retimed" design
 // is the input itself.
 func (d *Design) identityResult(ctx context.Context, opt RetimeOptions) (*RetimeResult, error) {
-	return guard.Do(ctx, "serretime.identity", func(context.Context) (*RetimeResult, error) {
+	return guard.Do(ctx, "serretime.identity", func(ctx context.Context) (*RetimeResult, error) {
 		opt = opt.normalized()
-		if err := d.ensureObsRec(opt.Analysis, opt.Recorder); err != nil {
+		if err := d.ensureObs(ctx, opt.Analysis, opt.Workers, opt.Recorder); err != nil {
 			return nil, err
 		}
 		p := elw.Params{Ts: opt.Ts, Th: opt.Th} // Phi 0: the critical path

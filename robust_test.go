@@ -13,6 +13,7 @@ import (
 	"serretime/internal/core"
 	"serretime/internal/guard"
 	"serretime/internal/retime"
+	"serretime/internal/telemetry"
 )
 
 // fastAnalysis keeps the robustness tests quick: the contracts under
@@ -150,7 +151,7 @@ func TestWedgedELWBudget(t *testing.T) {
 	}
 	res, err := d.Retime(opt)
 	if err != nil {
-		for _, sentinel := range []error{guard.ErrParse, guard.ErrInfeasible, guard.ErrTimeout, guard.ErrStalled, guard.ErrInternal} {
+		for _, sentinel := range []error{guard.ErrParse, guard.ErrTimeout, guard.ErrStalled, guard.ErrInternal} {
 			if errors.Is(err, sentinel) {
 				err = nil
 				break
@@ -198,16 +199,35 @@ func TestCancelMidRetime(t *testing.T) {
 	}
 }
 
+// TestCancelDuringAnalysis cancels at the first checkpoint past the
+// entry guard: that checkpoint must be the signature simulation's, so the
+// observability analysis runs under the caller's context and its span
+// ends with the timeout.
+func TestCancelDuringAnalysis(t *testing.T) {
+	d := midDesign(t)
+	tr := telemetry.NewTrace(telemetry.TraceID{})
+	cctx := newCountdownCtx(context.Background(), 2)
+	_, err := d.RetimeCtx(cctx, RetimeOptions{Algorithm: MinObsWin, Analysis: fastAnalysis, Recorder: tr})
+	var te *guard.TimeoutError
+	if !errors.As(err, &te) || te.Op != "sim.run" {
+		t.Fatalf("want a *guard.TimeoutError from sim.run, got %v", err)
+	}
+	sp := tr.Snapshot().Find(telemetry.PhaseObs.String())
+	if sp == nil || sp.Errs != 1 || sp.Err != err.Error() {
+		t.Fatalf("obs-analysis span must end with %q, got %+v", err, sp)
+	}
+}
+
 // TestCancelMidMinimizePartialResult cancels the optimizer loop itself
-// halfway and checks the contract of core.MinimizeCtx: a non-nil
+// halfway and checks the contract of core.Minimize: a non-nil
 // partial result carrying the last *committed* (hence legal) retiming,
 // which must pass sequential-equivalence verification.
 func TestCancelMidMinimizePartialResult(t *testing.T) {
 	d := midDesign(t)
-	if err := d.ensureObs(fastAnalysis); err != nil {
+	if err := d.ensureObs(context.Background(), fastAnalysis, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	init, err := retime.InitializeCtx(context.Background(), d.g, retime.Options{Ts: DefaultTs, Th: DefaultTh, Epsilon: 0.10})
+	init, err := retime.Initialize(context.Background(), d.g, retime.Options{Ts: DefaultTs, Th: DefaultTh, Epsilon: 0.10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,13 +241,13 @@ func TestCancelMidMinimizePartialResult(t *testing.T) {
 	}
 	copt := core.Options{Phi: init.Phi, Ts: DefaultTs, Th: DefaultTh, Rmin: init.Rmin, ELWConstraints: true}
 
-	full, err := core.MinimizeCtx(context.Background(), base, gains, obsInt, copt)
+	full, err := core.Minimize(context.Background(), base, gains, obsInt, copt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := full.Steps/2 + 1
 	cctx := newCountdownCtx(context.Background(), n)
-	part, err := core.MinimizeCtx(cctx, base, gains, obsInt, copt)
+	part, err := core.Minimize(cctx, base, gains, obsInt, copt)
 	if !errors.Is(err, guard.ErrTimeout) {
 		t.Fatalf("want guard.ErrTimeout after %d checkpoints (full run: %d steps), got %v", n, full.Steps, err)
 	}

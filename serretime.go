@@ -373,12 +373,6 @@ type AnalysisOptions struct {
 	// MaxIntervals caps per-gate ELW interval counts; 0 keeps windows
 	// exact.
 	MaxIntervals int
-	// Workers bounds the CPU workers sharding the simulation and ODC
-	// passes across signature words. 0 (or negative) means one worker per
-	// available CPU; 1 runs the exact sequential code path. Results are
-	// bit-identical for every value (DESIGN.md §11), so the worker count
-	// never invalidates a cached analysis.
-	Workers int
 }
 
 func (o AnalysisOptions) normalized() AnalysisOptions {
@@ -395,9 +389,8 @@ func (o AnalysisOptions) normalized() AnalysisOptions {
 }
 
 // CanonicalKey returns a deterministic textual encoding of the analysis
-// options that affect results, with defaults applied — two values with
-// equal keys request the same analysis. Workers is excluded: results are
-// bit-identical for every worker count (DESIGN.md §11).
+// options, with defaults applied — two values with equal keys request the
+// same analysis.
 func (o AnalysisOptions) CanonicalKey() string {
 	n := o.normalized()
 	return fmt.Sprintf("acc=%s frames=%d words=%d seed=%d maxint=%d",
@@ -406,20 +399,15 @@ func (o AnalysisOptions) CanonicalKey() string {
 
 // ensureObs computes (or reuses) the observability analysis of the
 // original circuit; gate observabilities are invariant under retiming
-// (Section III-B), so one analysis serves every retimed variant.
-func (d *Design) ensureObs(opt AnalysisOptions) error {
-	return d.ensureObsRec(opt, nil)
-}
-
-// ensureObsRec is ensureObs with worker-pool telemetry routed to rec.
-// The cache key drops Workers: the analysis is bit-identical for every
-// worker count, so a cached result stays valid when only the parallelism
-// changes.
-func (d *Design) ensureObsRec(opt AnalysisOptions, rec telemetry.Recorder) error {
+// (Section III-B), so one analysis serves every retimed variant. The
+// analysis passes check ctx between shards. workers bounds their CPU
+// workers (0 means one per CPU); the analysis is bit-identical for every
+// worker count (DESIGN.md §11), so a cached result stays valid when only
+// the parallelism changes. rec receives the worker-pool telemetry (nil
+// records nothing).
+func (d *Design) ensureObs(ctx context.Context, opt AnalysisOptions, workers int, rec telemetry.Recorder) error {
 	opt = opt.normalized()
-	key := opt
-	key.Workers = 0
-	if d.gateObs != nil && d.obsOpt == key {
+	if d.gateObs != nil && d.obsOpt == opt {
 		return nil
 	}
 	acc := obs.AccuracyExact
@@ -430,10 +418,10 @@ func (d *Design) ensureObsRec(opt AnalysisOptions, rec telemetry.Recorder) error
 	// transient trace (released inside, its signature plane goes back to
 	// the pool for the next job) and runs the ODC pass; fast runs the
 	// analytical propagation-probability estimate with no simulation.
-	res, err := obs.ComputeDesign(context.Background(), d.c, sim.Config{
+	res, err := obs.ComputeDesign(ctx, d.c, sim.Config{
 		Words: opt.SignatureWords, Frames: opt.Frames, Seed: opt.Seed,
-		Workers: opt.Workers, Recorder: rec,
-	}, obs.Options{Accuracy: acc, Workers: opt.Workers, Recorder: rec})
+		Workers: workers, Recorder: rec,
+	}, obs.Options{Accuracy: acc, Workers: workers, Recorder: rec})
 	if err != nil {
 		return err
 	}
@@ -449,7 +437,7 @@ func (d *Design) ensureObsRec(opt AnalysisOptions, rec telemetry.Recorder) error
 	if err != nil {
 		return err
 	}
-	d.obsOpt = key
+	d.obsOpt = opt
 	d.gateObs = gateObs
 	d.edgeObs = edgeObs
 	d.rates = rates
@@ -475,8 +463,8 @@ type Analysis struct {
 // Analyze evaluates the SER of the unretimed design at clock period phi
 // (0 = the design's combinational critical path, unrelaxed).
 func (d *Design) Analyze(phi float64, opt AnalysisOptions) (*Analysis, error) {
-	return guard.Do(context.Background(), "serretime.Analyze", func(context.Context) (*Analysis, error) {
-		if err := d.ensureObs(opt); err != nil {
+	return guard.Do(context.Background(), "serretime.Analyze", func(ctx context.Context) (*Analysis, error) {
+		if err := d.ensureObs(ctx, opt, 0, nil); err != nil {
 			return nil, err
 		}
 		return d.analyzeAt(d.g, graph.NewRetiming(d.g), elwParams(phi), opt)
