@@ -60,10 +60,12 @@ func (k Kind) String() string {
 type Engine uint8
 
 const (
-	// EngineClosure (default) computes the maximum-gain closed set of the
-	// active-constraint digraph exactly every iteration, via the
-	// max-weight-closure min-cut reduction. It matches the exact LP
-	// optimum on the forward-restricted problem.
+	// EngineClosure (default) keeps the maximum-gain closed set of the
+	// active-constraint digraph incrementally and recomputes it exactly,
+	// via the max-weight-closure min-cut reduction, whenever the cached
+	// set is invalid or not yet proven maximal (every commit and every
+	// termination rests on an exact cut). It matches the exact LP optimum
+	// on the forward-restricted problem.
 	EngineClosure Engine = iota
 	// EngineForest uses the paper's weighted regular forest (Section IV).
 	// Our reconstruction of the forest restructuring rules from the
@@ -232,6 +234,26 @@ type violation struct {
 	w    int32 // additional movement required of q
 }
 
+// violationBuf is findViolations' output, owned by Minimize and reused
+// every step: the violations of the last pass and an epoch stamp per
+// vertex that keeps at most one violation per target.
+type violationBuf struct {
+	list  []violation
+	seen  []uint32 // seen[q] == epoch: q already has a violation this pass
+	epoch uint32
+}
+
+// add appends v unless its target already has a violation this pass and
+// reports whether the pass reached limit (0: unlimited).
+func (b *violationBuf) add(v violation, limit int) bool {
+	if b.seen[v.q] == b.epoch {
+		return false
+	}
+	b.seen[v.q] = b.epoch
+	b.list = append(b.list, v)
+	return limit > 0 && len(b.list) >= limit
+}
+
 // Minimize runs Algorithm 1 on g (already rebased to the Section V
 // initialization) with per-vertex gains (from Gains) and per-edge integer
 // observabilities obsInt. The iteration loop checks ctx at every step and
@@ -320,6 +342,7 @@ func Minimize(ctx context.Context, g *graph.Graph, gains []int64, obsInt []int64
 	committedObj := res.Initial
 
 	maskSnap := make([]bool, g.NumVertices())
+	vbuf := &violationBuf{seen: make([]uint32, g.NumVertices())}
 	needExact := true
 	// curPhase tracks the last inner-loop activity so a timeout or stall
 	// observed at the loop head is attributed to the phase the run
@@ -376,7 +399,7 @@ func Minimize(ctx context.Context, g *graph.Graph, gains []int64, obsInt []int64
 			limit = 1
 		}
 		rec.SpanStart(telemetry.PhaseFindViolations)
-		viols, err := findViolations(g, st, maskSnap, params, opt, order, limit)
+		viols, err := findViolations(g, st, maskSnap, params, opt, order, limit, vbuf)
 		rec.SpanEnd(telemetry.PhaseFindViolations, err)
 		curPhase = telemetry.PhaseFindViolations.String()
 		if err != nil {
@@ -406,7 +429,8 @@ func Minimize(ctx context.Context, g *graph.Graph, gains []int64, obsInt []int64
 		}
 		st.Rollback()
 		rec.SpanStart(telemetry.PhaseRepair)
-		for _, v := range viols {
+		for i := range viols {
+			v := &viols[i]
 			res.Violations[v.kind]++
 			rec.Count(violationCounter(v.kind), 1)
 			if err := repair(eng, v, maskSnap); err != nil {
@@ -464,27 +488,20 @@ func repair(eng engine, v *violation, inI []bool) error {
 // returns violations, at most one per target vertex q (repairs to the
 // same vertex must be observed sequentially — see Figure 3's weight
 // updates). limit > 0 caps the count (1 reproduces Algorithm 1 verbatim);
-// an empty result means the move is clean.
+// an empty result means the move is clean. The result is buf's list,
+// valid until the next call.
 //
 // The labels come from the transaction itself (st.Labels), so every
 // check kind of one pass observes labels consistent with the same edge
 // weights by construction — the previous lazy recompute-per-pass closure
 // could in principle be read against weights repaired since it was
 // filled; owning both in one transaction closes that hazard.
-func findViolations(g *graph.Graph, st *solverstate.State, inI []bool, params elw.Params, opt Options, order []Kind, limit int) ([]*violation, error) {
+func findViolations(g *graph.Graph, st *solverstate.State, inI []bool, params elw.Params, opt Options, order []Kind, limit int, buf *violationBuf) ([]violation, error) {
 	wr := st.EdgeWeights()
-	var out []*violation
-	seenQ := make(map[graph.VertexID]bool)
-	add := func(v *violation) bool {
-		if seenQ[v.q] {
-			return false
-		}
-		seenQ[v.q] = true
-		out = append(out, v)
-		return limit > 0 && len(out) >= limit
-	}
+	buf.list = buf.list[:0]
+	buf.epoch++
 	for _, k := range order {
-		if len(out) > 0 {
+		if len(buf.list) > 0 {
 			// Repair one kind of violation per iteration: later kinds are
 			// checked once the earlier ones are clean (cheap structural
 			// checks gate the expensive timing-label checks).
@@ -501,8 +518,8 @@ func findViolations(g *graph.Graph, st *solverstate.State, inI []bool, params el
 				if !inI[ed.To] {
 					return nil, fmt.Errorf("core: P0 violation on edge %d without mover", eid)
 				}
-				if add(&violation{kind: KindP0, p: ed.To, q: ed.From, w: -w}) {
-					return out, nil
+				if buf.add(violation{kind: KindP0, p: ed.To, q: ed.From, w: -w}, limit) {
+					return buf.list, nil
 				}
 			}
 		case KindP1:
@@ -520,8 +537,8 @@ func findViolations(g *graph.Graph, st *solverstate.State, inI []bool, params el
 					return nil, fmt.Errorf("core: P1' violation at %s with endpoint %s outside I (Phi too tight?)",
 						g.Name(uid), g.Name(z))
 				}
-				if add(&violation{kind: KindP1, p: z, q: uid, w: 1}) {
-					return out, nil
+				if buf.add(violation{kind: KindP1, p: z, q: uid, w: 1}, limit) {
+					return buf.list, nil
 				}
 			}
 		case KindP2:
@@ -556,13 +573,13 @@ func findViolations(g *graph.Graph, st *solverstate.State, inI []bool, params el
 				if !inI[p] && inI[z] {
 					p = z
 				}
-				if add(&violation{kind: KindP2, p: p, q: q, w: w}) {
-					return out, nil
+				if buf.add(violation{kind: KindP2, p: p, q: q, w: w}, limit) {
+					return buf.list, nil
 				}
 			}
 		}
 	}
-	return out, nil
+	return buf.list, nil
 }
 
 // violationCounter maps a violation kind to its telemetry counter.

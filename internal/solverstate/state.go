@@ -13,7 +13,7 @@ package solverstate
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"serretime/internal/elw"
 	"serretime/internal/graph"
@@ -175,7 +175,7 @@ func (s *State) Begin(members []int32, weight func(v int32) int32) {
 			}
 		}
 	}
-	sort.Slice(s.negEdges, func(i, j int) bool { return s.negEdges[i] < s.negEdges[j] })
+	slices.Sort(s.negEdges)
 }
 
 // Labels returns the L/R labels of the current (tentative while open)
