@@ -134,3 +134,71 @@ func TestCheckOrderInvariance(t *testing.T) {
 		}
 	}
 }
+
+// TestClosureEngineCachedSet drives one closure engine with random
+// constraints, weight updates, freezes and exact cuts, and checks the sets
+// PositiveSetFast offers between them: each member listed once and exactly
+// the masked vertices, no frozen member, positive gain, and closed under
+// every constraint added so far.
+func TestClosureEngineCachedSet(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 4 + rng.Intn(40)
+		gains := make([]int64, n)
+		for v := range gains {
+			gains[v] = int64(rng.Intn(21) - 8)
+		}
+		e := newClosureEngine(n, gains)
+		var arcs [][2]int32
+		e.PositiveSet()
+		for step := 0; step < 200; step++ {
+			switch r := rng.Intn(20); {
+			case r < 12:
+				p, q := int32(rng.Intn(n)), int32(rng.Intn(n))
+				if p != q {
+					if err := e.AddConstraint(p, q); err != nil {
+						t.Fatal(err)
+					}
+					arcs = append(arcs, [2]int32{p, q})
+				}
+			case r < 16:
+				if err := e.SetWeight(int32(rng.Intn(n)), int32(1+rng.Intn(4))); err != nil {
+					t.Fatal(err)
+				}
+			case r < 18:
+				e.Freeze(int32(rng.Intn(n)))
+			default:
+				e.PositiveSet()
+			}
+			if rng.Intn(3) != 0 {
+				continue // let several updates pile up, as a batch of repairs does
+			}
+			members, mask, _ := e.PositiveSetFast()
+			if mask == nil {
+				continue
+			}
+			listed := make([]bool, n)
+			var total int64
+			for _, m := range members {
+				if listed[m] || !mask[m] || e.frozen[m] {
+					t.Fatalf("seed %d step %d: member %d listed twice, unmasked or frozen", seed, step, m)
+				}
+				listed[m] = true
+				total += gains[m] * int64(e.w[m])
+			}
+			for v := range mask {
+				if mask[v] && !listed[v] {
+					t.Fatalf("seed %d step %d: masked vertex %d not listed", seed, step, v)
+				}
+			}
+			if total <= 0 {
+				t.Fatalf("seed %d step %d: cached set has gain %d", seed, step, total)
+			}
+			for _, a := range arcs {
+				if mask[a[0]] && !mask[a[1]] {
+					t.Fatalf("seed %d step %d: set holds %d but not %d, which it forces", seed, step, a[0], a[1])
+				}
+			}
+		}
+	}
+}
