@@ -7,9 +7,10 @@ package serretime
 // are gone. These tests pin that property with testing.AllocsPerRun so a
 // future change cannot quietly reintroduce per-node or per-gate allocation
 // (the pre-CSR baseline was ~1 alloc per gate in sim.Run: see
-// BENCH_pre_csr.txt). TestAllocRegressionMinimize extends the guard to
-// the optimizer's step path. Run as part of the normal test suite and as
-// an explicit CI step.
+// BENCH_pre_csr.txt). TestAllocRegressionMinimize and
+// TestAllocRegressionInitialize extend the guard to the optimizer's step
+// path and the Section V initialization. Run as part of the normal test
+// suite and as an explicit CI step.
 
 import (
 	"context"
@@ -107,6 +108,30 @@ func TestAllocRegressionComputeWD(t *testing.T) {
 	const maxAllocs = 16
 	if got := testing.AllocsPerRun(10, run); got > maxAllocs {
 		t.Fatalf("ComputeWD: %.0f allocs/run, want <= %d", got, maxAllocs)
+	}
+}
+
+// TestAllocRegressionInitialize guards the Section V initialization: one
+// retime.Initialize on the alloc circuit. Both Φ searches probe with one
+// timing state, whose arrival times, edge weights and update scratch
+// every FEAS pass and probe reuse, so what is left is that state, the
+// kept retimings and the L/R label sweeps of the hold checks. When every
+// pass recomputed its topological order and arrival times into fresh
+// slices, the same call made 198 allocations.
+func TestAllocRegressionInitialize(t *testing.T) {
+	_, g := allocCircuit(t)
+	ctx := context.Background()
+	opt := RetimeOptions{}.normalized()
+	run := func() {
+		if _, err := retime.Initialize(ctx, g, retime.Options{Ts: opt.Ts, Th: opt.Th, Epsilon: opt.Epsilon}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const maxAllocs = 130
+	got := testing.AllocsPerRun(5, run)
+	t.Logf("retime.Initialize: %.0f allocs/run", got)
+	if got > maxAllocs {
+		t.Fatalf("retime.Initialize: %.0f allocs/run, want <= %d", got, maxAllocs)
 	}
 }
 

@@ -49,36 +49,77 @@ func feasPassCap(g *graph.Graph) int {
 	return n
 }
 
-// feasPass is one Leiserson–Saxe relaxation pass over r: it increments
-// r(v) for every vertex whose arrival time exceeds phi − ts. violated
+// pass is one Leiserson–Saxe relaxation pass over t.r in a's direction.
+// Forward it increments r(v) for every vertex whose arrival time exceeds
+// phi − ts (moving registers backward, from fanouts to fanins); in
+// reverse it decrements r(v) for every vertex whose reverse arrival time
+// does. Arrival times are those at the start of the pass. violated
 // reports whether any vertex moved; ok is false when the pass is blocked
-// (a violating vertex drives the host over a zero-weight edge, or r
-// leaves a zero-weight cycle), which ends the relaxation in failure.
-func feasPass(g *graph.Graph, r graph.Retiming, phi, ts float64) (violated, ok bool) {
-	arr, _, err := g.ArrivalTimes(r)
-	if err != nil {
+// (the move would pull a register out of a zero-weight edge at the
+// host, or r has a zero-weight cycle), which ends the relaxation in
+// failure.
+func (t *timing) pass(a *arrivals, phi, ts float64) (violated, ok bool) {
+	if t.refresh(a) != nil {
 		return false, false
 	}
-	for v := 1; v < g.NumVertices(); v++ {
-		if arr[v] <= phi-ts+eps {
+	g := t.g
+	delta := int32(1)
+	if a.reverse {
+		delta = -1
+	}
+	for v := graph.VertexID(1); int(v) < g.NumVertices(); v++ {
+		if a.at[v] <= phi-ts+eps {
 			continue
 		}
-		// Incrementing v removes a register from each of its out-edges;
-		// a zero-weight edge into the host blocks the move.
-		for _, oe := range g.Out(graph.VertexID(v)) {
-			if g.Edge(oe).To == graph.Host && g.WR(oe, r) == 0 {
+		// Moving v removes a register from each edge at(v) feeds along;
+		// a zero-weight one at the host blocks the move.
+		for _, e := range a.feeds(g, v) {
+			if t.wr[e] == 0 && (g.EdgeFrom(e) == graph.Host || g.EdgeTo(e) == graph.Host) {
 				return false, false
 			}
 		}
-		r[v]++
+		t.move(v, delta)
 		violated = true
 	}
 	return violated, true
 }
 
+// relax repeats pass in a's direction from the current state until no
+// vertex violates phi − ts (ok), a pass is blocked or the pass cap is
+// reached.
+func (t *timing) relax(ctx context.Context, a *arrivals, phi, ts float64) (bool, error) {
+	op := "retime.FEAS"
+	if a.reverse {
+		op = "retime.FEASBackward"
+	}
+	limit := feasPassCap(t.g)
+	for it := 0; it < limit; it++ {
+		if cerr := guard.CheckpointIn(ctx, op, telemetry.PhaseInit.String()); cerr != nil {
+			return false, cerr
+		}
+		violated, ok := t.pass(a, phi, ts)
+		if !ok {
+			return false, nil
+		}
+		if !violated {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
+// result hands the retiming a one-probe state reached to the caller.
+func (t *timing) result(ok bool, err error) (graph.Retiming, bool, error) {
+	if !ok || err != nil {
+		return nil, false, err
+	}
+	return t.r, true, nil
+}
+
 // FEAS runs the Leiserson–Saxe relaxation for the target period phi:
-// it repeatedly increments r(v) (moving registers backward, from fanouts
-// to fanins) for every vertex whose arrival time exceeds phi − ts.
+// starting from r = 0, it repeatedly increments r(v) (moving registers
+// backward, from fanouts to fanins) for every vertex whose arrival time
+// exceeds phi − ts.
 //
 // The host is never retimed (registers cannot move into the environment),
 // so the relaxation reports failure when a violating vertex drives a
@@ -86,21 +127,8 @@ func feasPass(g *graph.Graph, r graph.Retiming, phi, ts float64) (violated, ok b
 // Together they form a sound (always-legal) but possibly conservative
 // min-period search; see MinPeriod.
 func FEAS(ctx context.Context, g *graph.Graph, phi, ts float64) (graph.Retiming, bool, error) {
-	r := graph.NewRetiming(g)
-	limit := feasPassCap(g)
-	for it := 0; it < limit; it++ {
-		if cerr := guard.CheckpointIn(ctx, "retime.FEAS", telemetry.PhaseInit.String()); cerr != nil {
-			return nil, false, cerr
-		}
-		violated, ok := feasPass(g, r, phi, ts)
-		if !ok {
-			return nil, false, nil
-		}
-		if !violated {
-			return r, true, nil
-		}
-	}
-	return nil, false, nil
+	t := newTiming(g)
+	return t.result(t.relax(ctx, &t.fwd, phi, ts))
 }
 
 // FEASBackward is the mirror image of FEAS: it computes required times
@@ -108,71 +136,20 @@ func FEAS(ctx context.Context, g *graph.Graph, phi, ts float64) (graph.Retiming,
 // every vertex whose backward path exceeds phi − ts. It covers circuits
 // whose critical paths end at primary outputs (where FEAS is blocked).
 func FEASBackward(ctx context.Context, g *graph.Graph, phi, ts float64) (graph.Retiming, bool, error) {
-	r := graph.NewRetiming(g)
-	limit := feasPassCap(g)
-	for it := 0; it < limit; it++ {
-		if cerr := guard.CheckpointIn(ctx, "retime.FEASBackward", telemetry.PhaseInit.String()); cerr != nil {
-			return nil, false, cerr
-		}
-		rarr, err := reverseArrivals(g, r)
-		if err != nil {
-			return nil, false, nil
-		}
-		violated := false
-		for v := 1; v < g.NumVertices(); v++ {
-			if rarr[v] <= phi-ts+eps {
-				continue
-			}
-			// Decrementing v removes a register from each of its
-			// in-edges; a zero-weight edge from the host blocks the move.
-			for _, ie := range g.In(graph.VertexID(v)) {
-				if g.Edge(ie).From == graph.Host && g.WR(ie, r) == 0 {
-					return nil, false, nil
-				}
-			}
-			r[v]--
-			violated = true
-		}
-		if !violated {
-			return r, true, nil
-		}
-	}
-	return nil, false, nil
+	t := newTiming(g)
+	return t.result(t.relax(ctx, &t.rev, phi, ts))
 }
 
-// reverseArrivals computes, for each vertex v, the maximum delay of a
-// zero-weight path starting at v (inclusive of d(v)).
-func reverseArrivals(g *graph.Graph, r graph.Retiming) ([]float64, error) {
-	order, err := g.ZeroWeightTopo(r)
-	if err != nil {
-		return nil, err
+// tryPeriod attempts phi from r = 0 with both relaxation directions.
+// Forward moves (FEASBackward) are preferred: they never pull registers
+// out of the environment and tend to reduce the register count.
+func (t *timing) tryPeriod(ctx context.Context, phi, ts float64) (bool, error) {
+	t.reset()
+	if ok, err := t.relax(ctx, &t.rev, phi, ts); ok || err != nil {
+		return ok, err
 	}
-	rarr := make([]float64, g.NumVertices())
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		a := 0.0
-		for _, eid := range g.Out(v) {
-			e := g.Edge(eid)
-			if e.To == graph.Host || g.WR(eid, r) != 0 {
-				continue
-			}
-			if rarr[e.To] > a {
-				a = rarr[e.To]
-			}
-		}
-		rarr[v] = a + g.Delay(v)
-	}
-	return rarr, nil
-}
-
-// tryPeriod attempts phi with both relaxation directions. Forward moves
-// (FEASBackward) are preferred: they never pull registers out of the
-// environment and tend to reduce the register count.
-func tryPeriod(ctx context.Context, g *graph.Graph, phi, ts float64) (graph.Retiming, bool, error) {
-	if r, ok, err := FEASBackward(ctx, g, phi, ts); ok || err != nil {
-		return r, ok, err
-	}
-	return FEAS(ctx, g, phi, ts)
+	t.reset()
+	return t.relax(ctx, &t.fwd, phi, ts)
 }
 
 // searchGrid binary-searches the delay grid for the smallest period in
@@ -194,32 +171,54 @@ func searchGrid(lo, hi float64, fits func(phi float64) (bool, error)) (float64, 
 	return hi, nil
 }
 
+// probe runs one Φ probe of a search as an init-probe span and, when the
+// probe accepts, copies the retiming it reached into *best. searchGrid
+// lowers its answer to every accepted period, so the last probe accepted
+// ran at the answer's period and *best is the answer's retiming.
+func (t *timing) probe(rec telemetry.Recorder, best *graph.Retiming, try func() (bool, error)) (bool, error) {
+	rec.SpanStart(telemetry.PhaseInitProbe)
+	ok, err := try()
+	rec.SpanEnd(telemetry.PhaseInitProbe, err)
+	if ok {
+		*best = append((*best)[:0], t.r...)
+	}
+	return ok, err
+}
+
 // MinPeriod finds the smallest clock period (on the delay grid) reachable
 // by the FEAS/FEASBackward relaxations and a retiming realizing it. This
 // is an upper bound on the true minimum period: boundary registers pinned
 // at the environment can make some periods unreachable by single-direction
 // relaxation.
 func MinPeriod(ctx context.Context, g *graph.Graph, ts float64) (graph.Retiming, float64, error) {
-	_, crit, err := g.ArrivalTimes(graph.NewRetiming(g))
+	return newTiming(g).minPeriod(ctx, ts, telemetry.Nop)
+}
+
+func (t *timing) minPeriod(ctx context.Context, ts float64, rec telemetry.Recorder) (graph.Retiming, float64, error) {
+	if t.err0 != nil {
+		return nil, 0, t.err0
+	}
+	var best graph.Retiming
+	fits := func(phi float64) (bool, error) {
+		return t.probe(rec, &best, func() (bool, error) { return t.tryPeriod(ctx, phi, ts) })
+	}
+	hi := snapUp(t.crit0 + ts) // the unretimed circuit achieves this
+	hi, err := searchGrid(snapUp(t.g.MaxDelay()+ts), hi, fits)
 	if err != nil {
 		return nil, 0, err
 	}
-	hi := snapUp(crit + ts) // the unretimed circuit achieves this
-	hi, err = searchGrid(snapUp(g.MaxDelay()+ts), hi, func(phi float64) (bool, error) {
-		_, ok, err := tryPeriod(ctx, g, phi, ts)
-		return ok, err
-	})
-	if err != nil {
-		return nil, 0, err
+	if best == nil {
+		// No probe was accepted, so hi is still the unretimed period,
+		// which the search takes as accepted without probing it.
+		ok, err := fits(hi)
+		if err != nil {
+			return nil, 0, err
+		}
+		if !ok {
+			return graph.NewRetiming(t.g), hi, nil
+		}
 	}
-	r, ok, err := tryPeriod(ctx, g, hi, ts)
-	if err != nil {
-		return nil, 0, err
-	}
-	if !ok {
-		return graph.NewRetiming(g), snapUp(crit + ts), nil
-	}
-	return r, hi, nil
+	return best, hi, nil
 }
 
 func snapUp(x float64) float64 { return math.Ceil(x/grid-eps) * grid }
@@ -234,122 +233,112 @@ func snapUp(x float64) float64 { return math.Ceil(x/grid-eps) * grid }
 // MinPeriod, as the paper prescribes). rec receives the elw-recompute
 // spans of the hold checks (nil records nothing).
 func SetupHold(ctx context.Context, g *graph.Graph, phi, ts, th float64, rec telemetry.Recorder) (graph.Retiming, bool, error) {
-	r, ok, cerr := tryPeriod(ctx, g, phi, ts)
-	if cerr != nil {
-		return nil, false, cerr
+	t := newTiming(g)
+	return t.result(t.setupHold(ctx, phi, ts, th, rec))
+}
+
+func (t *timing) setupHold(ctx context.Context, phi, ts, th float64, rec telemetry.Recorder) (bool, error) {
+	if ok, err := t.tryPeriod(ctx, phi, ts); !ok || err != nil {
+		return false, err
 	}
-	if !ok {
-		return nil, false, nil
-	}
+	g := t.g
 	p := elw.Params{Phi: phi, Ts: ts, Th: th}
 	limit := 4*feasPassCap(g) + 16
 	bestHold, stall := 1<<30, 0
 	for it := 0; it < limit; it++ {
 		if cerr := guard.CheckpointIn(ctx, "retime.SetupHold", telemetry.PhaseInit.String()); cerr != nil {
-			return nil, false, cerr
+			return false, cerr
 		}
 		// Hold repairs may have recreated a long path; split it with a
 		// setup re-repair pass before checking hold again.
-		violated, ok := feasPass(g, r, phi, ts)
+		violated, ok := t.pass(&t.fwd, phi, ts)
 		if !ok {
-			return nil, false, nil
+			return false, nil
 		}
 		if violated {
 			continue
 		}
-		lab, err := elw.ComputeLabels(g, r, p, rec)
+		lab, err := elw.ComputeLabels(g, t.r, p, rec)
 		if err != nil {
-			return nil, false, nil
+			return false, nil
 		}
 		// Batch: repair every currently-violated edge in one pass (labels
 		// go stale as repairs move registers, but the loop re-verifies).
 		repaired, holdV := 0, 0
 		for i := 0; i < g.NumEdges(); i++ {
 			eid := graph.EdgeID(i)
-			e := g.Edge(eid)
-			if e.To == graph.Host || g.WR(eid, r) <= 0 || !lab.HasWindow[e.To] {
+			to := g.EdgeTo(eid)
+			if to == graph.Host || t.wr[eid] <= 0 || !lab.HasWindow[to] {
 				continue
 			}
 			if lab.HoldSlack(g, p, eid) >= th-eps {
 				continue
 			}
 			holdV++
-			if holdRepair(g, r, eid) {
+			if t.holdRepair(eid) {
 				repaired++
 			}
 		}
 		if holdV == 0 {
-			if g.CheckLegal(r) != nil {
-				return nil, false, nil
-			}
-			return r, true, nil
+			return g.CheckLegal(t.r) == nil, nil
 		}
 		if repaired == 0 {
-			return nil, false, nil
+			return false, nil
 		}
 		// Stall detection: repairs that never reduce the violation count
 		// are cycling (clustered registers with nowhere to go).
 		if holdV < bestHold {
 			bestHold, stall = holdV, 0
 		} else if stall++; stall > 50 {
-			return nil, false, nil
+			return false, nil
 		}
 	}
-	return nil, false, nil
+	return false, nil
 }
 
 // holdRepair lengthens the short register-launched path on edge eid by
 // moving a register forward across the sink gate (spreading clustered
 // registers into later logic), or, failing that, backward across the
 // source. Reports whether a legal move was found.
-func holdRepair(g *graph.Graph, r graph.Retiming, eid graph.EdgeID) bool {
-	e := g.Edge(eid)
+func (t *timing) holdRepair(eid graph.EdgeID) bool {
+	from, to := t.g.EdgeFrom(eid), t.g.EdgeTo(eid)
 	// Forward across the sink: legal iff every in-edge of To keeps
 	// w_r >= 0 after r(To)--.
-	if e.To != graph.Host {
-		ok := true
-		for _, ie := range g.In(e.To) {
-			if g.WR(ie, r) < 1 {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			r[e.To]--
-			return true
-		}
+	if to != graph.Host && t.holdsRegisters(t.g.In(to)) {
+		t.move(to, -1)
+		return true
 	}
 	// Backward across the source: legal iff every out-edge of From keeps
 	// w_r >= 0 after r(From)++.
-	if e.From != graph.Host {
-		ok := true
-		for _, oe := range g.Out(e.From) {
-			if g.WR(oe, r) < 1 {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			r[e.From]++
-			return true
-		}
+	if from != graph.Host && t.holdsRegisters(t.g.Out(from)) {
+		t.move(from, 1)
+		return true
 	}
 	return false
 }
 
+// holdsRegisters reports whether every edge in es carries a register.
+func (t *timing) holdsRegisters(es []graph.EdgeID) bool {
+	for _, e := range es {
+		if t.wr[e] < 1 {
+			return false
+		}
+	}
+	return true
+}
+
 // minPeriodSetupHold finds the smallest period (on the delay grid) for
 // which SetupHold succeeds.
-func minPeriodSetupHold(ctx context.Context, g *graph.Graph, ts, th float64, rec telemetry.Recorder) (graph.Retiming, float64, bool, error) {
-	_, crit, err := g.ArrivalTimes(graph.NewRetiming(g))
-	if err != nil {
+func (t *timing) minPeriodSetupHold(ctx context.Context, ts, th float64, rec telemetry.Recorder) (graph.Retiming, float64, bool, error) {
+	if t.err0 != nil {
 		return nil, 0, false, nil
 	}
+	var best graph.Retiming
 	fits := func(phi float64) (bool, error) {
-		_, ok, err := SetupHold(ctx, g, phi, ts, th, rec)
-		return ok, err
+		return t.probe(rec, &best, func() (bool, error) { return t.setupHold(ctx, phi, ts, th, rec) })
 	}
-	lo := snapUp(g.MaxDelay() + ts)
-	hi := snapUp(crit + ts)
+	lo := snapUp(t.g.MaxDelay() + ts)
+	hi := snapUp(t.crit0 + ts)
 	if ok, err := fits(hi); err != nil {
 		return nil, 0, false, err
 	} else if !ok {
@@ -361,12 +350,11 @@ func minPeriodSetupHold(ctx context.Context, g *graph.Graph, ts, th float64, rec
 		}
 		lo, hi = hi+grid, hi2
 	}
-	hi, err = searchGrid(lo, hi, fits)
+	hi, err := searchGrid(lo, hi, fits)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	r, ok, err := SetupHold(ctx, g, hi, ts, th, rec)
-	return r, hi, ok, err
+	return best, hi, true, nil
 }
 
 // Options configures Initialize.
@@ -376,8 +364,9 @@ type Options struct {
 	// Epsilon is the relaxation applied to the minimal period (paper: 0.10).
 	Epsilon float64
 	// Recorder receives the initialization's telemetry: one init span over
-	// the whole Section V computation plus the elw-recompute spans of the
-	// hold-repair loops. nil records nothing.
+	// the whole Section V computation, an init-probe span per Φ probe of
+	// its min-period searches, and the elw-recompute spans of the probes'
+	// hold checks and of the Rmin computation. nil records nothing.
 	Recorder telemetry.Recorder
 }
 
@@ -401,9 +390,10 @@ type Init struct {
 }
 
 // Initialize computes the initial retiming, relaxed clock period Φ and
-// shortest-path bound Rmin per Section V of the paper. The min-period
-// searches and hold-repair loops check ctx and abort with an error
-// unwrapping to guard.ErrTimeout once it is done.
+// shortest-path bound Rmin per Section V of the paper. Both min-period
+// searches probe with one timing state. The searches and hold-repair
+// loops check ctx and abort with an error unwrapping to guard.ErrTimeout
+// once it is done.
 func Initialize(ctx context.Context, g *graph.Graph, o Options) (init *Init, err error) {
 	rec := telemetry.OrNop(o.Recorder)
 	rec.SpanStart(telemetry.PhaseInit)
@@ -412,7 +402,8 @@ func Initialize(ctx context.Context, g *graph.Graph, o Options) (init *Init, err
 		return nil, fmt.Errorf("retime: negative epsilon %g", o.Epsilon)
 	}
 	init = &Init{}
-	r, phi, ok, err := minPeriodSetupHold(ctx, g, o.Ts, o.Th, rec)
+	t := newTiming(g)
+	r, phi, ok, err := t.minPeriodSetupHold(ctx, o.Ts, o.Th, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -435,7 +426,7 @@ func Initialize(ctx context.Context, g *graph.Graph, o Options) (init *Init, err
 		}
 		return init, nil
 	}
-	r, phi, err = MinPeriod(ctx, g, o.Ts)
+	r, phi, err = t.minPeriod(ctx, o.Ts, rec)
 	if err != nil {
 		return nil, err
 	}

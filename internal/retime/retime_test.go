@@ -9,6 +9,7 @@ import (
 	"serretime/internal/benchfmt"
 	"serretime/internal/elw"
 	"serretime/internal/graph"
+	"serretime/internal/telemetry"
 )
 
 // pipelineGraph builds host -2-> A(1) -0-> B(1) -0-> C(1) -0-> host:
@@ -148,7 +149,7 @@ func TestSetupHoldRepairsShortPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !ok {
-		t.Skip("heuristic could not repair; acceptable fallback path")
+		t.Fatal("SetupHold could not repair the short path")
 	}
 	lab, err = elw.ComputeLabels(g, r, p, nil)
 	if err != nil {
@@ -187,6 +188,63 @@ func TestInitializePipeline(t *testing.T) {
 		t.Fatal("P2' violated at initialization")
 	}
 }
+
+// TestInitializeTracesProbes checks the init span's children: one merged
+// init-probe node whose count is the number of Φ probes, holding the
+// elw-recompute spans of the probes' hold checks.
+func TestInitializeTracesProbes(t *testing.T) {
+	c, err := benchfmt.ParseFile("../../testdata/s27.bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.FromCircuit(c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := &probeCounter{}
+	tr := telemetry.NewTrace(telemetry.TraceID{})
+	o := DefaultOptions()
+	o.Recorder = telemetry.Tee(tr, probes)
+	init, err := Initialize(context.Background(), g, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !init.SetupHoldOK {
+		t.Fatal("test premise broken: s27 falls back to MinPeriod")
+	}
+	tr.Finish()
+	in := tr.Snapshot().Find("init")
+	if in == nil {
+		t.Fatal("no init span")
+	}
+	var probe *telemetry.Span
+	for _, c := range in.Children {
+		if c.Name == "init-probe" {
+			if probe != nil {
+				t.Fatal("init-probe spans not merged into one node")
+			}
+			probe = c
+		}
+	}
+	if probe == nil || probes.n < 2 || probe.Count != probes.n {
+		t.Fatalf("init-probe node %+v, want count %d (> 1)", probe, probes.n)
+	}
+	if probe.Find("elw-recompute") == nil {
+		t.Fatal("hold checks not recorded under init-probe")
+	}
+}
+
+// probeCounter counts init-probe spans.
+type probeCounter struct{ n int64 }
+
+func (p *probeCounter) SpanStart(ph telemetry.Phase) {
+	if ph == telemetry.PhaseInitProbe {
+		p.n++
+	}
+}
+func (*probeCounter) SpanEnd(telemetry.Phase, error) {}
+func (*probeCounter) Count(telemetry.Counter, int64) {}
+func (*probeCounter) Gauge(telemetry.Gauge, int64)   {}
 
 func TestInitializeS27(t *testing.T) {
 	c, err := benchfmt.ParseFile("../../testdata/s27.bench")

@@ -68,11 +68,15 @@ const (
 	// (level 2, inside PhaseMinimize).
 	PhaseFindViolations
 	// PhaseELWRecompute is one L/R timing-label computation (level 3,
-	// inside PhaseFindViolations or PhaseInit).
+	// inside PhaseFindViolations or PhaseInitProbe; the Rmin sweep sits
+	// directly inside PhaseInit).
 	PhaseELWRecompute
 	// PhaseRepair is the constraint integration of one iteration's
 	// violations (level 2, inside PhaseMinimize).
 	PhaseRepair
+	// PhaseInitProbe is one clock-period probe of the Section V
+	// min-period searches (level 2, inside PhaseInit).
+	PhaseInitProbe
 
 	// NumPhases bounds the enum; not a phase.
 	NumPhases
@@ -95,6 +99,7 @@ var phaseNames = [NumPhases]string{
 	PhaseFindViolations:       "find-violations",
 	PhaseELWRecompute:         "elw-recompute",
 	PhaseRepair:               "repair",
+	PhaseInitProbe:            "init-probe",
 }
 
 var phaseLevels = [NumPhases]int{
@@ -114,6 +119,7 @@ var phaseLevels = [NumPhases]int{
 	PhaseFindViolations:       2,
 	PhaseELWRecompute:         3,
 	PhaseRepair:               2,
+	PhaseInitProbe:            2,
 }
 
 // String returns the phase's trace name (constant; never allocates).
