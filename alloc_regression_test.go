@@ -9,8 +9,10 @@ package serretime
 // (the pre-CSR baseline was ~1 alloc per gate in sim.Run: see
 // BENCH_pre_csr.txt). TestAllocRegressionMinimize and
 // TestAllocRegressionInitialize extend the guard to the optimizer's step
-// path and the Section V initialization. Run as part of the normal test
-// suite and as an explicit CI step.
+// path and the Section V initialization, and TestAllocRegressionRebuild
+// and TestAllocRegressionELWExact to the result path: materializing the
+// retimed netlist and the exact windows of eq. (3). Run as part of the
+// normal test suite and as an explicit CI step.
 
 import (
 	"context"
@@ -18,6 +20,7 @@ import (
 
 	"serretime/internal/circuit"
 	"serretime/internal/core"
+	"serretime/internal/elw"
 	"serretime/internal/gen"
 	"serretime/internal/graph"
 	"serretime/internal/obs"
@@ -184,5 +187,64 @@ func TestAllocRegressionMinimize(t *testing.T) {
 	t.Logf("core.Minimize: %d steps, %.0f allocs/run", steps, got)
 	if got > maxAllocs {
 		t.Fatalf("core.Minimize: %.0f allocs/run over %d steps, want <= %d", got, steps, maxAllocs)
+	}
+}
+
+// sectionV is the alloc circuit's Section V initialization, the retiming
+// and period the result-path guards run at.
+func sectionV(t *testing.T, g *graph.Graph) *retime.Init {
+	t.Helper()
+	opt := RetimeOptions{}.normalized()
+	init, err := retime.Initialize(context.Background(), g, retime.Options{Ts: opt.Ts, Th: opt.Th, Epsilon: opt.Epsilon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return init
+}
+
+// TestAllocRegressionRebuild guards graph.Rebuild: one rebuild of the
+// alloc circuit at its Section V retiming. Node IDs are fixed up front,
+// pins resolve into ID-indexed slices, the register names share one
+// buffer, and fanins and fanouts each live in one array: 39 allocations,
+// a constant number of slices and the two name maps. When every pin went
+// through name-keyed maps, Sprintf tap names and circuit.Builder's name
+// resolution, the same call made 4,547 allocations.
+func TestAllocRegressionRebuild(t *testing.T) {
+	c, g := allocCircuit(t)
+	init := sectionV(t, g)
+	run := func() {
+		if _, err := graph.Rebuild(c, g, init.R); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const maxAllocs = 400
+	got := testing.AllocsPerRun(5, run)
+	t.Logf("graph.Rebuild: %.0f allocs/run", got)
+	if got > maxAllocs {
+		t.Fatalf("graph.Rebuild: %.0f allocs/run, want <= %d", got, maxAllocs)
+	}
+}
+
+// TestAllocRegressionELWExact guards elw.Exact: one evaluation of eq. (3)
+// on the alloc circuit at its Section V retiming and period. Each fanout
+// window is merged into the vertex's set translated in place, so the
+// allocations are the sets themselves: 1,154 over 801 vertices, one per
+// set plus its growth. With a shifted copy and a re-sort of the
+// concatenation per fanout edge, the same call made 5,087 allocations.
+func TestAllocRegressionELWExact(t *testing.T) {
+	_, g := allocCircuit(t)
+	init := sectionV(t, g)
+	opt := RetimeOptions{}.normalized()
+	p := elw.Params{Phi: init.Phi, Ts: opt.Ts, Th: opt.Th}
+	run := func() {
+		if _, err := elw.Exact(g, init.R, p, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const maxAllocs = 1600
+	got := testing.AllocsPerRun(5, run)
+	t.Logf("elw.Exact: %.0f allocs/run", got)
+	if got > maxAllocs {
+		t.Fatalf("elw.Exact: %.0f allocs/run, want <= %d", got, maxAllocs)
 	}
 }

@@ -6,6 +6,8 @@ package serretime
 //     the SER analysis pipeline, the Efficient MinObs baseline and the
 //     MinObsWin algorithm — the t_ref / t_new columns. The full-scale rows
 //     are printed by cmd/serbench.
+//   - BenchmarkRebuild: materializing the retimed netlist of the same
+//     circuits, the other half of the result path beside the SER analysis.
 //   - BenchmarkFigure1_Tradeoff: the Figure 1 ELW/observability trade-off
 //     evaluation.
 //   - BenchmarkFigure2_ConstraintDetection: violation detection and repair
@@ -109,6 +111,22 @@ func BenchmarkTableI_SERAnalysis(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := ser.Compute(p.base, graph.NewRetiming(p.base), in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRebuild measures graph.Rebuild of each circuit at its
+// Section V retiming: the netlist materialization every solve ends with.
+func BenchmarkRebuild(b *testing.B) {
+	for _, c := range benchCircuits {
+		b.Run(fmt.Sprintf("%s_div%d", c.name, c.scale), func(b *testing.B) {
+			p := prepare(b, c.name, c.scale)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := graph.Rebuild(p.d.c, p.d.g, p.init.R); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -9,7 +9,6 @@ type Builder struct {
 	name    string
 	decls   []decl
 	poNames []string
-	seen    map[string]int // name -> index in decls
 }
 
 type decl struct {
@@ -21,7 +20,7 @@ type decl struct {
 
 // NewBuilder returns an empty builder for a design with the given name.
 func NewBuilder(name string) *Builder {
-	return &Builder{name: name, seen: make(map[string]int)}
+	return &Builder{name: name}
 }
 
 // SetName replaces the design name (parsers use it when the netlist text
@@ -53,57 +52,137 @@ func (b *Builder) PO(name string) *Builder {
 	return b
 }
 
-// Build resolves all references and returns a validated Circuit.
+// Build resolves all references and returns a validated Circuit. Nodes
+// get IDs in declaration order; the rest is FromNodes.
 func (b *Builder) Build() (*Circuit, error) {
-	c := New(b.name)
-	// Phase 1: create every node with unresolved fanin so that names exist.
-	for _, d := range b.decls {
+	byName := make(map[string]NodeID, len(b.decls))
+	pins := 0
+	for i, d := range b.decls {
 		if d.name == "" {
 			return nil, fmt.Errorf("circuit builder %q: empty net name", b.name)
 		}
-		if _, dup := c.byName[d.name]; dup {
+		if _, dup := byName[d.name]; dup {
 			return nil, fmt.Errorf("circuit builder %q: duplicate net %q", b.name, d.name)
 		}
-		id := NodeID(len(c.nodes))
-		c.nodes = append(c.nodes, Node{Name: d.name, Kind: d.kind, Fn: d.fn})
-		c.byName[d.name] = id
-		if d.kind == KindPI {
-			c.pis = append(c.pis, id)
-		}
+		byName[d.name] = NodeID(i)
+		pins += len(d.fanins)
 	}
-	// Phase 2: resolve fanins and build fanouts.
+	nodes := make([]Node, len(b.decls))
+	flat := make([]NodeID, pins)
 	for i, d := range b.decls {
-		id := NodeID(i)
+		nodes[i] = Node{Name: d.name, Kind: d.kind, Fn: d.fn}
 		if len(d.fanins) == 0 {
 			continue
 		}
-		fanin := make([]NodeID, len(d.fanins))
+		fanin := flat[:len(d.fanins):len(d.fanins)]
+		flat = flat[len(d.fanins):]
 		for j, fn := range d.fanins {
-			fid, ok := c.byName[fn]
+			fid, ok := byName[fn]
 			if !ok {
 				return nil, fmt.Errorf("circuit builder %q: node %q reads undeclared net %q", b.name, d.name, fn)
 			}
 			fanin[j] = fid
 		}
-		c.nodes[id].Fanin = fanin
+		nodes[i].Fanin = fanin
+	}
+	pos := make([]NodeID, len(b.poNames))
+	for i, po := range b.poNames {
+		id, ok := byName[po]
+		if !ok {
+			return nil, fmt.Errorf("circuit builder %q: OUTPUT of undeclared net %q", b.name, po)
+		}
+		pos[i] = id
+	}
+	return assemble(b.name, nodes, byName, pos)
+}
+
+// FromNodes builds a validated circuit from complete nodes: node i gets
+// ID i, and each Fanin lists node IDs in pin order, forward references
+// allowed (a flip-flop may read a gate that comes after it). Fanout is
+// derived, deduplicated and in ascending ID order, replacing whatever the
+// caller set. pos lists the primary outputs in declaration order; a
+// repeated entry counts once, at its first position, as with MarkPO. The
+// circuit takes ownership of nodes but keeps no reference to pos.
+func FromNodes(name string, nodes []Node, pos []NodeID) (*Circuit, error) {
+	byName := make(map[string]NodeID, len(nodes))
+	for i := range nodes {
+		nm := nodes[i].Name
+		if nm == "" {
+			return nil, fmt.Errorf("circuit %q: node %d has an empty net name", name, i)
+		}
+		if _, dup := byName[nm]; dup {
+			return nil, fmt.Errorf("circuit %q: duplicate net %q", name, nm)
+		}
+		byName[nm] = NodeID(i)
+	}
+	return assemble(name, nodes, byName, pos)
+}
+
+// assemble is FromNodes after name resolution: byName already maps every
+// node's unique name to its index. Fanouts are counted, then filled into
+// one shared array in ascending reader order; each node's list is capped
+// at its own length, so a later mutation that grows it reallocates
+// instead of overwriting its neighbour's.
+func assemble(name string, nodes []Node, byName map[string]NodeID, pos []NodeID) (*Circuit, error) {
+	c := &Circuit{Name: name, nodes: nodes, byName: byName}
+	n := len(nodes)
+	// end[f+1] counts the distinct readers of f; the prefix sum turns
+	// end[f] into the first slot of f's list, and the fill below
+	// advances it to the slot after f's last reader.
+	end := make([]int32, n+1)
+	for i := range nodes {
 		epoch := c.dedupBegin()
-		for _, f := range fanin {
+		for _, f := range nodes[i].Fanin {
+			if int(f) < 0 || int(f) >= n {
+				return nil, fmt.Errorf("circuit %q: node %q references unknown fanin %d", name, nodes[i].Name, f)
+			}
 			if c.dedupMark[f] == epoch {
 				continue
 			}
 			c.dedupMark[f] = epoch
-			c.nodes[f].Fanout = append(c.nodes[f].Fanout, id)
+			end[f+1]++
+		}
+		if nodes[i].Kind == KindPI {
+			c.pis = append(c.pis, NodeID(i))
 		}
 	}
-	// Phase 3: primary outputs.
-	for _, po := range b.poNames {
-		id, ok := c.byName[po]
-		if !ok {
-			return nil, fmt.Errorf("circuit builder %q: OUTPUT of undeclared net %q", b.name, po)
+	for f := 0; f < n; f++ {
+		end[f+1] += end[f]
+	}
+	flat := make([]NodeID, end[n])
+	for i := range nodes {
+		epoch := c.dedupBegin()
+		for _, f := range nodes[i].Fanin {
+			if c.dedupMark[f] == epoch {
+				continue
+			}
+			c.dedupMark[f] = epoch
+			flat[end[f]] = NodeID(i)
+			end[f]++
 		}
-		if err := c.MarkPO(id); err != nil {
-			return nil, err
+	}
+	var start int32
+	for f := range nodes {
+		if e := end[f]; e > start {
+			nodes[f].Fanout = flat[start:e:e]
+			start = e
+		} else {
+			nodes[f].Fanout = nil
 		}
+	}
+	epoch := c.dedupBegin()
+	if len(pos) > 0 {
+		c.pos = make([]NodeID, 0, len(pos))
+	}
+	for _, p := range pos {
+		if int(p) < 0 || int(p) >= n {
+			return nil, fmt.Errorf("circuit %q: primary output of unknown node %d", name, p)
+		}
+		if c.dedupMark[p] == epoch {
+			continue
+		}
+		c.dedupMark[p] = epoch
+		c.pos = append(c.pos, p)
 	}
 	if err := c.Validate(); err != nil {
 		return nil, err

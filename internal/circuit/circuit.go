@@ -240,7 +240,7 @@ type Circuit struct {
 	csrMu sync.Mutex
 
 	// dedupMark/dedupEpoch are the fanout-dedup scratch shared by add and
-	// Builder.Build: an epoch stamp per node replaces the per-call map the
+	// FromNodes: an epoch stamp per node replaces the per-call map the
 	// construction path used to allocate, so building an N-gate netlist
 	// costs O(1) dedup allocations instead of O(N). Only mutating calls
 	// touch the scratch, which are single-goroutine by contract.

@@ -73,7 +73,7 @@ func Exact(g *graph.Graph, r graph.Retiming, p Params, maxIntervals int) ([]inte
 				s.UnionInPlace(base)
 				continue
 			}
-			s.UnionInPlace(out[to].Shift(-g.Delay(to)))
+			s.UnionShiftedInPlace(out[to], -g.Delay(to))
 		}
 		if maxIntervals > 0 && s.Count() > maxIntervals {
 			s = coalesce(s, maxIntervals)

@@ -369,3 +369,81 @@ func TestPropertyRetimingShiftsWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// referenceExact is Exact as it was before the shifted merge, kept as
+// the differential reference: every fanout window is materialized with
+// Shift, and each union concatenates and re-sorts (interval.New).
+func referenceExact(g *graph.Graph, r graph.Retiming, p Params, maxIntervals int) ([]interval.Set, error) {
+	order, err := g.ZeroWeightTopo(r)
+	if err != nil {
+		return nil, err
+	}
+	union := func(s, o interval.Set) interval.Set {
+		return interval.MustNew(append(s.Intervals(), o.Intervals()...)...)
+	}
+	base := p.LatchWindow()
+	out := make([]interval.Set, g.NumVertices())
+	for i := len(order) - 1; i >= 0; i-- {
+		u := order[i]
+		var s interval.Set
+		for _, eid := range g.Out(u) {
+			to := g.EdgeTo(eid)
+			if to == graph.Host || g.WR(eid, r) > 0 {
+				s = union(s, base)
+				continue
+			}
+			s = union(s, out[to].Shift(-g.Delay(to)))
+		}
+		if maxIntervals > 0 && s.Count() > maxIntervals {
+			s = coalesce(s, maxIntervals)
+		}
+		out[u] = s
+	}
+	return out, nil
+}
+
+// TestExactMatchesReference compares every window of Exact with the
+// reference (Set.Equal, endpoint for endpoint) on random graphs at random
+// legal retimings, uncapped and capped at two intervals. Delays include
+// non-dyadic values so shifted windows round.
+func TestExactMatchesReference(t *testing.T) {
+	delays := []float64{0.1, 0.3, 1, 1.5, 2, 2.7, 1.0 / 3}
+	for seed := int64(0); seed < 1500; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g0 := randomGraph(rng, 3+rng.Intn(40))
+		b := graph.NewBuilder()
+		for v := 1; v < g0.NumVertices(); v++ {
+			b.AddVertex("v", delays[rng.Intn(len(delays))])
+		}
+		for e := 0; e < g0.NumEdges(); e++ {
+			ed := g0.Edge(graph.EdgeID(e))
+			b.AddEdge(ed.From, ed.To, ed.W)
+		}
+		g := b.Build()
+		if g.Check() != nil {
+			continue
+		}
+		r := graph.NewRetiming(g)
+		for k := 0; k < g.NumVertices(); k++ {
+			v := graph.VertexID(1 + rng.Intn(g.NumGates()))
+			d := int32(1 - 2*rng.Intn(2))
+			r[v] += d
+			if g.CheckLegal(r) != nil {
+				r[v] -= d
+			}
+		}
+		p := Params{Phi: 5 + rng.Float64()*40, Ts: float64(rng.Intn(2)) * 0.5, Th: 2}
+		for _, maxIntervals := range []int{0, 2} {
+			want, werr := referenceExact(g, r, p, maxIntervals)
+			got, gerr := Exact(g, r, p, maxIntervals)
+			if (werr != nil) != (gerr != nil) {
+				t.Fatalf("seed %d: Exact error %v, reference error %v", seed, gerr, werr)
+			}
+			for v := range want {
+				if !got[v].Equal(want[v]) {
+					t.Fatalf("seed %d cap %d: ELW(%d) = %v, want %v", seed, maxIntervals, v, got[v], want[v])
+				}
+			}
+		}
+	}
+}

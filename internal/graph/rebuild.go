@@ -2,7 +2,9 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 
 	"serretime/internal/circuit"
 )
@@ -22,12 +24,37 @@ type Rebuilt struct {
 	POTaps []circuit.NodeID
 }
 
+// tapRef names the net a retimed pin reads: the w-th register of the
+// chain on driver drv, or drv itself when w = 0.
+type tapRef struct {
+	drv circuit.NodeID
+	w   int32
+}
+
+// netInfo is Rebuild's per-node record for the nets it keeps (primary
+// inputs and gates), indexed by the node's ID in the original circuit.
+type netInfo struct {
+	// id is the node's ID in the rebuilt circuit; chain is the ID of the
+	// first register of its chain, whose need registers follow in order.
+	id, chain circuit.NodeID
+	need      int32
+}
+
 // Rebuild materializes the retiming r of graph g (extracted from circuit c
 // by FromCircuit) into a new circuit. Register chains are max-shared per
 // driver net, so the resulting flip-flop count equals g.SharedRegisters(r).
 //
 // Primary-input-to-primary-output connections that never pass a gate are
 // preserved verbatim (they are not represented in the graph).
+//
+// Every node's ID is fixed before the circuit is built: the primary
+// inputs in order, then the register chain of each driver net with
+// registers, drivers in name order, then the gates in their original
+// order. The N-th register of the chain on net x is named x$rN. When a
+// primary input or gate of c already carries that name, the register
+// takes x$rN$K for the smallest K ≥ 1 that names no kept net; such a name
+// cannot equal another register's, since the suffixes parse back to a
+// unique (x, N, K).
 func Rebuild(c *circuit.Circuit, g *Graph, r Retiming) (*Rebuilt, error) {
 	if g.vertexOf == nil {
 		return nil, fmt.Errorf("graph: Rebuild requires a circuit-extracted graph")
@@ -35,148 +62,177 @@ func Rebuild(c *circuit.Circuit, g *Graph, r Retiming) (*Rebuilt, error) {
 	if err := g.CheckLegal(r); err != nil {
 		return nil, err
 	}
+	n := c.NumNodes()
+	pis, pos := c.PIs(), c.POs()
 
-	// Pass 1: compute the retimed register count of every pin and PO net,
-	// and the needed chain length per driver net.
-	type pin struct {
-		gate    circuit.NodeID // consuming gate (InvalidNode for a PO)
-		pinIdx  int
-		drvName string
-		w       int32
+	// rOf[x] is the retiming at the vertex of gate x, and r(Host) at a
+	// primary input.
+	rOf := make([]int32, n)
+	for v := 1; v < len(g.nodeOf); v++ {
+		if x := g.nodeOf[v]; x >= 0 && int(x) < n {
+			rOf[x] = r[v]
+		}
 	}
-	var pins []pin
-	need := make(map[string]int32) // driver net -> max chain length
-
-	resolvePin := func(fin circuit.NodeID, toV VertexID) (string, int32, error) {
-		drv, w, err := effectiveDriver(c, fin)
-		if err != nil {
-			return "", 0, err
+	pinCount, gates := 0, 0
+	for x := 0; x < n; x++ {
+		if nd := c.Node(circuit.NodeID(x)); nd.Kind == circuit.KindGate {
+			pinCount += len(nd.Fanin)
+			gates++
 		}
-		dn := c.Node(drv)
-		var fromV VertexID
-		switch dn.Kind {
-		case circuit.KindPI:
-			fromV = Host
-		case circuit.KindGate:
-			fromV = g.vertexOf[drv]
-		default:
-			return "", 0, fmt.Errorf("graph: unresolvable driver %q", dn.Name)
-		}
-		var rTo int32
-		if toV != Host {
-			rTo = r[toV]
-		}
-		nw := w + rTo - r[fromV]
-		if nw < 0 {
-			return "", 0, fmt.Errorf("graph: pin of %q gets %d registers", dn.Name, nw)
-		}
-		return dn.Name, nw, nil
 	}
 
-	for _, n := range c.NodesOfKind(circuit.KindGate) {
-		toV := g.vertexOf[n]
-		for i, fin := range c.Node(n).Fanin {
-			dname, nw, err := resolvePin(fin, toV)
+	// Pass 1: resolve the retimed register count of every gate pin (in
+	// gate order) and PO net, and the chain length each driver needs.
+	info := make([]netInfo, n)
+	refs := make([]tapRef, 0, pinCount+len(pos))
+	for x := 0; x < n; x++ {
+		nd := c.Node(circuit.NodeID(x))
+		if nd.Kind != circuit.KindGate {
+			continue
+		}
+		for _, fin := range nd.Fanin {
+			drv, w, err := effectiveDriver(c, fin)
 			if err != nil {
 				return nil, err
 			}
-			pins = append(pins, pin{gate: n, pinIdx: i, drvName: dname, w: nw})
-			if nw > need[dname] {
-				need[dname] = nw
+			nw := w + rOf[x] - rOf[drv]
+			if nw < 0 {
+				return nil, fmt.Errorf("graph: pin of %q gets %d registers", c.Node(drv).Name, nw)
 			}
+			refs = append(refs, tapRef{drv, nw})
+			info[drv].need = max(info[drv].need, nw)
 		}
 	}
-	type poPin struct {
-		drvName string
-		w       int32
-	}
-	var poPins []poPin
-	for _, po := range c.POs() {
+	for _, po := range pos {
 		drv, w, err := effectiveDriver(c, po)
 		if err != nil {
 			return nil, err
 		}
-		dn := c.Node(drv)
-		var nw int32
-		switch dn.Kind {
-		case circuit.KindPI:
-			nw = w // no graph edge: registers preserved verbatim
-		case circuit.KindGate:
-			nw = w - r[g.vertexOf[drv]]
-		default:
-			return nil, fmt.Errorf("graph: PO driven by %s", dn.Kind)
+		nw := w // a PI feeding a PO has no graph edge: registers preserved verbatim
+		if c.Node(drv).Kind == circuit.KindGate {
+			nw = w - rOf[drv]
 		}
 		if nw < 0 {
-			return nil, fmt.Errorf("graph: PO of %q gets %d registers", dn.Name, nw)
+			return nil, fmt.Errorf("graph: PO of %q gets %d registers", c.Node(drv).Name, nw)
 		}
-		poPins = append(poPins, poPin{drvName: dn.Name, w: nw})
-		if nw > need[dn.Name] {
-			need[dn.Name] = nw
-		}
+		refs = append(refs, tapRef{drv, nw})
+		info[drv].need = max(info[drv].need, nw)
 	}
 
-	// Pass 2: emit the retimed netlist.
-	b := circuit.NewBuilder(c.Name + "_retimed")
-	for _, pi := range c.PIs() {
-		b.PI(c.Node(pi).Name)
-	}
-	tapName := func(drv string, j int32) string {
-		if j == 0 {
-			return drv
-		}
-		return fmt.Sprintf("%s$r%d", drv, j)
-	}
-	drivers := make([]string, 0, len(need))
-	for drv := range need {
-		drivers = append(drivers, drv)
-	}
-	sort.Strings(drivers) // deterministic node numbering
-	for _, drv := range drivers {
-		prev := drv
-		for j := int32(1); j <= need[drv]; j++ {
-			name := tapName(drv, j)
-			b.DFF(name, prev)
-			prev = name
+	// Pass 2: fix every ID.
+	var drivers []circuit.NodeID
+	regs := 0
+	for x := range info {
+		if info[x].need > 0 {
+			drivers = append(drivers, circuit.NodeID(x))
+			regs += int(info[x].need)
 		}
 	}
-	gateFanin := make(map[circuit.NodeID][]string)
-	for _, n := range c.NodesOfKind(circuit.KindGate) {
-		gateFanin[n] = make([]string, len(c.Node(n).Fanin))
+	slices.SortFunc(drivers, func(a, b circuit.NodeID) int {
+		return strings.Compare(c.Node(a).Name, c.Node(b).Name)
+	})
+	for i, pi := range pis {
+		info[pi].id = circuit.NodeID(i)
 	}
-	for _, p := range pins {
-		gateFanin[p.gate][p.pinIdx] = tapName(p.drvName, p.w)
+	next := circuit.NodeID(len(pis))
+	for _, x := range drivers {
+		info[x].chain = next
+		next += circuit.NodeID(info[x].need)
 	}
-	for _, n := range c.NodesOfKind(circuit.KindGate) {
-		nd := c.Node(n)
-		b.Gate(nd.Name, nd.Fn, gateFanin[n]...)
+	for x := 0; x < n; x++ {
+		if c.Node(circuit.NodeID(x)).Kind == circuit.KindGate {
+			info[x].id = next
+			next++
+		}
 	}
-	for _, pp := range poPins {
-		b.PO(tapName(pp.drvName, pp.w))
+	tap := func(t tapRef) circuit.NodeID {
+		if t.w == 0 {
+			return info[t.drv].id
+		}
+		return info[t.drv].chain + circuit.NodeID(t.w-1)
 	}
-	rc, err := b.Build()
+
+	// Pass 3: emit the nodes. fanin holds every pin, one per register and
+	// then the gates' pins in order. The register names are substrings of
+	// one strings.Builder, sized up front, whose later writes only extend
+	// its content.
+	nodes := make([]circuit.Node, len(pis)+regs+gates)
+	for i, pi := range pis {
+		nodes[i] = circuit.Node{Name: c.Node(pi).Name, Kind: circuit.KindPI}
+	}
+	size := 0
+	for _, x := range drivers {
+		need := info[x].need
+		size += int(need) * (len(c.Node(x).Name) + 2 + len(strconv.Itoa(int(need))))
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	var digits [20]byte
+	fanin := make([]circuit.NodeID, regs+pinCount)
+	chainIDs := make([]circuit.NodeID, regs)
+	chains := make(map[string][]circuit.NodeID, len(drivers))
+	k := 0
+	for _, x := range drivers {
+		first := k
+		for j := int32(1); j <= info[x].need; j++ {
+			start := sb.Len()
+			sb.WriteString(c.Node(x).Name)
+			sb.WriteString("$r")
+			sb.Write(strconv.AppendInt(digits[:0], int64(j), 10))
+			id := info[x].chain + circuit.NodeID(j-1)
+			fanin[k] = id - 1
+			if j == 1 {
+				fanin[k] = info[x].id
+			}
+			nodes[id] = circuit.Node{
+				Name:  freeTapName(c, sb.String()[start:]),
+				Kind:  circuit.KindDFF,
+				Fanin: fanin[k : k+1 : k+1],
+			}
+			chainIDs[k] = id
+			k++
+		}
+		chains[c.Node(x).Name] = chainIDs[first:k:k]
+	}
+	pin := 0
+	for x := 0; x < n; x++ {
+		nd := c.Node(circuit.NodeID(x))
+		if nd.Kind != circuit.KindGate {
+			continue
+		}
+		fi := fanin[k : k+len(nd.Fanin) : k+len(nd.Fanin)]
+		for i := range fi {
+			fi[i] = tap(refs[pin])
+			pin++
+		}
+		k += len(fi)
+		nodes[info[x].id] = circuit.Node{Name: nd.Name, Kind: circuit.KindGate, Fn: nd.Fn, Fanin: fi}
+	}
+	poTaps := make([]circuit.NodeID, len(pos))
+	for i := range pos {
+		poTaps[i] = tap(refs[pin+i])
+	}
+	rc, err := circuit.FromNodes(c.Name+"_retimed", nodes, poTaps)
 	if err != nil {
 		return nil, fmt.Errorf("graph: rebuild: %w", err)
 	}
-	out := &Rebuilt{C: rc, Chains: make(map[string][]circuit.NodeID, len(need))}
-	for _, pp := range poPins {
-		id, ok := rc.Lookup(tapName(pp.drvName, pp.w))
-		if !ok {
-			return nil, fmt.Errorf("graph: rebuild lost PO tap %s", tapName(pp.drvName, pp.w))
-		}
-		out.POTaps = append(out.POTaps, id)
+	return &Rebuilt{C: rc, Chains: chains, POTaps: poTaps}, nil
+}
+
+// freeTapName returns name unless a primary input or gate of c, which
+// Rebuild keeps under their own names, already has it; then it returns
+// name$K for the smallest K ≥ 1 that names none of them.
+func freeTapName(c *circuit.Circuit, name string) string {
+	kept := func(s string) bool {
+		id, ok := c.Lookup(s)
+		return ok && c.Node(id).Kind != circuit.KindDFF
 	}
-	for drv, n := range need {
-		ids := make([]circuit.NodeID, n)
-		for j := int32(1); j <= n; j++ {
-			id, ok := rc.Lookup(tapName(drv, j))
-			if !ok {
-				return nil, fmt.Errorf("graph: rebuild lost chain tap %s", tapName(drv, j))
-			}
-			ids[j-1] = id
-		}
-		if n > 0 {
-			out.Chains[drv] = ids
+	if !kept(name) {
+		return name
+	}
+	for k := 1; ; k++ {
+		if s := name + "$" + strconv.Itoa(k); !kept(s) {
+			return s
 		}
 	}
-	return out, nil
 }

@@ -144,20 +144,77 @@ func (s Set) Union(o Set) Set {
 	if o.Empty() {
 		return s.clone()
 	}
-	u := Set{ivs: make([]Interval, 0, len(s.ivs)+len(o.ivs))}
-	u.ivs = append(u.ivs, s.ivs...)
-	u.ivs = append(u.ivs, o.ivs...)
-	u.normalize()
-	return u
+	ivs := make([]Interval, 0, len(s.ivs)+len(o.ivs))
+	return Set{ivs: merge(ivs, s.ivs, o.ivs, 0, false)}
 }
 
-// UnionInPlace merges o into s, reusing s's storage where possible.
-func (s *Set) UnionInPlace(o Set) {
-	if o.Empty() {
+// UnionInPlace merges o into s, reusing s's storage where possible. o may
+// be s itself. A copy of s taken before the call shares the storage the
+// merge rewrites and must not be used afterwards.
+func (s *Set) UnionInPlace(o Set) { s.unionIn(o.ivs, 0, false) }
+
+// UnionShiftedInPlace merges o translated by delta into s, as
+// s.UnionInPlace(o.Shift(delta)) does, without materializing the shifted
+// copy. The ELW recurrence of eq. (3) calls it once per fanout edge with
+// delta = −d(f).
+func (s *Set) UnionShiftedInPlace(o Set, delta float64) { s.unionIn(o.ivs, delta, true) }
+
+// unionIn merges b (translated by delta when shift is set) into s in one
+// pass. s's intervals move to the tail of a buffer holding both inputs,
+// and the merge writes the result from the front: after consuming i of
+// s's intervals and j of b's, it has written at most i+j−1, while s's
+// next unread one sits at len(b)+i, so no write reaches an unread
+// interval. s's own storage is that buffer when it is large enough and b
+// is not s itself, whose intervals the tail move would overwrite.
+func (s *Set) unionIn(b []Interval, delta float64, shift bool) {
+	if len(b) == 0 {
 		return
 	}
-	s.ivs = append(s.ivs, o.ivs...)
-	s.normalize()
+	na, nb := len(s.ivs), len(b)
+	var buf []Interval
+	if cap(s.ivs) >= na+nb && (na == 0 || &b[0] != &s.ivs[0]) {
+		buf = s.ivs[:na+nb]
+		copy(buf[nb:], buf[:na])
+	} else {
+		buf = make([]Interval, na+nb, max(na+nb, 2*cap(s.ivs)))
+		copy(buf[nb:], s.ivs)
+	}
+	s.ivs = merge(buf[:0], buf[nb:], b, delta, shift)
+}
+
+// merge appends to dst the canonical union of a and b, b translated by
+// delta when shift is set. a must be canonical (sorted, disjoint, not
+// touching); b must be sorted by left end, which translation preserves
+// even where rounding makes two of its intervals touch. The union of
+// closed intervals has one canonical form, so the result equals what
+// sorting the concatenation and coalescing (New, normalize) produces, and
+// the translation performs the same L+delta and R+delta additions as
+// Shift: every endpoint is bit-identical.
+func merge(dst, a, b []Interval, delta float64, shift bool) []Interval {
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		var iv Interval
+		if j < len(b) {
+			iv = b[j]
+			if shift {
+				iv = iv.Shift(delta)
+			}
+		}
+		if j == len(b) || (i < len(a) && a[i].L <= iv.L) {
+			iv = a[i]
+			i++
+		} else {
+			j++
+		}
+		if n := len(dst); n > 0 && iv.L <= dst[n-1].R {
+			if iv.R > dst[n-1].R {
+				dst[n-1].R = iv.R
+			}
+		} else {
+			dst = append(dst, iv)
+		}
+	}
+	return dst
 }
 
 // Shift returns the set translated by delta (the ELW(f) - d(f) operation

@@ -372,3 +372,34 @@ func TestStallWatchdog(t *testing.T) {
 		t.Fatalf("error does not unwrap to guard.ErrStalled: %v", err)
 	}
 }
+
+// TestRobustTapNameCollision solves a netlist with a primary input named
+// a$r1, the name Rebuild derives for the register tap on gate a. The tap
+// must take a fresh name instead of failing every tier with a duplicate
+// net and degrading to the identity retiming.
+func TestRobustTapNameCollision(t *testing.T) {
+	const src = "INPUT(x)\nINPUT(a$r1)\nOUTPUT(q)\nOUTPUT(o)\n" +
+		"a = AND(x, a$r1)\nq = DFF(a)\no = NOT(q)\n"
+	d, err := ParseBench(strings.NewReader(src), "collide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.RetimeRobust(context.Background(), RobustOptions{
+		RetimeOptions: RetimeOptions{Algorithm: MinObsWin, Analysis: fastAnalysis, Verify: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Degraded {
+		t.Fatalf("degraded to tier %s: %+v", res.Tier, res.Attempts)
+	}
+	var out strings.Builder
+	if err := res.Retimed.WriteBench(&out); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"INPUT(a$r1)", "a$r1$1 = DFF(a)", "a = AND(x, a$r1)"} {
+		if !strings.Contains(out.String(), line+"\n") {
+			t.Errorf("retimed netlist lacks %q:\n%s", line, out.String())
+		}
+	}
+}
