@@ -13,6 +13,8 @@
 // counts, iterations) is printed to standard output. Without -out the
 // retimed netlist goes to standard output in .bench syntax and the
 // summary to standard error, so the netlist can be redirected to a file.
+// The -out file is replaced atomically: a failed run leaves the previous
+// file, never a torn netlist.
 package main
 
 import (
@@ -22,6 +24,7 @@ import (
 	"os"
 
 	"serretime"
+	"serretime/internal/faultfs"
 )
 
 func main() {
@@ -132,15 +135,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return fail(err)
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := faultfs.WriteAtomic(faultfs.OS(), *out, 0o644, false, write); err != nil {
 		return fail(err)
 	}
 	fmt.Fprintf(report, "wrote        %s\n", *out)

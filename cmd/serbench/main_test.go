@@ -2,7 +2,10 @@ package main
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -173,4 +176,49 @@ func tableINames(t *testing.T) []string {
 		t.Fatalf("Table I has %d circuits, want 21", len(names))
 	}
 	return names
+}
+
+// TestTableIGolden runs the cap-500 Table I sweep and compares every
+// printed figure with testdata/table1_autocap500.txt, field by field,
+// apart from the two run-time columns; the sweep is deterministic, so
+// any drift in a printed figure fails. Regenerate the file, after a
+// change that is meant to move a figure, with
+//
+//	go run ./cmd/serbench -autocap 500 -parallel 1 -workers 1 > cmd/serbench/testdata/table1_autocap500.txt
+func TestTableIGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "table1_autocap500.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut strings.Builder
+	if code := run([]string{"-autocap", "500", "-parallel", "1", "-workers", "1"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit code %d\nstderr:\n%s", code, errOut.String())
+	}
+	runTime := regexp.MustCompile(`^[0-9]+\.[0-9]+s$`)
+	fields := func(table string) [][]string {
+		var lines [][]string
+		for _, line := range strings.Split(strings.TrimRight(table, "\n"), "\n") {
+			f := strings.Fields(line)
+			for i := range f {
+				if runTime.MatchString(f[i]) {
+					f[i] = "<time>"
+				}
+			}
+			lines = append(lines, f)
+		}
+		return lines
+	}
+	got, exp := fields(out.String()), fields(string(want))
+	for i := 0; i < max(len(got), len(exp)); i++ {
+		var g, e []string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(exp) {
+			e = exp[i]
+		}
+		if !slices.Equal(g, e) {
+			t.Fatalf("line %d differs from the golden table:\ngot:  %s\nwant: %s", i+1, strings.Join(g, " "), strings.Join(e, " "))
+		}
+	}
 }

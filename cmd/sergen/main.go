@@ -9,6 +9,9 @@
 //	sergen -table s13207 [-scale 1] -out s13207.bench
 //	sergen -preset par100k -out par100k.bench
 //	sergen -gates 5000 -conns 11000 -ffs 1200 [-depth 40] -out custom.bench
+//
+// The -out file is replaced atomically: a failed run leaves the previous
+// file, never a torn netlist.
 package main
 
 import (
@@ -17,6 +20,7 @@ import (
 	"os"
 
 	"serretime"
+	"serretime/internal/faultfs"
 	"serretime/internal/gen"
 )
 
@@ -73,14 +77,7 @@ func main() {
 		fmt.Print(d.String())
 		return
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		fatal(err)
-	}
-	if err := d.WriteBench(f); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := faultfs.WriteAtomic(faultfs.OS(), *out, 0o644, false, d.WriteBench); err != nil {
 		fatal(err)
 	}
 }

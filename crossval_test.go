@@ -157,7 +157,7 @@ func TestFastCrossValidation(t *testing.T) {
 // public analysis surface (ensureObs via Analyze) and checks the derived
 // per-vertex observabilities are bit-identical for every worker count.
 func TestFastDeterminismAcrossWorkers(t *testing.T) {
-	d, err := LoadBench("testdata/par2500.bench")
+	d, err := Load("testdata/par2500.bench")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestFastDeterminismAcrossWorkers(t *testing.T) {
 // the accuracy must invalidate the in-process analysis cache and
 // recompute, never reuse the other engine's numbers.
 func TestAccuracyJoinsObsCache(t *testing.T) {
-	d, err := LoadBench("testdata/s27.bench")
+	d, err := Load("testdata/s27.bench")
 	if err != nil {
 		t.Fatal(err)
 	}

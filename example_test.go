@@ -8,9 +8,10 @@ import (
 	"serretime/internal/telemetry"
 )
 
-// ExampleLoadBench loads a netlist and prints its statistics.
-func ExampleLoadBench() {
-	d, err := serretime.LoadBench("testdata/s27.bench")
+// ExampleLoad loads a netlist, picking the format from its extension,
+// and prints its statistics.
+func ExampleLoad() {
+	d, err := serretime.Load("testdata/s27.bench")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -26,7 +27,7 @@ func ExampleLoadBench() {
 
 // ExampleDesign_Analyze evaluates eq. (4) of the paper on a netlist.
 func ExampleDesign_Analyze() {
-	d, err := serretime.LoadBench("testdata/s27.bench")
+	d, err := serretime.Load("testdata/s27.bench")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func ExampleDesign_Analyze() {
 // ExampleDesign_Retime runs the paper's MinObsWin pipeline end to end and
 // verifies the optimizer move's sequential equivalence.
 func ExampleDesign_Retime() {
-	d, err := serretime.LoadBench("testdata/pipeline4.bench")
+	d, err := serretime.Load("testdata/pipeline4.bench")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func ExampleDesign_Retime() {
 // ExampleDesign_Retime_telemetry records a retiming run into a trace and
 // folds its document into the phase/counter summary.
 func ExampleDesign_Retime_telemetry() {
-	d, err := serretime.LoadBench("testdata/pipeline4.bench")
+	d, err := serretime.Load("testdata/pipeline4.bench")
 	if err != nil {
 		log.Fatal(err)
 	}

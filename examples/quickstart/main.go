@@ -13,7 +13,7 @@ import (
 
 func main() {
 	// Load the classic ISCAS89 s27 benchmark.
-	d, err := serretime.LoadBench("testdata/s27.bench")
+	d, err := serretime.Load("testdata/s27.bench")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,7 +23,6 @@ import (
 	"strings"
 
 	"serretime/internal/circuit"
-	"serretime/internal/faultfs"
 	"serretime/internal/guard"
 )
 
@@ -176,8 +175,10 @@ func parseDirectiveArg(line string) (string, *perr) {
 	return name, nil
 }
 
-// ParseFile reads a .bench file; the design name defaults to the file's
-// base name without extension.
+// ParseFile reads a .bench file; the design name is the file's base name
+// without a lower-case .bench extension. Programs load netlists with
+// serretime.Load, which takes every format and any case; tests of
+// packages the root package imports read testdata through ParseFile.
 func ParseFile(path string) (*circuit.Circuit, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -221,14 +222,4 @@ func Write(w io.Writer, c *circuit.Circuit) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// WriteFile writes the circuit to the given path in .bench syntax. The
-// write is atomic — content streams into a temp file in the target
-// directory which is renamed over the path — so a crash mid-write leaves
-// the old netlist intact, never a torn one.
-func WriteFile(path string, c *circuit.Circuit) error {
-	return faultfs.WriteAtomic(faultfs.OS(), path, 0o644, false, func(w io.Writer) error {
-		return Write(w, c)
-	})
 }

@@ -22,12 +22,10 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strings"
 
 	"serretime/internal/circuit"
-	"serretime/internal/faultfs"
 	"serretime/internal/guard"
 )
 
@@ -332,22 +330,6 @@ func parityCover(rows []string, n int) (bool, bool) {
 	return false, false
 }
 
-// ParseFile reads a BLIF file; the model name defaults to the file's base
-// name without extension.
-func ParseFile(path string) (*circuit.Circuit, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	base := path
-	if i := strings.LastIndexByte(base, '/'); i >= 0 {
-		base = base[i+1:]
-	}
-	base = strings.TrimSuffix(base, ".blif")
-	return Parse(f, base)
-}
-
 // Write emits the circuit as BLIF, using canonical covers for each gate
 // function.
 func Write(w io.Writer, c *circuit.Circuit) error {
@@ -422,12 +404,4 @@ func writeCover(w io.Writer, fn circuit.Func, n int) {
 			}
 		}
 	}
-}
-
-// WriteFile writes the circuit to a BLIF file. The write is atomic
-// (temp file + rename), so a crash mid-write can't leave a torn netlist.
-func WriteFile(path string, c *circuit.Circuit) error {
-	return faultfs.WriteAtomic(faultfs.OS(), path, 0o644, false, func(w io.Writer) error {
-		return Write(w, c)
-	})
 }

@@ -187,12 +187,6 @@ func TestRoundTripBehavioral(t *testing.T) {
 	}
 }
 
-func TestParseFileMissing(t *testing.T) {
-	if _, err := ParseFile("/nonexistent.blif"); err == nil {
-		t.Fatal("missing file accepted")
-	}
-}
-
 func TestWriteHasModelAndEnd(t *testing.T) {
 	c, _ := benchfmt.ParseFile("../../testdata/s27.bench")
 	var buf bytes.Buffer

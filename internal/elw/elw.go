@@ -8,7 +8,9 @@
 // outputs, shifting each fanout's window left by the fanout's delay and
 // taking the union. The package provides both the exact interval-union
 // windows and the L/R boundary labels of eq. (6) that the retiming
-// formulation constrains (Theorem 1: L and R bound the exact window).
+// formulation constrains. By Theorem 1, L and R are the outer ends of the
+// exact window, so a caller that holds the windows (eq. 4's evaluation in
+// package ser) reads them there instead of sweeping the labels.
 package elw
 
 import (
@@ -102,34 +104,6 @@ func coalesce(s interval.Set, max int) interval.Set {
 	}
 	return interval.MustNew(ivs...)
 }
-
-// RegisterWindows returns, for every edge with w_r > 0, the ELWs of the
-// registers on it: the register adjacent to the consuming gate v sees
-// ELW(v) − d(v) (its upset must still traverse v), while the remaining
-// registers of the chain feed another register directly and see the full
-// latching window. The slice is indexed by edge and holds the
-// consumer-adjacent window; DeepWindow returns the chain window.
-func RegisterWindows(g *graph.Graph, r graph.Retiming, p Params, exact []interval.Set) []interval.Set {
-	out := make([]interval.Set, g.NumEdges())
-	base := p.LatchWindow()
-	for i := 0; i < g.NumEdges(); i++ {
-		eid := graph.EdgeID(i)
-		if g.WR(eid, r) <= 0 {
-			continue
-		}
-		to := g.EdgeTo(eid)
-		if to == graph.Host {
-			out[i] = base
-			continue
-		}
-		out[i] = exact[to].Shift(-g.Delay(to))
-	}
-	return out
-}
-
-// DeepWindow is the ELW of a register that feeds another register
-// directly: the full latching window.
-func DeepWindow(p Params) interval.Set { return p.LatchWindow() }
 
 // Labels holds the L/R boundary labels of eq. (6) and the critical-path
 // endpoint tracking needed by the MinObsWin active constraints.

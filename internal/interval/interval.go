@@ -3,7 +3,8 @@
 // Error-latching windows (ELWs) in soft-error timing analysis are unions of
 // disjoint intervals on the time axis (Lu & Zhou, DATE 2013, eq. 2). This
 // package provides the set algebra the ELW computation of eq. (3) needs:
-// union, scalar shift, total measure, and containment queries.
+// in-place union (optionally of a translated operand), scalar shift and
+// total measure.
 package interval
 
 import (
@@ -20,9 +21,6 @@ type Interval struct {
 
 // Len returns the length R - L of the interval.
 func (iv Interval) Len() float64 { return iv.R - iv.L }
-
-// Contains reports whether t lies in [L, R].
-func (iv Interval) Contains(t float64) bool { return iv.L <= t && t <= iv.R }
 
 // Shift returns the interval translated by delta.
 func (iv Interval) Shift(delta float64) Interval {
@@ -128,26 +126,6 @@ func (s Set) Max() float64 {
 	return s.ivs[len(s.ivs)-1].R
 }
 
-// Contains reports whether t lies in some interval of the set.
-func (s Set) Contains(t float64) bool {
-	// Binary search for the first interval with L > t, then check its
-	// predecessor.
-	i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].L > t })
-	return i > 0 && s.ivs[i-1].Contains(t)
-}
-
-// Union returns the union of s and o.
-func (s Set) Union(o Set) Set {
-	if s.Empty() {
-		return o.clone()
-	}
-	if o.Empty() {
-		return s.clone()
-	}
-	ivs := make([]Interval, 0, len(s.ivs)+len(o.ivs))
-	return Set{ivs: merge(ivs, s.ivs, o.ivs, 0, false)}
-}
-
 // UnionInPlace merges o into s, reusing s's storage where possible. o may
 // be s itself. A copy of s taken before the call shares the storage the
 // merge rewrites and must not be used afterwards.
@@ -227,29 +205,6 @@ func (s Set) Shift(delta float64) Set {
 	return out
 }
 
-// Intersect returns the intersection of s and o.
-func (s Set) Intersect(o Set) Set {
-	var out Set
-	i, j := 0, 0
-	for i < len(s.ivs) && j < len(o.ivs) {
-		a, b := s.ivs[i], o.ivs[j]
-		lo := math.Max(a.L, b.L)
-		hi := math.Min(a.R, b.R)
-		if lo <= hi {
-			out.ivs = append(out.ivs, Interval{lo, hi})
-		}
-		if a.R < b.R {
-			i++
-		} else {
-			j++
-		}
-	}
-	// Intersection of disjoint sorted sets is disjoint and sorted, but
-	// touching endpoints can arise; normalize for canonical form.
-	out.normalize()
-	return out
-}
-
 // Equal reports whether the two sets contain exactly the same intervals.
 func (s Set) Equal(o Set) bool {
 	if len(s.ivs) != len(o.ivs) {
@@ -261,32 +216,6 @@ func (s Set) Equal(o Set) bool {
 		}
 	}
 	return true
-}
-
-// ApproxEqual reports whether the two sets are equal within eps at every
-// endpoint (useful after floating-point shifts).
-func (s Set) ApproxEqual(o Set, eps float64) bool {
-	if len(s.ivs) != len(o.ivs) {
-		return false
-	}
-	for i := range s.ivs {
-		if math.Abs(s.ivs[i].L-o.ivs[i].L) > eps || math.Abs(s.ivs[i].R-o.ivs[i].R) > eps {
-			return false
-		}
-	}
-	return true
-}
-
-// Clamp returns the subset of s lying within [lo, hi].
-func (s Set) Clamp(lo, hi float64) Set {
-	if hi < lo {
-		return Set{}
-	}
-	return s.Intersect(Single(lo, hi))
-}
-
-func (s Set) clone() Set {
-	return Set{ivs: append([]Interval(nil), s.ivs...)}
 }
 
 func (s Set) String() string {

@@ -19,16 +19,13 @@ func referenceUnion(s, o Set, delta float64, shift bool) Set {
 }
 
 // checkUnion requires every merge form to equal the reference endpoint
-// for endpoint: Union, UnionInPlace and UnionShiftedInPlace, each into a
-// set with exactly its own storage and into one with spare capacity (the
+// for endpoint: UnionInPlace and UnionShiftedInPlace, each into a set
+// with exactly its own storage and into one with spare capacity (the
 // no-growth path), and each with s itself as the other operand.
 func checkUnion(t *testing.T, a, b Set, delta float64) {
 	t.Helper()
 	want := referenceUnion(a, b, 0, false)
 	wantShift := referenceUnion(a, b, delta, true)
-	if got := a.Union(b); !got.Equal(want) {
-		t.Fatalf("%v ∪ %v = %v, want %v", a, b, got, want)
-	}
 	wantSelf := referenceUnion(a, a, delta, true)
 	for _, spare := range []int{0, max(len(a.ivs), len(b.ivs)) + 1} {
 		with := func() Set { return Set{ivs: append(make([]Interval, 0, len(a.ivs)+spare), a.ivs...)} }

@@ -24,18 +24,11 @@ import (
 	"serretime/internal/obs"
 )
 
-// RateModel assigns raw soft-error rates (arbitrary FIT-like units).
-type RateModel interface {
-	// GateRate is err(g) for a combinational gate.
-	GateRate(fn circuit.Func, fanin int) float64
-	// RegisterRate is err(r) for a flip-flop.
-	RegisterRate() float64
-}
-
-// SyntheticRates is the default characterization table (SPICE substitute).
+// SyntheticRates is the characterization table (SPICE substitute): raw
+// soft-error rates in arbitrary FIT-like units.
 type SyntheticRates struct{}
 
-// GateRate implements RateModel.
+// GateRate is err(g) for a combinational gate of function fn.
 func (SyntheticRates) GateRate(fn circuit.Func, fanin int) float64 {
 	var base float64
 	switch fn {
@@ -58,7 +51,7 @@ func (SyntheticRates) GateRate(fn circuit.Func, fanin int) float64 {
 	return base
 }
 
-// RegisterRate implements RateModel. Flip-flops dominate the raw upset
+// RegisterRate is err(r) for a flip-flop. Flip-flops dominate the raw upset
 // rate of modern designs (exposed state nodes), so the synthetic rate sits
 // roughly an order of magnitude above a gate's.
 func (SyntheticRates) RegisterRate() float64 { return 2.0e-4 }
@@ -81,12 +74,9 @@ type Inputs struct {
 	MaxIntervals int
 }
 
-// VertexRates maps per-vertex err(g) rates for a circuit-extracted graph.
-// Index 0 (the host) is zero.
-func VertexRates(c *circuit.Circuit, g *graph.Graph, m RateModel) ([]float64, error) {
-	if m == nil {
-		m = SyntheticRates{}
-	}
+// VertexRates maps per-vertex err(g) rates of SyntheticRates for a
+// circuit-extracted graph. Index 0 (the host) is zero.
+func VertexRates(c *circuit.Circuit, g *graph.Graph) ([]float64, error) {
 	rates := make([]float64, g.NumVertices())
 	for v := 1; v < g.NumVertices(); v++ {
 		n := g.NodeOf(graph.VertexID(v))
@@ -94,7 +84,7 @@ func VertexRates(c *circuit.Circuit, g *graph.Graph, m RateModel) ([]float64, er
 			return nil, fmt.Errorf("ser: vertex %d has no circuit node", v)
 		}
 		nd := c.Node(n)
-		rates[v] = m.GateRate(nd.Fn, len(nd.Fanin))
+		rates[v] = SyntheticRates{}.GateRate(nd.Fn, len(nd.Fanin))
 	}
 	return rates, nil
 }
@@ -197,7 +187,10 @@ type Term struct {
 // inside the hold interval, enlarging the susceptible window by the
 // shortfall Th − slack. This is the timing-masking degradation the
 // paper's P2' constraint exists to prevent (Section III-B); evaluating it
-// makes the SER of hold-marginal placements honest.
+// makes the SER of hold-marginal placements honest. The slack is
+// d(v) + Φ + Th − R(v), and by Theorem 1 the R(v) label of eq. (6) is the
+// right end of the exact window ELW(v), so the windows of eq. (3) give it
+// without a label sweep.
 func Terms(g *graph.Graph, r graph.Retiming, in Inputs, fn func(Term)) error {
 	if len(in.GateObs) != g.NumVertices() || len(in.GateRate) != g.NumVertices() {
 		return fmt.Errorf("ser: obs/rate length mismatch")
@@ -209,10 +202,6 @@ func Terms(g *graph.Graph, r graph.Retiming, in Inputs, fn func(Term)) error {
 		return err
 	}
 	elws, err := elw.Exact(g, r, in.Params, in.MaxIntervals)
-	if err != nil {
-		return err
-	}
-	lab, err := elw.ComputeLabels(g, r, in.Params, nil)
 	if err != nil {
 		return err
 	}
@@ -235,12 +224,11 @@ func Terms(g *graph.Graph, r graph.Retiming, in Inputs, fn func(Term)) error {
 		var adjacent float64
 		if e.To == graph.Host {
 			adjacent = baseMeasure
-		} else {
-			adjacent = elws[e.To].Measure()
-			if lab.HasWindow[e.To] {
-				if shortfall := in.Params.Th - lab.HoldSlack(g, in.Params, eid); shortfall > 0 {
-					adjacent += shortfall
-				}
+		} else if w := elws[e.To]; !w.Empty() {
+			adjacent = w.Measure()
+			slack := g.Delay(e.To) + in.Params.Phi + in.Params.Th - w.Max()
+			if shortfall := in.Params.Th - slack; shortfall > 0 {
+				adjacent += shortfall
 			}
 		}
 		win := adjacent + float64(k-1)*baseMeasure

@@ -105,6 +105,47 @@ func TestComputeDeepChain(t *testing.T) {
 	}
 }
 
+// TestRegisterWindows checks the register windows of eq. (4) on
+// host -w-> A(d=1) feeding B(d=3) and C(d=5), both primary outputs: the
+// register next to the consuming gate A sees ELW(A) − d(A) = [4,8], of
+// measure 4, each deeper register of the chain the full latching window
+// [Φ−Ts, Φ+Th], of measure 2, and edges without registers yield no
+// register term.
+func TestRegisterWindows(t *testing.T) {
+	for w := int32(1); w <= 3; w++ {
+		b := graph.NewBuilder()
+		a := b.AddVertex("A", 1)
+		bb := b.AddVertex("B", 3)
+		c := b.AddVertex("C", 5)
+		b.AddEdge(graph.Host, a, w)
+		b.AddEdge(a, bb, 0)
+		b.AddEdge(a, c, 0)
+		b.AddEdge(bb, graph.Host, 0)
+		b.AddEdge(c, graph.Host, 0)
+		g := b.Build()
+		ones := []float64{1, 1, 1, 1, 1}
+		in := Inputs{
+			GateObs: ones[:g.NumVertices()], EdgeObs: ones[:g.NumEdges()], GateRate: ones[:g.NumVertices()],
+			RegRate: 1, Params: elw.DefaultParams(10),
+		}
+		var regs []Term
+		err := Terms(g, graph.NewRetiming(g), in, func(t Term) {
+			if t.Regs > 0 {
+				regs = append(regs, t)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(regs) != 1 || regs[0].Edge != 0 || regs[0].Regs != int(w) {
+			t.Fatalf("w=%d: register terms %+v, want one on edge 0", w, regs)
+		}
+		if want := 4 + 2*float64(w-1); regs[0].Window != want {
+			t.Fatalf("w=%d: register window %g, want %g", w, regs[0].Window, want)
+		}
+	}
+}
+
 func TestComputeValidation(t *testing.T) {
 	b := graph.NewBuilder()
 	a := b.AddVertex("A", 1)
@@ -159,7 +200,7 @@ func TestFullPipelineS27(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rates, err := VertexRates(c, g, nil)
+	rates, err := VertexRates(c, g)
 	if err != nil {
 		t.Fatal(err)
 	}

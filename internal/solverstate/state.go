@@ -8,7 +8,9 @@
 // updated incrementally from the edges the move touches. The labels are
 // lazy: the P0-only path never reads them, and the first label read of a
 // transaction runs one full elw.ComputeLabels sweep on the tentative
-// retiming while the committed labels are set aside for Rollback.
+// retiming, which the transaction keeps until it closes. Nothing else
+// keeps labels: the next transaction sweeps its own retiming, and a read
+// outside a transaction sweeps the committed one.
 package solverstate
 
 import (
@@ -65,9 +67,7 @@ type State struct {
 	edgeUndos []edgeUndo
 	negEdges  []graph.EdgeID // changed edges with tentative w_r < 0, sorted
 
-	lab     *elw.Labels // labels of the current state; nil until read
-	labTent bool        // lab was swept on the open transaction's retiming
-	labPrev *elw.Labels // committed labels set aside while labTent
+	lab *elw.Labels // labels of the open transaction; nil until read
 }
 
 // New builds a State for g at retiming r0 (cloned). r0 must be P0-legal:
@@ -180,11 +180,12 @@ func (s *State) Begin(members []int32, weight func(v int32) int32) {
 
 // Labels returns the L/R labels of the current (tentative while open)
 // state. The first read of a transaction sweeps the tentative retiming
-// with elw.ComputeLabels and sets the committed labels aside for
-// Rollback; later reads of the same transaction return the same labels.
+// with elw.ComputeLabels; later reads of the same transaction return the
+// same labels. A read outside a transaction sweeps the committed
+// retiming every time.
 func (s *State) Labels() (*elw.Labels, error) {
 	guard.Failpoint("solverstate.Labels")
-	if s.lab != nil && (!s.open || s.labTent) {
+	if s.lab != nil {
 		return s.lab, nil
 	}
 	s.rec.Count(telemetry.CounterLabelFulls, 1)
@@ -193,9 +194,8 @@ func (s *State) Labels() (*elw.Labels, error) {
 		return nil, err
 	}
 	if s.open {
-		s.labPrev, s.labTent = s.lab, true
+		s.lab = lab
 	}
-	s.lab = lab
 	return lab, nil
 }
 
@@ -205,11 +205,6 @@ func (s *State) Commit() {
 		panic("solverstate: Commit without transaction")
 	}
 	s.obj = s.objTent
-	if !s.labTent {
-		// The labels were never read on the moved retiming: whatever is
-		// cached describes the pre-move state and must go.
-		s.lab = nil
-	}
 	s.closeTxn()
 }
 
@@ -225,9 +220,6 @@ func (s *State) Rollback() {
 		s.r[v] -= s.delta[v]
 	}
 	s.objTent = s.obj
-	if s.labTent {
-		s.lab = s.labPrev
-	}
 	s.closeTxn()
 }
 
@@ -238,6 +230,6 @@ func (s *State) closeTxn() {
 	s.moved = s.moved[:0]
 	s.edgeUndos = s.edgeUndos[:0]
 	s.negEdges = s.negEdges[:0]
-	s.labTent, s.labPrev = false, nil
+	s.lab = nil
 	s.open = false
 }

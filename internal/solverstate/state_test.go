@@ -255,8 +255,8 @@ func TestCommitDropsStaleLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A closed-state read caches the committed labels: the first blind
-	// commit below already has labels to drop.
+	// A closed-state read of the committed labels must not leak into
+	// the blind commits below.
 	if _, err := st.Labels(); err != nil {
 		t.Fatal(err)
 	}

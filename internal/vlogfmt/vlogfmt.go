@@ -20,11 +20,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"serretime/internal/circuit"
-	"serretime/internal/faultfs"
 	"serretime/internal/guard"
 )
 
@@ -184,21 +182,6 @@ func Parse(r io.Reader, fallbackName string) (c *circuit.Circuit, err error) {
 	return c, nil
 }
 
-// ParseFile reads a structural Verilog file.
-func ParseFile(path string) (*circuit.Circuit, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	base := path
-	if i := strings.LastIndexByte(base, '/'); i >= 0 {
-		base = base[i+1:]
-	}
-	base = strings.TrimSuffix(base, ".v")
-	return Parse(f, base)
-}
-
 // sanitize maps a net name onto a legal Verilog identifier (the generator
 // and the rebuilder use '$' and '.' freely). Verilog escapes would also
 // work but read terribly.
@@ -291,12 +274,4 @@ func Write(w io.Writer, c *circuit.Circuit) error {
 	}
 	fmt.Fprintln(bw, "endmodule")
 	return bw.Flush()
-}
-
-// WriteFile writes the circuit to a Verilog file. The write is atomic
-// (temp file + rename), so a crash mid-write can't leave a torn netlist.
-func WriteFile(path string, c *circuit.Circuit) error {
-	return faultfs.WriteAtomic(faultfs.OS(), path, 0o644, false, func(w io.Writer) error {
-		return Write(w, c)
-	})
 }

@@ -150,9 +150,3 @@ func TestWriteRejectsConstants(t *testing.T) {
 		t.Fatal("constant gate emitted structurally")
 	}
 }
-
-func TestParseFileMissing(t *testing.T) {
-	if _, err := ParseFile("/nonexistent.v"); err == nil {
-		t.Fatal("missing file accepted")
-	}
-}

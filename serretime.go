@@ -4,17 +4,18 @@
 //	Yinghai Lu and Hai Zhou. "Retiming for Soft Error Minimization Under
 //	Error-Latching Window Constraints." DATE 2013.
 //
-// The package wraps the full pipeline: netlist loading (.bench) or
-// synthesis, signature-based observability analysis with n-time-frame
-// expansion (logic masking), error-latching-window analysis (timing
-// masking), SER evaluation per eq. (4) of the paper, and the retiming
-// optimizers — the Efficient MinObs baseline of Krishnaswamy et al. and
-// the paper's MinObsWin algorithm, plus a min-area mode and the
-// area-weighted objective sketched in the paper's conclusion.
+// The package wraps the full pipeline: netlist loading (.bench, BLIF or
+// structural Verilog) or synthesis, signature-based observability
+// analysis with n-time-frame expansion (logic masking),
+// error-latching-window analysis (timing masking), SER evaluation per
+// eq. (4) of the paper, and the retiming optimizers — the Efficient
+// MinObs baseline of Krishnaswamy et al. and the paper's MinObsWin
+// algorithm, plus a min-area mode and the area-weighted objective
+// sketched in the paper's conclusion.
 //
 // Typical use:
 //
-//	d, _ := serretime.LoadBench("s27.bench")
+//	d, _ := serretime.Load("s27.bench")
 //	res, _ := d.Retime(serretime.RetimeOptions{Algorithm: serretime.MinObsWin})
 //	fmt.Printf("SER %.3g -> %.3g\n", res.Before.SER, res.After.SER)
 package serretime
@@ -67,15 +68,6 @@ func newDesign(c *circuit.Circuit) (*Design, error) {
 	})
 }
 
-// LoadBench reads an ISCAS89 .bench netlist from a file.
-func LoadBench(path string) (*Design, error) {
-	c, err := benchfmt.ParseFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return newDesign(c)
-}
-
 // ParseBench reads a .bench netlist from a reader.
 func ParseBench(r io.Reader, name string) (*Design, error) {
 	c, err := benchfmt.Parse(r, name)
@@ -92,15 +84,6 @@ func (d *Design) WriteBench(w io.Writer) error {
 	})
 }
 
-// LoadBLIF reads a structural BLIF netlist from a file.
-func LoadBLIF(path string) (*Design, error) {
-	c, err := bliffmt.ParseFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return newDesign(c)
-}
-
 // ParseBLIF reads a structural BLIF netlist from a reader.
 func ParseBLIF(r io.Reader, name string) (*Design, error) {
 	c, err := bliffmt.Parse(r, name)
@@ -115,15 +98,6 @@ func (d *Design) WriteBLIF(w io.Writer) error {
 	return guard.Run(context.Background(), "serretime.WriteBLIF", func(context.Context) error {
 		return bliffmt.Write(w, d.c)
 	})
-}
-
-// LoadVerilog reads a gate-level structural Verilog netlist from a file.
-func LoadVerilog(path string) (*Design, error) {
-	c, err := vlogfmt.ParseFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return newDesign(c)
 }
 
 // ParseVerilog reads a gate-level structural Verilog netlist from a reader.
@@ -433,7 +407,7 @@ func (d *Design) ensureObs(ctx context.Context, opt AnalysisOptions, workers int
 	if err != nil {
 		return err
 	}
-	rates, err := ser.VertexRates(d.c, d.g, nil)
+	rates, err := ser.VertexRates(d.c, d.g)
 	if err != nil {
 		return err
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 func TestLoadBenchAndStats(t *testing.T) {
-	d, err := LoadBench("testdata/s27.bench")
+	d, err := Load("testdata/s27.bench")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestLoadBenchAndStats(t *testing.T) {
 }
 
 func TestParseBenchRoundTrip(t *testing.T) {
-	d, err := LoadBench("testdata/s27.bench")
+	d, err := Load("testdata/s27.bench")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestParseBenchRoundTrip(t *testing.T) {
 }
 
 func TestAnalyze(t *testing.T) {
-	d, err := LoadBench("testdata/s27.bench")
+	d, err := Load("testdata/s27.bench")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestTableIList(t *testing.T) {
 }
 
 func TestRetimeMinObsWinOnS27(t *testing.T) {
-	d, err := LoadBench("testdata/s27.bench")
+	d, err := Load("testdata/s27.bench")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestRetimeMinObsWinOnS27(t *testing.T) {
 func TestConcurrentRetime(t *testing.T) {
 	paths := []string{"testdata/s27.bench", "testdata/pipeline4.bench"}
 	solve := func(path string) ([]byte, error) {
-		d, err := LoadBench(path)
+		d, err := Load(path)
 		if err != nil {
 			return nil, err
 		}
@@ -281,7 +281,7 @@ func TestRetimeAreaWeight(t *testing.T) {
 }
 
 func TestBLIFRoundTripAPI(t *testing.T) {
-	d, err := LoadBench("testdata/s27.bench")
+	d, err := Load("testdata/s27.bench")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestBLIFRoundTripAPI(t *testing.T) {
 }
 
 func TestCriticalElements(t *testing.T) {
-	d, err := LoadBench("testdata/s27.bench")
+	d, err := Load("testdata/s27.bench")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestCriticalElements(t *testing.T) {
 // TestRetimeReportsSERAtSolveTiming: Before and After evaluate eq. (4)
 // at the setup and hold times the solve used, not at the defaults.
 func TestRetimeReportsSERAtSolveTiming(t *testing.T) {
-	d, err := LoadBench("testdata/s27.bench")
+	d, err := Load("testdata/s27.bench")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestRetimeReportsSERAtSolveTiming(t *testing.T) {
 }
 
 func TestVerilogRoundTripAPI(t *testing.T) {
-	d, err := LoadBench("testdata/s27.bench")
+	d, err := Load("testdata/s27.bench")
 	if err != nil {
 		t.Fatal(err)
 	}
