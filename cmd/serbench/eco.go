@@ -53,7 +53,7 @@ func ecoOptions(cfg config, eng serretime.EngineKind) serretime.RobustOptions {
 
 // loadECOBase reads the base netlist once and parses it twice: into the
 // Design the solver side works on and into the circuit the delta
-// generator mutates. Starting both from the same canonical bytes keeps
+// generator starts from. Starting both from the same canonical bytes keeps
 // the two node-for-node aligned, which is what makes the cold solve of
 // the generator's netlist an exact oracle (see internal/eco).
 func loadECOBase(path string) ([]byte, *serretime.Design, *circuit.Circuit, error) {

@@ -14,6 +14,7 @@ package serretime
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"serretime/internal/circuit"
 	"serretime/internal/guard"
@@ -35,82 +36,203 @@ type DeltaOp struct {
 	Fanin []string `json:"fanin,omitempty"`
 }
 
-// ApplyDeltaOps applies ops to c in place. On error the circuit may be
-// partially edited — apply to a Clone when the original must survive a
-// bad delta. Acyclicity is not checked here; building a Design from the
-// result (newDesign → graph extraction) rejects combinational cycles.
-func ApplyDeltaOps(c *circuit.Circuit, ops []DeltaOp) error {
-	resolve := func(op, name string) (circuit.NodeID, error) {
-		id, ok := c.Lookup(name)
-		if !ok {
-			return 0, guard.Optionf("serretime.ApplyDeltaOps", op, "unknown net %q", name)
-		}
-		return id, nil
+// ApplyDeltaOps returns the circuit that ops make of c, built through
+// circuit.FromNodes; c itself is never modified. A new node takes the
+// next ID, rm_node renumbers the nodes above the one it removes, and
+// the primary outputs keep their order (mark_po appends, both PO ops
+// are idempotent). Ops are checked in order, and the first that cannot
+// apply rejects the delta with its index in the error; a result with a
+// combinational cycle is rejected as a whole. Every rejection unwraps to
+// guard.ErrParse.
+func ApplyDeltaOps(c *circuit.Circuit, ops []DeltaOp) (*circuit.Circuit, error) {
+	e := deltaEdit{c: c, nodes: make([]circuit.Node, c.NumNodes(), c.NumNodes()+len(ops))}
+	for i := range e.nodes {
+		e.nodes[i] = *c.Node(circuit.NodeID(i))
 	}
-	resolveAll := func(op string, names []string) ([]circuit.NodeID, error) {
-		out := make([]circuit.NodeID, len(names))
-		for i, n := range names {
-			id, err := resolve(op, n)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = id
-		}
-		return out, nil
-	}
+	e.pos = append([]circuit.NodeID(nil), c.POs()...)
 	for i, op := range ops {
-		var err error
-		switch op.Op {
-		case "add_gate":
-			fn, ok := circuit.ParseFunc(op.Fn)
-			if !ok {
-				err = guard.Optionf("serretime.ApplyDeltaOps", "add_gate", "unknown function %q", op.Fn)
-				break
-			}
-			var fanin []circuit.NodeID
-			if fanin, err = resolveAll("add_gate", op.Fanin); err == nil {
-				_, err = c.AddGate(op.Name, fn, fanin...)
-			}
-		case "add_dff":
-			if len(op.Fanin) != 1 {
-				err = guard.Optionf("serretime.ApplyDeltaOps", "add_dff", "needs exactly 1 fanin, got %d", len(op.Fanin))
-				break
-			}
-			var d circuit.NodeID
-			if d, err = resolve("add_dff", op.Fanin[0]); err == nil {
-				_, err = c.AddDFF(op.Name, d)
-			}
-		case "rm_node":
-			var id circuit.NodeID
-			if id, err = resolve("rm_node", op.Name); err == nil {
-				err = c.RemoveNode(id)
-			}
-		case "rewire":
-			var id circuit.NodeID
-			var fanin []circuit.NodeID
-			if id, err = resolve("rewire", op.Name); err == nil {
-				if fanin, err = resolveAll("rewire", op.Fanin); err == nil {
-					err = c.Rewire(id, fanin)
-				}
-			}
-		case "mark_po":
-			var id circuit.NodeID
-			if id, err = resolve("mark_po", op.Name); err == nil {
-				err = c.MarkPO(id)
-			}
-		case "unmark_po":
-			var id circuit.NodeID
-			if id, err = resolve("unmark_po", op.Name); err == nil {
-				err = c.UnmarkPO(id)
-			}
-		default:
-			err = guard.Optionf("serretime.ApplyDeltaOps", "op", "unknown op %q", op.Op)
-		}
-		if err != nil {
-			return fmt.Errorf("delta op %d: %w", i, err)
+		if err := e.apply(op); err != nil {
+			return nil, fmt.Errorf("delta op %d: %w", i, err)
 		}
 	}
+	out, err := circuit.FromNodes(c.Name, e.compact(), e.pos)
+	if err != nil {
+		return nil, fmt.Errorf("delta: %w", deltaErr("ops", "%v", err))
+	}
+	return out, nil
+}
+
+// deltaEdit is the node list a delta works on: c's nodes copied once,
+// new nodes appended, and removed nodes left in place with an empty
+// name until compact renumbers the rest. Fanin slices are shared with c
+// until an op replaces them, and are never written through.
+type deltaEdit struct {
+	c       *circuit.Circuit
+	nodes   []circuit.Node
+	pos     []circuit.NodeID
+	added   map[string]circuit.NodeID // nets declared by this delta
+	removed int
+}
+
+func deltaErr(op, msgf string, args ...any) error {
+	return guard.Optionf("serretime.ApplyDeltaOps", op, msgf, args...)
+}
+
+// lookup resolves a live net name.
+func (e *deltaEdit) lookup(name string) (circuit.NodeID, bool) {
+	if id, ok := e.added[name]; ok {
+		return id, true
+	}
+	id, ok := e.c.Lookup(name)
+	return id, ok && e.nodes[id].Name != ""
+}
+
+func (e *deltaEdit) resolve(op, name string) (circuit.NodeID, error) {
+	id, ok := e.lookup(name)
+	if !ok {
+		return 0, deltaErr(op, "unknown net %q", name)
+	}
+	return id, nil
+}
+
+func (e *deltaEdit) resolveAll(op string, names []string) ([]circuit.NodeID, error) {
+	out := make([]circuit.NodeID, len(names))
+	for i, n := range names {
+		id, err := e.resolve(op, n)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = id
+	}
+	return out, nil
+}
+
+// add appends a node under a fresh, non-empty name.
+func (e *deltaEdit) add(op string, nd circuit.Node) error {
+	if nd.Name == "" {
+		return deltaErr(op, "empty net name")
+	}
+	if _, dup := e.lookup(nd.Name); dup {
+		return deltaErr(op, "net %q already exists", nd.Name)
+	}
+	if err := circuit.CheckFanin(nd.Kind, nd.Fn, len(nd.Fanin)); err != nil {
+		return deltaErr(op, "net %q: %v", nd.Name, err)
+	}
+	if e.added == nil {
+		e.added = make(map[string]circuit.NodeID)
+	}
+	e.added[nd.Name] = circuit.NodeID(len(e.nodes))
+	e.nodes = append(e.nodes, nd)
 	return nil
+}
+
+func (e *deltaEdit) apply(op DeltaOp) error {
+	switch op.Op {
+	case "add_gate":
+		fn, ok := circuit.ParseFunc(op.Fn)
+		if !ok {
+			return deltaErr(op.Op, "unknown function %q", op.Fn)
+		}
+		fanin, err := e.resolveAll(op.Op, op.Fanin)
+		if err != nil {
+			return err
+		}
+		return e.add(op.Op, circuit.Node{Name: op.Name, Kind: circuit.KindGate, Fn: fn, Fanin: fanin})
+	case "add_dff":
+		fanin, err := e.resolveAll(op.Op, op.Fanin)
+		if err != nil {
+			return err
+		}
+		return e.add(op.Op, circuit.Node{Name: op.Name, Kind: circuit.KindDFF, Fanin: fanin})
+	case "rewire":
+		id, err := e.resolve(op.Op, op.Name)
+		if err != nil {
+			return err
+		}
+		fanin, err := e.resolveAll(op.Op, op.Fanin)
+		if err != nil {
+			return err
+		}
+		nd := &e.nodes[id]
+		if nd.Kind == circuit.KindPI {
+			return deltaErr(op.Op, "net %q is a primary input", nd.Name)
+		}
+		if err := circuit.CheckFanin(nd.Kind, nd.Fn, len(fanin)); err != nil {
+			return deltaErr(op.Op, "net %q: %v", nd.Name, err)
+		}
+		nd.Fanin = fanin
+		return nil
+	case "rm_node":
+		id, err := e.resolve(op.Op, op.Name)
+		if err != nil {
+			return err
+		}
+		for r := range e.nodes {
+			if e.nodes[r].Name != "" && slices.Contains(e.nodes[r].Fanin, id) {
+				return deltaErr(op.Op, "net %q is still read by %q", op.Name, e.nodes[r].Name)
+			}
+		}
+		if slices.Contains(e.pos, id) {
+			return deltaErr(op.Op, "net %q is still a primary output", op.Name)
+		}
+		delete(e.added, op.Name)
+		e.nodes[id] = circuit.Node{}
+		e.removed++
+		return nil
+	case "mark_po":
+		id, err := e.resolve(op.Op, op.Name)
+		if err != nil {
+			return err
+		}
+		if !slices.Contains(e.pos, id) {
+			e.pos = append(e.pos, id)
+		}
+		return nil
+	case "unmark_po":
+		id, err := e.resolve(op.Op, op.Name)
+		if err != nil {
+			return err
+		}
+		if i := slices.Index(e.pos, id); i >= 0 {
+			e.pos = slices.Delete(e.pos, i, i+1)
+		}
+		return nil
+	}
+	return deltaErr("op", "unknown op %q", op.Op)
+}
+
+// compact drops the removed nodes and renumbers the rest, their fanins
+// and the primary outputs, keeping every node's relative order; it
+// returns the node list.
+func (e *deltaEdit) compact() []circuit.Node {
+	if e.removed == 0 {
+		return e.nodes
+	}
+	newID := make([]circuit.NodeID, len(e.nodes))
+	kept := e.nodes[:0]
+	pins := 0
+	for i, nd := range e.nodes {
+		if nd.Name == "" {
+			continue
+		}
+		newID[i] = circuit.NodeID(len(kept))
+		kept = append(kept, nd)
+		pins += len(nd.Fanin)
+	}
+	flat := make([]circuit.NodeID, pins)
+	for i := range kept {
+		n := len(kept[i].Fanin)
+		fanin := flat[:n:n]
+		flat = flat[n:]
+		for j, f := range kept[i].Fanin {
+			fanin[j] = newID[f]
+		}
+		kept[i].Fanin = fanin
+	}
+	for i, p := range e.pos {
+		e.pos[i] = newID[p]
+	}
+	return kept
 }
 
 // WarmState is the solver state an ECO session keeps alive between
@@ -155,11 +277,10 @@ func (w *WarmState) Options() RobustOptions { return w.opts }
 func (w *WarmState) RetimeDelta(ctx context.Context, ops []DeltaOp, opt RobustOptions) (*RobustResult, error) {
 	d := w.d
 	if len(ops) > 0 {
-		c := w.d.c.Clone()
-		if err := ApplyDeltaOps(c, ops); err != nil {
+		c, err := ApplyDeltaOps(w.d.c, ops)
+		if err != nil {
 			return nil, err
 		}
-		var err error
 		if d, err = newDesign(c); err != nil {
 			return nil, err
 		}

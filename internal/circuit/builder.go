@@ -101,8 +101,9 @@ func (b *Builder) Build() (*Circuit, error) {
 // allowed (a flip-flop may read a gate that comes after it). Fanout is
 // derived, deduplicated and in ascending ID order, replacing whatever the
 // caller set. pos lists the primary outputs in declaration order; a
-// repeated entry counts once, at its first position, as with MarkPO. The
-// circuit takes ownership of nodes but keeps no reference to pos.
+// repeated entry counts once, at its first position. The circuit takes
+// ownership of nodes but keeps no reference to pos; it only reads the
+// Fanin slices, so they may be shared with another circuit.
 func FromNodes(name string, nodes []Node, pos []NodeID) (*Circuit, error) {
 	byName := make(map[string]NodeID, len(nodes))
 	for i := range nodes {
@@ -120,26 +121,29 @@ func FromNodes(name string, nodes []Node, pos []NodeID) (*Circuit, error) {
 
 // assemble is FromNodes after name resolution: byName already maps every
 // node's unique name to its index. Fanouts are counted, then filled into
-// one shared array in ascending reader order; each node's list is capped
-// at its own length, so a later mutation that grows it reallocates
-// instead of overwriting its neighbour's.
+// one shared array in ascending reader order, each node's list capped at
+// its own length.
 func assemble(name string, nodes []Node, byName map[string]NodeID, pos []NodeID) (*Circuit, error) {
 	c := &Circuit{Name: name, nodes: nodes, byName: byName}
 	n := len(nodes)
+	// mark dedups a reader's repeated pins, and repeated POs, with an
+	// epoch stamp per node: one allocation for the whole build.
+	mark := make([]uint32, n)
+	var epoch uint32
 	// end[f+1] counts the distinct readers of f; the prefix sum turns
 	// end[f] into the first slot of f's list, and the fill below
 	// advances it to the slot after f's last reader.
 	end := make([]int32, n+1)
 	for i := range nodes {
-		epoch := c.dedupBegin()
+		epoch++
 		for _, f := range nodes[i].Fanin {
 			if int(f) < 0 || int(f) >= n {
 				return nil, fmt.Errorf("circuit %q: node %q references unknown fanin %d", name, nodes[i].Name, f)
 			}
-			if c.dedupMark[f] == epoch {
+			if mark[f] == epoch {
 				continue
 			}
-			c.dedupMark[f] = epoch
+			mark[f] = epoch
 			end[f+1]++
 		}
 		if nodes[i].Kind == KindPI {
@@ -151,12 +155,12 @@ func assemble(name string, nodes []Node, byName map[string]NodeID, pos []NodeID)
 	}
 	flat := make([]NodeID, end[n])
 	for i := range nodes {
-		epoch := c.dedupBegin()
+		epoch++
 		for _, f := range nodes[i].Fanin {
-			if c.dedupMark[f] == epoch {
+			if mark[f] == epoch {
 				continue
 			}
-			c.dedupMark[f] = epoch
+			mark[f] = epoch
 			flat[end[f]] = NodeID(i)
 			end[f]++
 		}
@@ -170,7 +174,7 @@ func assemble(name string, nodes []Node, byName map[string]NodeID, pos []NodeID)
 			nodes[f].Fanout = nil
 		}
 	}
-	epoch := c.dedupBegin()
+	epoch++
 	if len(pos) > 0 {
 		c.pos = make([]NodeID, 0, len(pos))
 	}
@@ -178,10 +182,10 @@ func assemble(name string, nodes []Node, byName map[string]NodeID, pos []NodeID)
 		if int(p) < 0 || int(p) >= n {
 			return nil, fmt.Errorf("circuit %q: primary output of unknown node %d", name, p)
 		}
-		if c.dedupMark[p] == epoch {
+		if mark[p] == epoch {
 			continue
 		}
-		c.dedupMark[p] = epoch
+		mark[p] = epoch
 		c.pos = append(c.pos, p)
 	}
 	if err := c.Validate(); err != nil {

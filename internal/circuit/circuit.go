@@ -5,6 +5,10 @@
 // .bench parser produces a Circuit, the logic simulator evaluates one, the
 // retiming graph is extracted from one, and a retimed graph is materialized
 // back into one for equivalence checking.
+//
+// A Circuit never changes once built. FromNodes is its one constructor
+// (Builder.Build resolves names and calls it); an edit, such as an ECO
+// delta, builds a new circuit from a copy of the old one's nodes.
 package circuit
 
 import (
@@ -217,11 +221,11 @@ type Node struct {
 	// constants; exactly one entry for DFFs, NOT and BUF.
 	Fanin []NodeID
 	// Fanout lists reader nodes, deduplicated, in ascending ID order.
-	// Maintained by Circuit; a node reading the same net twice appears once.
+	// Derived by FromNodes; a node reading the same net twice appears once.
 	Fanout []NodeID
 }
 
-// Circuit is a mutable gate-level netlist.
+// Circuit is an immutable gate-level netlist.
 type Circuit struct {
 	// Name identifies the design (e.g. the benchmark name).
 	Name string
@@ -234,45 +238,17 @@ type Circuit struct {
 	// pis caches the primary inputs in declaration order.
 	pis []NodeID
 
-	// csr is the cached flat view (see csr.go), invalidated by any
-	// mutation; csrMu serializes its construction.
+	// csr is the flat view (see csr.go), built on first use; csrMu
+	// serializes its construction.
 	csr   *CSR
 	csrMu sync.Mutex
-
-	// dedupMark/dedupEpoch are the fanout-dedup scratch shared by add and
-	// FromNodes: an epoch stamp per node replaces the per-call map the
-	// construction path used to allocate, so building an N-gate netlist
-	// costs O(1) dedup allocations instead of O(N). Only mutating calls
-	// touch the scratch, which are single-goroutine by contract.
-	dedupMark  []uint32
-	dedupEpoch uint32
-}
-
-// dedupBegin sizes the dedup scratch to the current node count and opens
-// a fresh epoch. A node f is "seen" this epoch iff dedupMark[f] equals
-// the returned epoch.
-func (c *Circuit) dedupBegin() uint32 {
-	if len(c.dedupMark) < len(c.nodes) {
-		c.dedupMark = append(c.dedupMark, make([]uint32, len(c.nodes)-len(c.dedupMark))...)
-	}
-	c.dedupEpoch++
-	if c.dedupEpoch == 0 { // wrapped: stale stamps become ambiguous
-		clear(c.dedupMark)
-		c.dedupEpoch = 1
-	}
-	return c.dedupEpoch
-}
-
-// New returns an empty circuit with the given design name.
-func New(name string) *Circuit {
-	return &Circuit{Name: name, byName: make(map[string]NodeID)}
 }
 
 // NumNodes returns the total node count (PIs + gates + DFFs).
 func (c *Circuit) NumNodes() int { return len(c.nodes) }
 
-// Node returns the node with the given ID. The returned pointer stays valid
-// until the next Add call.
+// Node returns the node with the given ID. The pointer stays valid for
+// the circuit's life; callers must not modify the node or its slices.
 func (c *Circuit) Node(id NodeID) *Node { return &c.nodes[id] }
 
 // Lookup returns the node ID for a net name.
@@ -288,71 +264,6 @@ func (c *Circuit) PIs() []NodeID { return c.pis }
 // POs returns the IDs of nodes whose outputs are primary outputs, in
 // declaration order. Callers must not modify the returned slice.
 func (c *Circuit) POs() []NodeID { return c.pos }
-
-// AddPI appends a primary input with the given net name.
-func (c *Circuit) AddPI(name string) (NodeID, error) {
-	id, err := c.add(Node{Name: name, Kind: KindPI})
-	if err != nil {
-		return InvalidNode, err
-	}
-	c.pis = append(c.pis, id)
-	return id, nil
-}
-
-// AddGate appends a combinational gate.
-func (c *Circuit) AddGate(name string, fn Func, fanin ...NodeID) (NodeID, error) {
-	if n := len(fanin); n < fn.MinInputs() || (fn.MaxInputs() >= 0 && n > fn.MaxInputs()) {
-		return InvalidNode, fmt.Errorf("circuit: gate %q: %s cannot take %d inputs", name, fn, len(fanin))
-	}
-	return c.add(Node{Name: name, Kind: KindGate, Fn: fn, Fanin: append([]NodeID(nil), fanin...)})
-}
-
-// AddDFF appends a D flip-flop reading the given data input.
-func (c *Circuit) AddDFF(name string, d NodeID) (NodeID, error) {
-	return c.add(Node{Name: name, Kind: KindDFF, Fanin: []NodeID{d}})
-}
-
-// MarkPO declares the node's output net a primary output.
-func (c *Circuit) MarkPO(id NodeID) error {
-	if int(id) < 0 || int(id) >= len(c.nodes) {
-		return fmt.Errorf("circuit: MarkPO of unknown node %d", id)
-	}
-	for _, p := range c.pos {
-		if p == id {
-			return nil // already a PO; idempotent
-		}
-	}
-	c.pos = append(c.pos, id)
-	c.csr = nil
-	return nil
-}
-
-func (c *Circuit) add(n Node) (NodeID, error) {
-	if n.Name == "" {
-		return InvalidNode, fmt.Errorf("circuit: empty node name")
-	}
-	if _, dup := c.byName[n.Name]; dup {
-		return InvalidNode, fmt.Errorf("circuit: duplicate net name %q", n.Name)
-	}
-	for _, f := range n.Fanin {
-		if int(f) < 0 || int(f) >= len(c.nodes) {
-			return InvalidNode, fmt.Errorf("circuit: node %q references unknown fanin %d", n.Name, f)
-		}
-	}
-	id := NodeID(len(c.nodes))
-	c.nodes = append(c.nodes, n)
-	c.byName[n.Name] = id
-	c.csr = nil
-	epoch := c.dedupBegin()
-	for _, f := range n.Fanin {
-		if c.dedupMark[f] == epoch {
-			continue
-		}
-		c.dedupMark[f] = epoch
-		c.nodes[f].Fanout = append(c.nodes[f].Fanout, id)
-	}
-	return id, nil
-}
 
 // Counts reports the number of PIs, POs, combinational gates and DFFs.
 func (c *Circuit) Counts() (pis, pos, gates, dffs int) {
@@ -379,9 +290,7 @@ func (c *Circuit) TopoOrder() ([]NodeID, error) {
 	order := make([]NodeID, 0, n)
 	indeg := make([]int32, n)
 	// mark dedups multi-pin fanins with a per-gate epoch (the gate index
-	// itself), one allocation for the whole pass. TopoOrder stays safe for
-	// concurrent readers, so it does not borrow the circuit's dedup
-	// scratch.
+	// itself), one allocation for the whole pass.
 	mark := make([]int32, n)
 	for i := range c.nodes {
 		nd := &c.nodes[i]
@@ -431,25 +340,34 @@ func (c *Circuit) TopoOrder() ([]NodeID, error) {
 	return order, nil
 }
 
-// Validate checks structural well-formedness: fanin arities, no
-// combinational cycles, every non-PI node reachable-driven, and every DFF
-// having exactly one data input.
+// CheckFanin reports why a node of kind k (with function fn, for a
+// gate) cannot read n nets, or nil if it can: a PI reads none, a DFF
+// exactly one, and a gate between fn's MinInputs and MaxInputs.
+func CheckFanin(k Kind, fn Func, n int) error {
+	switch k {
+	case KindPI:
+		if n != 0 {
+			return fmt.Errorf("a primary input has no fanin, got %d", n)
+		}
+	case KindDFF:
+		if n != 1 {
+			return fmt.Errorf("a DFF takes exactly 1 input, got %d", n)
+		}
+	case KindGate:
+		if n < fn.MinInputs() || (fn.MaxInputs() >= 0 && n > fn.MaxInputs()) {
+			return fmt.Errorf("%s cannot take %d inputs", fn, n)
+		}
+	}
+	return nil
+}
+
+// Validate checks structural well-formedness: fanin arities (CheckFanin)
+// and no combinational cycles.
 func (c *Circuit) Validate() error {
 	for i := range c.nodes {
 		nd := &c.nodes[i]
-		switch nd.Kind {
-		case KindPI:
-			if len(nd.Fanin) != 0 {
-				return fmt.Errorf("circuit %q: PI %q has fanin", c.Name, nd.Name)
-			}
-		case KindDFF:
-			if len(nd.Fanin) != 1 {
-				return fmt.Errorf("circuit %q: DFF %q has %d inputs, want 1", c.Name, nd.Name, len(nd.Fanin))
-			}
-		case KindGate:
-			if n := len(nd.Fanin); n < nd.Fn.MinInputs() || (nd.Fn.MaxInputs() >= 0 && n > nd.Fn.MaxInputs()) {
-				return fmt.Errorf("circuit %q: gate %q (%s) has %d inputs", c.Name, nd.Name, nd.Fn, len(nd.Fanin))
-			}
+		if err := CheckFanin(nd.Kind, nd.Fn, len(nd.Fanin)); err != nil {
+			return fmt.Errorf("circuit %q: node %q: %v", c.Name, nd.Name, err)
 		}
 	}
 	if _, err := c.TopoOrder(); err != nil {
@@ -498,27 +416,6 @@ func (c *Circuit) Stats() (Stats, error) {
 		}
 	}
 	return s, nil
-}
-
-// Clone returns a deep copy of the circuit.
-func (c *Circuit) Clone() *Circuit {
-	out := &Circuit{
-		Name:   c.Name,
-		nodes:  make([]Node, len(c.nodes)),
-		byName: make(map[string]NodeID, len(c.byName)),
-		pos:    append([]NodeID(nil), c.pos...),
-		pis:    append([]NodeID(nil), c.pis...),
-	}
-	for i := range c.nodes {
-		n := c.nodes[i]
-		n.Fanin = append([]NodeID(nil), n.Fanin...)
-		n.Fanout = append([]NodeID(nil), n.Fanout...)
-		out.nodes[i] = n
-	}
-	for k, v := range c.byName {
-		out.byName[k] = v
-	}
-	return out
 }
 
 // NodesOfKind returns all node IDs of the given kind in ascending order.

@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -10,35 +11,20 @@ import (
 // 4 PIs, 3 DFFs, a handful of gates, 1 PO.
 func buildS27ish(t testing.TB) *Circuit {
 	t.Helper()
-	c := New("s27ish")
-	mk := func(id NodeID, err error) NodeID {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return id
-	}
-	g0 := mk(c.AddPI("G0"))
-	g1 := mk(c.AddPI("G1"))
-	g2 := mk(c.AddPI("G2"))
-	g3 := mk(c.AddPI("G3"))
-
-	// Forward-declare DFF outputs by building combinational logic that
-	// reads them after they exist; here we add DFFs at the end reading
-	// gate outputs, and use placeholder order: first gates on PIs.
-	n1 := mk(c.AddGate("n1", FnNot, g0))
-	n2 := mk(c.AddGate("n2", FnAnd, g1, g2))
-	n3 := mk(c.AddGate("n3", FnOr, n1, n2))
-	q1 := mk(c.AddDFF("q1", n3))
-	n4 := mk(c.AddGate("n4", FnNor, q1, g3))
-	q2 := mk(c.AddDFF("q2", n4))
-	n5 := mk(c.AddGate("n5", FnNand, q2, n3))
-	q3 := mk(c.AddDFF("q3", n5))
-	n6 := mk(c.AddGate("n6", FnXor, q3, n4))
-	if err := c.MarkPO(n6); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Validate(); err != nil {
+	b := NewBuilder("s27ish")
+	b.PI("G0").PI("G1").PI("G2").PI("G3")
+	b.Gate("n1", FnNot, "G0")
+	b.Gate("n2", FnAnd, "G1", "G2")
+	b.Gate("n3", FnOr, "n1", "n2")
+	b.DFF("q1", "n3")
+	b.Gate("n4", FnNor, "q1", "G3")
+	b.DFF("q2", "n4")
+	b.Gate("n5", FnNand, "q2", "n3")
+	b.DFF("q3", "n5")
+	b.Gate("n6", FnXor, "q3", "n4")
+	b.PO("n6")
+	c, err := b.Build()
+	if err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -98,29 +84,32 @@ func TestAddAndLookup(t *testing.T) {
 }
 
 func TestDuplicateNameRejected(t *testing.T) {
-	c := New("dup")
-	if _, err := c.AddPI("a"); err != nil {
-		t.Fatal(err)
+	if _, err := NewBuilder("dup").PI("a").PI("a").Build(); err == nil {
+		t.Fatal("Builder accepted a duplicate name")
 	}
-	if _, err := c.AddPI("a"); err == nil {
-		t.Fatal("duplicate name accepted")
+	if _, err := NewBuilder("dup").PI("a").Gate("", FnNot, "a").Build(); err == nil {
+		t.Fatal("Builder accepted an empty name")
 	}
-	if _, err := c.AddGate("", FnNot, 0); err == nil {
-		t.Fatal("empty name accepted")
+	if _, err := FromNodes("dup", []Node{{Name: "a"}, {Name: "a"}}, nil); err == nil {
+		t.Fatal("FromNodes accepted a duplicate name")
+	}
+	if _, err := FromNodes("dup", []Node{{Name: "a"}, {Name: "", Kind: KindGate, Fn: FnNot, Fanin: []NodeID{0}}}, nil); err == nil {
+		t.Fatal("FromNodes accepted an empty name")
 	}
 }
 
 func TestBadFanin(t *testing.T) {
-	c := New("bad")
-	if _, err := c.AddGate("g", FnNot, 99); err == nil {
+	if _, err := FromNodes("bad", []Node{{Name: "g", Kind: KindGate, Fn: FnNot, Fanin: []NodeID{99}}}, nil); err == nil {
 		t.Fatal("unknown fanin accepted")
 	}
-	a, _ := c.AddPI("a")
-	if _, err := c.AddGate("g", FnNot, a, a); err == nil {
+	if _, err := NewBuilder("bad").PI("a").Gate("g", FnNot, "a", "a").Build(); err == nil {
 		t.Fatal("NOT with 2 inputs accepted")
 	}
-	if _, err := c.AddGate("g", FnAnd, a); err == nil {
+	if _, err := NewBuilder("bad").PI("a").Gate("g", FnAnd, "a").Build(); err == nil {
 		t.Fatal("AND with 1 input accepted")
+	}
+	if _, err := NewBuilder("bad").PI("a").Gate("g", FnNot, "b").Build(); err == nil {
+		t.Fatal("undeclared fanin accepted")
 	}
 }
 
@@ -133,16 +122,23 @@ func TestCounts(t *testing.T) {
 }
 
 func TestMarkPOIdempotent(t *testing.T) {
-	c := buildS27ish(t)
-	id, _ := c.Lookup("n6")
-	if err := c.MarkPO(id); err != nil {
+	c, err := NewBuilder("po").PI("a").Gate("g", FnNot, "a").PO("g").PO("a").PO("g").Build()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.POs()) != 1 {
-		t.Fatalf("POs = %v", c.POs())
+	g, _ := c.Lookup("g")
+	a, _ := c.Lookup("a")
+	if got := c.POs(); len(got) != 2 || got[0] != g || got[1] != a {
+		t.Fatalf("POs = %v, want [g a] (a repeat counts once, at its first position)", got)
 	}
-	if err := c.MarkPO(999); err == nil {
-		t.Fatal("MarkPO of unknown node accepted")
+	if _, err := FromNodes("po", []Node{{Name: "a"}}, []NodeID{0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FromNodes("po", []Node{{Name: "a"}}, []NodeID{999}); err == nil {
+		t.Fatal("PO of unknown node accepted")
+	}
+	if _, err := NewBuilder("po").PI("a").PO("b").Build(); err == nil {
+		t.Fatal("PO of undeclared net accepted")
 	}
 }
 
@@ -175,12 +171,12 @@ func TestTopoOrder(t *testing.T) {
 func TestTopoOrderMixedFanin(t *testing.T) {
 	// Regression: a gate with one PI fanin and one gate fanin must come
 	// after the gate fanin even though the PI is popped first.
-	c := New("mixed")
-	a, _ := c.AddPI("a")
-	b, _ := c.AddPI("b")
-	g1, _ := c.AddGate("g1", FnNot, b)
-	g2, _ := c.AddGate("g2", FnAnd, a, g1)
-	_ = g2
+	c, err := NewBuilder("mixed").PI("a").PI("b").Gate("g1", FnNot, "b").Gate("g2", FnAnd, "a", "g1").Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g1, _ := c.Lookup("g1")
+	g2, _ := c.Lookup("g2")
 	order, err := c.TopoOrder()
 	if err != nil {
 		t.Fatal(err)
@@ -195,30 +191,29 @@ func TestTopoOrderMixedFanin(t *testing.T) {
 }
 
 func TestCombinationalCycleDetected(t *testing.T) {
-	c := New("cyc")
-	a, _ := c.AddPI("a")
-	// Build a cycle by editing fanin directly (the public API cannot
-	// create one because fanins must already exist).
-	g1, _ := c.AddGate("g1", FnAnd, a, a)
-	g2, _ := c.AddGate("g2", FnAnd, g1, a)
-	c.Node(g1).Fanin[1] = g2
-	c.Node(g2).Fanout = append(c.Node(g2).Fanout, g1)
-	if _, err := c.TopoOrder(); err == nil {
-		t.Fatal("combinational cycle not detected")
+	b := NewBuilder("cyc").PI("a")
+	b.Gate("g1", FnAnd, "a", "g2")
+	b.Gate("g2", FnAnd, "g1", "a")
+	_, err := b.Build()
+	if err == nil || !strings.Contains(err.Error(), "combinational cycle") {
+		t.Fatalf("Build of a combinational cycle: %v", err)
 	}
-	if err := c.Validate(); err == nil {
-		t.Fatal("Validate missed combinational cycle")
+	nodes := []Node{
+		{Name: "a"},
+		{Name: "g", Kind: KindGate, Fn: FnBuf, Fanin: []NodeID{1}},
+	}
+	if _, err := FromNodes("self", nodes, nil); err == nil {
+		t.Fatal("FromNodes accepted a gate reading itself")
 	}
 }
 
 func TestSequentialLoopAllowed(t *testing.T) {
-	// A loop through a DFF is legal.
-	c := New("loop")
-	a, _ := c.AddPI("a")
-	g, _ := c.AddGate("g", FnAnd, a, a) // placeholder second input
-	q, _ := c.AddDFF("q", g)
-	c.Node(g).Fanin[1] = q
-	c.Node(q).Fanout = append(c.Node(q).Fanout, g)
+	// A loop through a DFF is legal; the gate reads the DFF declared
+	// after it.
+	c, err := NewBuilder("loop").PI("a").Gate("g", FnAnd, "a", "q").DFF("q", "g").Build()
+	if err != nil {
+		t.Fatalf("sequential loop rejected: %v", err)
+	}
 	if _, err := c.TopoOrder(); err != nil {
 		t.Fatalf("sequential loop rejected: %v", err)
 	}
@@ -243,25 +238,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	c := buildS27ish(t)
-	d := c.Clone()
-	if d.NumNodes() != c.NumNodes() {
-		t.Fatal("clone size mismatch")
-	}
-	// Mutating the clone must not affect the original.
-	d.Node(0).Name = "mutated"
-	if c.Node(0).Name == "mutated" {
-		t.Fatal("clone shares node storage")
-	}
-	if _, err := d.AddPI("extra"); err != nil {
-		t.Fatal(err)
-	}
-	if c.NumNodes() == d.NumNodes() {
-		t.Fatal("clone shares slice growth")
-	}
-}
-
 func TestNodesOfKind(t *testing.T) {
 	c := buildS27ish(t)
 	if got := len(c.NodesOfKind(KindDFF)); got != 3 {
@@ -273,9 +249,12 @@ func TestNodesOfKind(t *testing.T) {
 }
 
 func TestFanoutDeduplicated(t *testing.T) {
-	c := New("dedup")
-	a, _ := c.AddPI("a")
-	g, _ := c.AddGate("g", FnXor, a, a)
+	c, err := NewBuilder("dedup").PI("a").Gate("g", FnXor, "a", "a").Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := c.Lookup("a")
+	g, _ := c.Lookup("g")
 	if n := len(c.Node(a).Fanout); n != 1 {
 		t.Fatalf("fanout of a = %d, want 1 (deduplicated)", n)
 	}
@@ -295,11 +274,9 @@ func TestKindAndFuncStrings(t *testing.T) {
 
 // randomDAGCircuit builds a random layered sequential circuit.
 func randomDAGCircuit(r *rand.Rand, nGates int) *Circuit {
-	c := New("rand")
-	ids := make([]NodeID, 0, nGates+4)
+	nodes := make([]Node, 0, nGates+4)
 	for i := 0; i < 4; i++ {
-		id, _ := c.AddPI(pick2(r, i))
-		ids = append(ids, id)
+		nodes = append(nodes, Node{Name: pick2(r, i), Kind: KindPI})
 	}
 	fns := []Func{FnAnd, FnOr, FnNand, FnNor, FnXor, FnNot}
 	for i := 0; i < nGates; i++ {
@@ -310,17 +287,18 @@ func randomDAGCircuit(r *rand.Rand, nGates int) *Circuit {
 			n += r.Intn(2)
 		}
 		for j := 0; j < n; j++ {
-			fanin = append(fanin, ids[r.Intn(len(ids))])
+			fanin = append(fanin, NodeID(r.Intn(len(nodes))))
 		}
-		var id NodeID
 		if r.Intn(5) == 0 {
-			id, _ = c.AddDFF(name("q", i), ids[r.Intn(len(ids))])
+			nodes = append(nodes, Node{Name: name("q", i), Kind: KindDFF, Fanin: []NodeID{NodeID(r.Intn(len(nodes)))}})
 		} else {
-			id, _ = c.AddGate(name("g", i), fn, fanin...)
+			nodes = append(nodes, Node{Name: name("g", i), Kind: KindGate, Fn: fn, Fanin: fanin})
 		}
-		ids = append(ids, id)
 	}
-	c.MarkPO(ids[len(ids)-1])
+	c, err := FromNodes("rand", nodes, []NodeID{NodeID(len(nodes) - 1)})
+	if err != nil {
+		panic(err)
+	}
 	return c
 }
 

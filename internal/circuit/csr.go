@@ -9,8 +9,8 @@ package circuit
 // O(1) allocations instead of O(nodes).
 //
 // A CSR is immutable and safe for concurrent readers. It is built once per
-// Circuit by Circuit.CSR and cached; any mutation of the circuit
-// invalidates the cache. Callers must not modify any of the slices.
+// Circuit by Circuit.CSR and cached; the circuit never changes, so the
+// cache never goes stale. Callers must not modify any of the slices.
 type CSR struct {
 	// N is the node count; every slice below of per-node extent has len N.
 	N int
@@ -60,10 +60,8 @@ func (s *CSR) FanoutOf(n NodeID) []NodeID {
 }
 
 // CSR returns the flat view of the circuit, building and caching it on
-// first use. The circuit must be combinationally acyclic (the same error
-// TopoOrder reports otherwise). The returned CSR is shared: callers must
-// treat it as read-only, and must not call CSR concurrently with circuit
-// mutations (the usual rule for any read).
+// first use; concurrent callers share one build. The returned CSR is
+// shared: callers must treat it as read-only.
 func (c *Circuit) CSR() (*CSR, error) {
 	c.csrMu.Lock()
 	defer c.csrMu.Unlock()

@@ -117,30 +117,49 @@ func TestCSRLevels(t *testing.T) {
 	}
 }
 
-// TestCSRCachedAndInvalidated: repeated calls share the view; MarkPO
-// invalidates it.
+// TestCSRCachedAndInvalidated: repeated and concurrent calls share one
+// view. A circuit never changes, so a changed netlist is a new circuit:
+// one built from the same nodes plus a PO gets its own view, and the
+// first circuit's view stays as it was.
 func TestCSRCachedAndInvalidated(t *testing.T) {
 	c := csrTestCircuit(t)
-	s1, err := c.CSR()
-	if err != nil {
-		t.Fatal(err)
+	views := make(chan *CSR, 4)
+	for i := 0; i < cap(views); i++ {
+		go func() {
+			s, err := c.CSR()
+			if err != nil {
+				t.Error(err)
+			}
+			views <- s
+		}()
 	}
-	s2, err := c.CSR()
-	if err != nil {
-		t.Fatal(err)
+	s1 := <-views
+	for i := 1; i < cap(views); i++ {
+		if s := <-views; s != s1 {
+			t.Fatal("concurrent CSR calls built separate views")
+		}
 	}
-	if s1 != s2 {
+	if s2, _ := c.CSR(); s2 != s1 {
 		t.Fatal("CSR not cached across calls")
 	}
-	if err := c.MarkPO(s1.Order[0]); err != nil {
-		t.Fatal(err)
+	nodes := make([]Node, c.NumNodes())
+	for i := range nodes {
+		nodes[i] = *c.Node(NodeID(i))
 	}
-	s3, err := c.CSR()
+	a, _ := c.Lookup("a")
+	d, err := FromNodes(c.Name, nodes, append(append([]NodeID(nil), c.POs()...), a))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s3 == s1 {
-		t.Fatal("CSR not invalidated by MarkPO")
+	s3, err := d.CSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s3 == s1 || !s3.IsPO[a] {
+		t.Fatal("the new circuit does not have its own view")
+	}
+	if s1.IsPO[a] || len(s1.POs) != 2 {
+		t.Fatal("building a new circuit changed the first circuit's view")
 	}
 }
 

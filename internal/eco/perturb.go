@@ -16,7 +16,7 @@ import (
 )
 
 // Gen produces a deterministic stream of single-change deltas for one
-// base circuit. It keeps a private mirror of the evolving netlist, so
+// base circuit. It keeps a mirror of the evolving netlist, so
 // consecutive deltas are consistent (a rewire can target a gate added
 // two deltas ago). The stream depends only on the base circuit and the
 // seed.
@@ -27,19 +27,21 @@ type Gen struct {
 	counter int
 }
 
-// NewGen clones base; the generator owns the clone.
+// NewGen starts the mirror at base. Circuits never change, so the
+// generator shares base with the caller, and each delta replaces the
+// mirror with the circuit serretime.ApplyDeltaOps builds.
 func NewGen(base *circuit.Circuit, seed int64) *Gen {
-	return &Gen{c: base.Clone(), rng: rand.New(rand.NewSource(seed))}
+	return &Gen{c: base, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Circuit exposes the generator's mirror of the evolving netlist (for
-// oracle cross-checks: encode it and solve cold). Callers must not
-// mutate it.
+// oracle cross-checks: encode it and solve cold).
 func (g *Gen) Circuit() *circuit.Circuit { return g.c }
 
-// Bench encodes the mirror in canonical .bench syntax. Because mutated
-// circuits keep primary inputs in the low ID block and everything else
-// in ID order, parsing these bytes reproduces the mirror node for node —
+// Bench encodes the mirror in canonical .bench syntax. Deltas add no
+// primary inputs and keep every node's relative order, so a base whose
+// primary inputs take the lowest IDs (a parsed .bench does) keeps them
+// there, and parsing these bytes reproduces the mirror node for node —
 // a cold solve of them is the exact oracle for a warm delta solve.
 func (g *Gen) Bench() ([]byte, error) {
 	var buf bytes.Buffer
@@ -72,9 +74,11 @@ func (g *Gen) Next() ([]serretime.DeltaOp, error) {
 	if ops == nil {
 		return nil, fmt.Errorf("eco: no applicable perturbation for %s (delta %d)", g.c.Name, i)
 	}
-	if err := serretime.ApplyDeltaOps(g.c, ops); err != nil {
+	c, err := serretime.ApplyDeltaOps(g.c, ops)
+	if err != nil {
 		return nil, fmt.Errorf("eco: delta %d does not apply to the mirror: %w", i, err)
 	}
+	g.c = c
 	return ops, nil
 }
 

@@ -67,9 +67,6 @@ func FromCircuit(c *circuit.Circuit, dm DelayModel) (*Graph, error) {
 	if dm == nil {
 		dm = TypeDelays{}
 	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
 	b := NewBuilder()
 	g := b.g
 	g.vertexOf = make(map[circuit.NodeID]VertexID)

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"serretime/internal/benchfmt"
@@ -283,16 +284,25 @@ func TestRebuildIdentity(t *testing.T) {
 	}
 }
 
+// TestRebuildForwardMove moves pipeline4's registers r1 and r2 forward
+// across n3 = OR(r1, r2), whose every fanin carries one. (s27 has no
+// legal forward move: every gate's register-free fanin cone reaches a
+// primary input.)
 func TestRebuildForwardMove(t *testing.T) {
-	c, g := loadS27(t)
-	// Move registers forward across G11 (it reads G5=DFF(G10), so its
-	// in-edge G10->G11 has w=1).
-	n, _ := c.Lookup("G11")
+	c, err := benchfmt.ParseFile("../../testdata/pipeline4.bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := FromCircuit(c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, _ := c.Lookup("n3")
 	v, _ := g.VertexOf(n)
 	r := NewRetiming(g)
 	r[v] = -1
 	if err := g.CheckLegal(r); err != nil {
-		t.Skipf("retiming not legal on this structure: %v", err)
+		t.Fatalf("forward move across n3 is not legal: %v", err)
 	}
 	rb, err := Rebuild(c, g, r)
 	if err != nil {
@@ -302,11 +312,20 @@ func TestRebuildForwardMove(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, gates, dffs := rb.C.Counts()
-	if gates != 10 {
-		t.Fatalf("gates = %d", gates)
+	if gates != 8 {
+		t.Fatalf("gates = %d, want 8", gates)
 	}
 	if int64(dffs) != g.SharedRegisters(r) {
 		t.Fatalf("dffs = %d, SharedRegisters = %d", dffs, g.SharedRegisters(r))
+	}
+	// n3 now reads the gates behind r1 and r2 directly.
+	n3, _ := rb.C.Lookup("n3")
+	var fanin []string
+	for _, f := range rb.C.Node(n3).Fanin {
+		fanin = append(fanin, rb.C.Node(f).Name)
+	}
+	if strings.Join(fanin, ",") != "n1,n2" {
+		t.Fatalf("n3 reads %v after the move, want [n1 n2]", fanin)
 	}
 	// Chain bookkeeping: every chain tap must exist and read its
 	// predecessor.
@@ -327,7 +346,11 @@ func TestRebuildForwardMove(t *testing.T) {
 
 func TestRebuildRequiresExtractedGraph(t *testing.T) {
 	g, _, _, _ := ringGraph()
-	if _, err := Rebuild(circuit.New("x"), g, NewRetiming(g)); err == nil {
+	empty, err := circuit.FromNodes("x", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Rebuild(empty, g, NewRetiming(g)); err == nil {
 		t.Fatal("Rebuild accepted synthetic graph")
 	}
 }

@@ -233,44 +233,52 @@ func checkRebuild(t *testing.T, name string, c *circuit.Circuit, g *graph.Graph,
 	}
 }
 
-// addRebuildCorners extends a generated circuit with the structures
-// Rebuild special-cases: primary inputs reaching outputs through zero,
-// one and two registers, gates that read one net twice, and outputs that
-// share a chain tap (two registers on one gate, each an output, beside
-// the gate itself).
-func addRebuildCorners(t *testing.T, c *circuit.Circuit, rng *rand.Rand) {
+// withRebuildCorners returns c extended with the structures Rebuild
+// special-cases: primary inputs reaching outputs through zero, one and
+// two registers, gates that read one net twice, and outputs that share a
+// chain tap (two registers on one gate, each an output, beside the gate
+// itself).
+func withRebuildCorners(t *testing.T, c *circuit.Circuit, rng *rand.Rand) *circuit.Circuit {
 	t.Helper()
-	must := func(id circuit.NodeID, err error) circuit.NodeID {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return id
+	nodes := make([]circuit.Node, c.NumNodes())
+	for i := range nodes {
+		nodes[i] = *c.Node(circuit.NodeID(i))
 	}
-	mark := func(id circuit.NodeID) {
-		t.Helper()
-		if err := c.MarkPO(id); err != nil {
-			t.Fatal(err)
-		}
+	pos := append([]circuit.NodeID(nil), c.POs()...)
+	add := func(nd circuit.Node) circuit.NodeID {
+		nodes = append(nodes, nd)
+		return circuit.NodeID(len(nodes) - 1)
 	}
+	dff := func(name string, d circuit.NodeID) circuit.NodeID {
+		return add(circuit.Node{Name: name, Kind: circuit.KindDFF, Fanin: []circuit.NodeID{d}})
+	}
+	gate := func(name string, fn circuit.Func, fanin ...circuit.NodeID) circuit.NodeID {
+		return add(circuit.Node{Name: name, Kind: circuit.KindGate, Fn: fn, Fanin: fanin})
+	}
+	mark := func(id circuit.NodeID) { pos = append(pos, id) }
 	pis := c.PIs()
 	gates := c.NodesOfKind(circuit.KindGate)
 	dffs := c.NodesOfKind(circuit.KindDFF)
 	pi := pis[rng.Intn(len(pis))]
-	q1 := must(c.AddDFF("x_q1", pi))
+	q1 := dff("x_q1", pi)
 	mark(q1)
-	mark(must(c.AddDFF("x_q2", q1)))
+	mark(dff("x_q2", q1))
 	if rng.Intn(2) == 0 {
 		mark(pi)
 	}
 	ga := gates[rng.Intn(len(gates))]
-	mark(must(c.AddGate("x_twice", circuit.FnAnd, ga, ga)))
+	mark(gate("x_twice", circuit.FnAnd, ga, ga))
 	q := dffs[rng.Intn(len(dffs))]
-	must(c.AddGate("x_twice_reg", circuit.FnOr, q, gates[rng.Intn(len(gates))], q))
+	gate("x_twice_reg", circuit.FnOr, q, gates[rng.Intn(len(gates))], q)
 	gb := gates[rng.Intn(len(gates))]
-	mark(must(c.AddDFF("x_s1", gb)))
-	mark(must(c.AddDFF("x_s2", gb)))
+	mark(dff("x_s1", gb))
+	mark(dff("x_s2", gb))
 	mark(gb)
+	out, err := circuit.FromNodes(c.Name, nodes, pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // randomLegalRetiming applies random ±1 vertex moves from r = 0, keeping
@@ -316,7 +324,7 @@ func TestRebuildMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		addRebuildCorners(t, c, rng)
+		c = withRebuildCorners(t, c, rng)
 		g, err := graph.FromCircuit(c, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -14,6 +14,7 @@ import (
 
 	"serretime"
 	"serretime/internal/benchfmt"
+	"serretime/internal/circuit"
 	"serretime/internal/eco"
 	"serretime/internal/telemetry"
 )
@@ -259,9 +260,10 @@ func TestSessionEvictionLRUAndTTL(t *testing.T) {
 	}
 }
 
-// TestSessionDeltaValidation: malformed bodies and bad ops are client
-// errors; a failed delta leaves the session answering for its previous
-// netlist and does not count as an applied delta.
+// TestSessionDeltaValidation: malformed bodies and every delta that
+// ApplyDeltaOps rejects are client errors (400); a failed delta leaves
+// the session answering for its previous netlist and does not count as
+// an applied delta.
 func TestSessionDeltaValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, Timeout: time.Minute})
 	body := benchBytes(t, tableIDesign(t, "b14_1_opt", 100))
@@ -280,8 +282,53 @@ func TestSessionDeltaValidation(t *testing.T) {
 		t.Errorf("broken body: want 400, got %d", resp.StatusCode)
 	}
 
-	if dmsg, dcode := postDelta(t, ts.URL, msg.ID, []serretime.DeltaOp{{Op: "rm_node", Name: "no_such_net"}}); dcode != http.StatusBadRequest {
-		t.Errorf("bad op: want 400, got %d (%+v)", dcode, dmsg)
+	// Net names for the bad ops: a primary input, a gate read by another
+	// gate, and that reader, which closes a cycle when the gate reads it.
+	c, err := benchfmt.Parse(bytes.NewReader(body), "b14_1_opt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := func(id circuit.NodeID) string { return c.Node(id).Name }
+	pi := name(c.PIs()[0])
+	var gate, reader *circuit.Node
+search:
+	for _, id := range c.NodesOfKind(circuit.KindGate) {
+		for _, r := range c.Node(id).Fanout {
+			if c.Node(r).Kind == circuit.KindGate && len(c.Node(id).Fanin) > 0 {
+				gate, reader = c.Node(id), c.Node(r)
+				break search
+			}
+		}
+	}
+	if gate == nil {
+		t.Fatal("no gate read by another gate")
+	}
+	cyclic := make([]string, len(gate.Fanin))
+	for i, f := range gate.Fanin {
+		cyclic[i] = name(f)
+	}
+	cyclic[0] = reader.Name
+	type op = serretime.DeltaOp
+	for _, tc := range []struct {
+		name string
+		ops  []op
+	}{
+		{"unknown-net", []op{{Op: "rm_node", Name: "no_such_net"}}},
+		{"rewire-arity", []op{{Op: "rewire", Name: gate.Name, Fanin: []string{}}}},
+		{"add-gate-arity", []op{{Op: "add_gate", Name: "eco_bad", Fn: "NOT", Fanin: []string{pi, pi}}}},
+		{"rewire-pi", []op{{Op: "rewire", Name: pi, Fanin: []string{gate.Name}}}},
+		{"rm-read", []op{{Op: "rm_node", Name: gate.Name}}},
+		{"rm-unread-po", []op{
+			{Op: "add_gate", Name: "eco_bad", Fn: "AND", Fanin: []string{pi, gate.Name}},
+			{Op: "mark_po", Name: "eco_bad"},
+			{Op: "rm_node", Name: "eco_bad"},
+		}},
+		{"duplicate-name", []op{{Op: "add_gate", Name: reader.Name, Fn: "AND", Fanin: []string{pi, pi}}}},
+		{"cycle", []op{{Op: "rewire", Name: gate.Name, Fanin: cyclic}}},
+	} {
+		if dmsg, dcode := postDelta(t, ts.URL, msg.ID, tc.ops); dcode != http.StatusBadRequest {
+			t.Errorf("%s: want 400, got %d (%+v)", tc.name, dcode, dmsg)
+		}
 	}
 	after, resp2 := fetchBody(t, ts.URL+"/v1/sessions/"+msg.ID+"/result")
 	if resp2.StatusCode != http.StatusOK || !bytes.Equal(before, after) {

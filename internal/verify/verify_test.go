@@ -31,25 +31,25 @@ func TestIdentityRetimingEquivalent(t *testing.T) {
 	}
 }
 
+// TestSingleForwardMoveEquivalent checks every legal single-vertex
+// forward move of pipeline4 (n3, n5 and fb read registers on every pin;
+// s27 has no legal forward move at all).
 func TestSingleForwardMoveEquivalent(t *testing.T) {
-	c, g := load(t, "s27.bench")
-	// G11 reads G5 = DFF(G10): moving that register forward across G11 is
-	// legal iff all of G11's in-edges carry a register... find any vertex
-	// with a legal single decrement.
-	found := false
+	c, g := load(t, "pipeline4.bench")
+	found := 0
 	for v := 1; v < g.NumVertices(); v++ {
 		r := graph.NewRetiming(g)
 		r[v]--
 		if g.CheckLegal(r) != nil {
 			continue
 		}
-		found = true
+		found++
 		if err := ForwardEquivalent(c, g, r, DefaultOptions()); err != nil {
 			t.Fatalf("vertex %s: %v", g.Name(graph.VertexID(v)), err)
 		}
 	}
-	if !found {
-		t.Skip("no single legal forward move in s27")
+	if found < 3 {
+		t.Fatalf("%d legal single forward moves in pipeline4, want at least 3 (n3, n5, fb)", found)
 	}
 }
 

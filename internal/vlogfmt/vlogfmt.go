@@ -121,7 +121,6 @@ func Parse(r io.Reader, fallbackName string) (c *circuit.Circuit, err error) {
 	}
 
 	b := circuit.NewBuilder(fallbackName)
-	name := fallbackName
 	declared := false
 	var outputs []string
 	for _, st := range stmts {
@@ -136,7 +135,7 @@ func Parse(r io.Reader, fallbackName string) (c *circuit.Circuit, err error) {
 			if len(fields) < 2 {
 				return nil, guard.Parsef("verilog", st.line, 0, "module without a name")
 			}
-			name = fields[1]
+			b.SetName(fields[1])
 			declared = true
 		case "endmodule":
 		case "input":
@@ -178,7 +177,6 @@ func Parse(r io.Reader, fallbackName string) (c *circuit.Circuit, err error) {
 	if err != nil {
 		return nil, guard.Parsef("verilog", 0, 0, "%v", err)
 	}
-	c.Name = name
 	return c, nil
 }
 
