@@ -7,13 +7,27 @@ GO ?= go
 FRONTEND_BENCH = BenchmarkFrontEnd
 BENCHTIME ?= 1s
 
-.PHONY: test race bench bench-baseline bench-append bench-fastser bench-eco serve
+.PHONY: test race fuzz bench bench-baseline bench-append bench-fastser bench-eco serve
 
 test:
 	$(GO) build ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
+
+# Run every fuzz target (each func Fuzz* in a tracked _test.go file
+# outside perfbench/) in its package for FUZZTIME. CI's fuzz-smoke job
+# runs this, so a new target is fuzzed there without a workflow edit.
+FUZZTIME ?= 10s
+fuzz:
+	@targets=$$(git ls-files '*_test.go' | grep -v '^perfbench/' \
+		| xargs grep -Ho '^func Fuzz[A-Za-z0-9_]*' | sed 's/:func /:/'); \
+	test -n "$$targets" || { echo "make fuzz: no fuzz targets found" >&2; exit 1; }; \
+	for t in $$targets; do \
+		pkg=./$$(dirname $${t%%:*}); name=$${t##*:}; \
+		echo "$(GO) test -run '^$$' -fuzz '^$$name\$$' -fuzztime $(FUZZTIME) $$pkg"; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+	done
 
 # Human-readable front-end benchmark run (benchstat-ready: pipe two runs
 # into benchstat to compare worker counts or revisions).

@@ -34,10 +34,7 @@ func allocCircuit(t *testing.T) (*circuit.Circuit, *graph.Graph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gg, err := graph.FromCircuit(cc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gg := graph.FromCircuit(cc)
 	return cc, gg
 }
 

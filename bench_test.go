@@ -106,7 +106,7 @@ func BenchmarkTableI_SERAnalysis(b *testing.B) {
 			p := prepare(b, c.name, c.scale)
 			in := ser.Inputs{
 				GateObs: p.d.gateObs, EdgeObs: p.d.edgeObs, GateRate: p.d.rates,
-				RegRate: p.d.regRate, Params: elwParams(p.init.Phi),
+				RegRate: ser.RegisterRate, Params: elwParams(p.init.Phi),
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -106,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *out == "" {
 		report = stderr
 	}
-	st, _ := d.Stats()
+	st := d.Stats()
 	fmt.Fprintf(report, "circuit      %s (|V|=%d |E|=%d #FF=%d depth=%d)\n",
 		d.Name(), st.Vertices, st.Edges, st.FFs, st.Depth)
 	fmt.Fprintf(report, "algorithm    %v (engine %s)\n", res.Algorithm, *engine)

@@ -57,10 +57,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	st, err := d.Stats()
-	if err != nil {
-		fatal(err)
-	}
+	st := d.Stats()
 	an, err := d.Analyze(*phi, serretime.AnalysisOptions{
 		Frames: *frames, SignatureWords: *words, Seed: *seed,
 	})

@@ -488,11 +488,7 @@ func synthesize(j job, cfg config, r *row) (*serretime.Design, error) {
 			return nil, err
 		}
 	}
-	var err error
-	r.stats, err = d.Stats()
-	if err != nil {
-		return nil, err
-	}
+	r.stats = d.Stats()
 	return d, nil
 }
 

@@ -67,10 +67,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	st, err := d.Stats()
-	if err != nil {
-		fatal(err)
-	}
+	st := d.Stats()
 	fmt.Fprintf(os.Stderr, "sergen: %s: |V|=%d |E|=%d #FF=%d PIs=%d POs=%d depth=%d\n",
 		d.Name(), st.Vertices, st.Edges, st.FFs, st.PIs, st.POs, st.Depth)
 	if *out == "" {

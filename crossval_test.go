@@ -102,10 +102,7 @@ func TestFastCrossValidation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			csr, err := c.CSR()
-			if err != nil {
-				t.Fatal(err)
-			}
+			csr := c.CSR()
 			tr, err := sim.Run(context.Background(), c, sim.Config{Words: 64, Frames: 15, Seed: 1})
 			if err != nil {
 				t.Fatal(err)

@@ -192,6 +192,7 @@ func TestApplyDeltaOpsRemoveNode(t *testing.T) {
 type snapshot struct {
 	bench []byte
 	nodes []circuit.Node
+	order []circuit.NodeID
 	csr   *circuit.CSR
 }
 
@@ -204,17 +205,15 @@ func snap(t testing.TB, c *circuit.Circuit) snapshot {
 		nd.Fanout = slices.Clone(nd.Fanout)
 		s.nodes = append(s.nodes, nd)
 	}
-	var err error
-	if s.csr, err = c.CSR(); err != nil {
-		t.Fatal(err)
-	}
+	s.order = slices.Clone(c.TopoOrder())
+	s.csr = c.CSR()
 	return s
 }
 
 func (s snapshot) check(t testing.TB, c *circuit.Circuit, what string) {
 	t.Helper()
 	after := snap(t, c)
-	if !bytes.Equal(s.bench, after.bench) || after.csr != s.csr {
+	if !bytes.Equal(s.bench, after.bench) || after.csr != s.csr || !slices.Equal(after.order, s.order) {
 		t.Fatalf("%s changed its input circuit", what)
 	}
 	for i, nd := range s.nodes {
@@ -285,9 +284,22 @@ func TestApplyDeltaOpsRejections(t *testing.T) {
 			{Op: "add_gate", Name: "x", Fn: "NOT", Fanin: []string{"g2"}},
 			{Op: "rewire", Name: "g1", Fanin: []string{"x", "b"}},
 		}, "combinational cycle"},
+		{"register-self-loop", []op{{Op: "rewire", Name: "d", Fanin: []string{"d"}}}, `flip-flop "d" is on a loop with no gate`},
+		{"register-loop", []op{
+			{Op: "add_dff", Name: "x", Fanin: []string{"d"}},
+			{Op: "rewire", Name: "d", Fanin: []string{"x"}},
+		}, "loop with no gate"},
+		// Cases named s27/... edit testdata/s27.bench.
+		{"s27/register-self-loop", []op{{Op: "rewire", Name: "G5", Fanin: []string{"G5"}}}, `flip-flop "G5" is on a loop with no gate`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := deltaBase(t)
+			if strings.HasPrefix(tc.name, "s27/") {
+				var err error
+				if c, err = benchfmt.ParseFile("testdata/s27.bench"); err != nil {
+					t.Fatal(err)
+				}
+			}
 			before := snap(t, c)
 			got, err := serretime.ApplyDeltaOps(c, tc.ops)
 			if err == nil {
@@ -429,7 +441,7 @@ func fuzzBases(t testing.TB) []*circuit.Circuit {
 // small generated circuit (the first byte picks). Every call must leave
 // its input's .bench bytes as they were; every rejection must unwrap to
 // guard.ErrParse; every result must round-trip through benchfmt.Write
-// and Parse node for node and build a Design without guard.ErrInternal.
+// and Parse node for node and build a Design with no error at all.
 // The corpus holds internal/eco delta streams and hand-written
 // rejections.
 func FuzzApplyDeltaOps(f *testing.F) {
@@ -488,7 +500,7 @@ func FuzzApplyDeltaOps(f *testing.F) {
 			if err := sameCircuit(back, got); err != nil {
 				t.Fatalf("delta %d %+v: .bench round trip: %v", delta, ops, err)
 			}
-			if _, err := serretime.ParseBench(bytes.NewReader(b), "fallback"); errors.Is(err, guard.ErrInternal) {
+			if _, err := serretime.ParseBench(bytes.NewReader(b), "fallback"); err != nil {
 				t.Fatalf("delta %d %+v: Design: %v", delta, ops, err)
 			}
 			c = got

@@ -15,10 +15,7 @@ func ExampleLoad() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st, err := d.Stats()
-	if err != nil {
-		log.Fatal(err)
-	}
+	st := d.Stats()
 	fmt.Printf("%s: %d gates, %d flip-flops, %d inputs, %d outputs\n",
 		d.Name(), st.Gates, st.FFs, st.PIs, st.POs)
 	// Output:
@@ -57,7 +54,7 @@ func ExampleDesign_Retime() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st, _ := res.Retimed.Stats()
+	st := res.Retimed.Stats()
 	fmt.Printf("algorithm: %v\n", res.Algorithm)
 	fmt.Printf("retimed gates: %d\n", st.Gates)
 	fmt.Printf("objective never worsens: %v\n",
@@ -105,7 +102,7 @@ func ExampleSynthesize() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st, _ := d.Stats()
+	st := d.Stats()
 	fmt.Printf("gates=%d ffs=%d\n", st.Gates, st.FFs)
 	// Output:
 	// gates=100 ffs=25

@@ -26,7 +26,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st, _ := d.Stats()
+	st := d.Stats()
 	fmt.Printf("design %s: %d gates, %d FFs, depth %d, |E|=%d\n\n",
 		d.Name(), st.Gates, st.FFs, st.Depth, st.Edges)
 

@@ -17,10 +17,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st, err := d.Stats()
-	if err != nil {
-		log.Fatal(err)
-	}
+	st := d.Stats()
 	fmt.Printf("loaded %s: %d gates, %d flip-flops, depth %d\n",
 		d.Name(), st.Gates, st.FFs, st.Depth)
 
@@ -49,6 +46,6 @@ func main() {
 		res.Before.SharedFFs, res.After.SharedFFs)
 
 	// The retimed circuit is a plain netlist again.
-	rst, _ := res.Retimed.Stats()
+	rst := res.Retimed.Stats()
 	fmt.Printf("retimed netlist: %d gates, %d flip-flops\n", rst.Gates, rst.FFs)
 }

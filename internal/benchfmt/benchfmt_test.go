@@ -20,9 +20,6 @@ func TestParseS27(t *testing.T) {
 	if pis != 4 || pos != 1 || gates != 10 || dffs != 3 {
 		t.Fatalf("Counts = %d %d %d %d", pis, pos, gates, dffs)
 	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	g10, ok := c.Lookup("G10")
 	if !ok || c.Node(g10).Fn != circuit.FnNor {
 		t.Fatal("G10 wrong")

@@ -7,13 +7,15 @@ import (
 	"strings"
 	"testing"
 
+	"serretime/internal/circuit"
+	"serretime/internal/graph"
 	"serretime/internal/guard"
 )
 
 // FuzzParseBench checks the robustness contract of the .bench reader:
 // any byte stream either parses into a circuit or yields an error
 // unwrapping to guard.ErrParse — it must never panic or return
-// (nil, nil).
+// (nil, nil). A parsed circuit must pass checkBuilt.
 func FuzzParseBench(f *testing.F) {
 	for _, name := range []string{"s27.bench", "pipeline4.bench"} {
 		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", name))
@@ -28,6 +30,7 @@ func FuzzParseBench(f *testing.F) {
 	f.Add("x = ()\n")
 	f.Add("= AND(a)\n")
 	f.Add("x = DFF(a, b)\n")
+	f.Add("INPUT(a)\nOUTPUT(g)\np = DFF(q)\nq = DFF(p)\ng = AND(a, p)\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		c, err := Parse(strings.NewReader(input), "fuzz")
 		if err != nil {
@@ -39,6 +42,7 @@ func FuzzParseBench(f *testing.F) {
 		if c == nil {
 			t.Fatal("nil circuit with nil error")
 		}
+		checkBuilt(t, c)
 		// A parsed circuit must survive re-serialization.
 		var sb strings.Builder
 		if werr := Write(&sb, c); werr != nil {
@@ -48,4 +52,32 @@ func FuzzParseBench(f *testing.F) {
 			t.Fatalf("round-trip re-parse failed: %v\noutput:\n%s", rerr, sb.String())
 		}
 	})
+}
+
+// checkBuilt requires what every built circuit guarantees: a retiming
+// graph that passes Check, and a TopoOrder that lists each node once,
+// every gate after its gate fanins.
+func checkBuilt(t *testing.T, c *circuit.Circuit) {
+	t.Helper()
+	if err := graph.FromCircuit(c).Check(); err != nil {
+		t.Fatalf("retiming graph: %v", err)
+	}
+	rank := make([]int, c.NumNodes()) // 1 + position in TopoOrder; 0 = not listed
+	for i, id := range c.TopoOrder() {
+		if rank[id] != 0 {
+			t.Fatalf("TopoOrder lists node %d twice", id)
+		}
+		rank[id] = i + 1
+	}
+	for id, r := range rank {
+		nd := c.Node(circuit.NodeID(id))
+		if r == 0 {
+			t.Fatalf("TopoOrder leaves out node %q", nd.Name)
+		}
+		for _, f := range nd.Fanin {
+			if nd.Kind == circuit.KindGate && c.Node(f).Kind == circuit.KindGate && rank[f] >= r {
+				t.Fatalf("TopoOrder puts gate %q before its fanin %q", nd.Name, c.Node(f).Name)
+			}
+		}
+	}
 }

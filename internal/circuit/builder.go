@@ -96,9 +96,11 @@ func (b *Builder) Build() (*Circuit, error) {
 	return assemble(b.name, nodes, byName, pos)
 }
 
-// FromNodes builds a validated circuit from complete nodes: node i gets
-// ID i, and each Fanin lists node IDs in pin order, forward references
-// allowed (a flip-flop may read a gate that comes after it). Fanout is
+// FromNodes builds a circuit from complete nodes: node i gets ID i, and
+// each Fanin lists node IDs in pin order, forward references allowed (a
+// flip-flop may read a gate that comes after it). It rejects a node with
+// the wrong number of fanins, a combinational cycle and a loop of
+// flip-flops with no gate, and keeps the topological order. Fanout is
 // derived, deduplicated and in ascending ID order, replacing whatever the
 // caller set. pos lists the primary outputs in declaration order; a
 // repeated entry counts once, at its first position. The circuit takes
@@ -188,7 +190,7 @@ func assemble(name string, nodes []Node, byName map[string]NodeID, pos []NodeID)
 		mark[p] = epoch
 		c.pos = append(c.pos, p)
 	}
-	if err := c.Validate(); err != nil {
+	if err := c.validate(); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -9,6 +9,11 @@
 // A Circuit never changes once built. FromNodes is its one constructor
 // (Builder.Build resolves names and calls it); an edit, such as an ECO
 // delta, builds a new circuit from a copy of the old one's nodes.
+//
+// FromNodes is also where a netlist is checked, once: fanin arities, no
+// combinational cycle, and no loop of flip-flops without a gate, so every
+// circuit has a retiming graph (package graph). It keeps the topological
+// order that proves acyclicity, so TopoOrder, CSR and Stats cannot fail.
 package circuit
 
 import (
@@ -237,11 +242,13 @@ type Circuit struct {
 	pos []NodeID
 	// pis caches the primary inputs in declaration order.
 	pis []NodeID
+	// order is the combinational topological order validate proves
+	// acyclicity with (see TopoOrder).
+	order []NodeID
 
-	// csr is the flat view (see csr.go), built on first use; csrMu
-	// serializes its construction.
-	csr   *CSR
-	csrMu sync.Mutex
+	// csr is the flat view (see csr.go), built once on first use.
+	csr     *CSR
+	csrOnce sync.Once
 }
 
 // NumNodes returns the total node count (PIs + gates + DFFs).
@@ -283,14 +290,53 @@ func (c *Circuit) Counts() (pis, pos, gates, dffs int) {
 // TopoOrder returns all node IDs in a combinational topological order:
 // every gate appears after all of its non-DFF fanins. DFFs and PIs are
 // sources (their current-cycle outputs do not depend on current-cycle
-// inputs), so they appear before any gate that reads them. An error is
-// returned if the combinational subgraph has a cycle.
-func (c *Circuit) TopoOrder() ([]NodeID, error) {
+// inputs), so they appear before any gate that reads them. The order is
+// computed once, when the circuit is built; callers must not modify the
+// returned slice.
+func (c *Circuit) TopoOrder() []NodeID { return c.order }
+
+// CheckFanin reports why a node of kind k (with function fn, for a
+// gate) cannot read n nets, or nil if it can: a PI reads none, a DFF
+// exactly one, and a gate between fn's MinInputs and MaxInputs.
+func CheckFanin(k Kind, fn Func, n int) error {
+	switch k {
+	case KindPI:
+		if n != 0 {
+			return fmt.Errorf("a primary input has no fanin, got %d", n)
+		}
+	case KindDFF:
+		if n != 1 {
+			return fmt.Errorf("a DFF takes exactly 1 input, got %d", n)
+		}
+	case KindGate:
+		if n < fn.MinInputs() || (fn.MaxInputs() >= 0 && n > fn.MaxInputs()) {
+			return fmt.Errorf("%s cannot take %d inputs", fn, n)
+		}
+	}
+	return nil
+}
+
+// validate checks what every built circuit guarantees, and keeps the
+// topological order that proves the second point:
+//
+//   - every node's fanin arity (CheckFanin);
+//   - no combinational cycle (Kahn's algorithm, sources first, then
+//     gates in release order);
+//   - no loop of flip-flops without a gate. The retiming graph has one
+//     vertex per gate and folds each register chain into an edge weight,
+//     so such a loop has no place in it.
+func (c *Circuit) validate() error {
 	n := len(c.nodes)
+	for i := range c.nodes {
+		nd := &c.nodes[i]
+		if err := CheckFanin(nd.Kind, nd.Fn, len(nd.Fanin)); err != nil {
+			return fmt.Errorf("circuit %q: node %q: %v", c.Name, nd.Name, err)
+		}
+	}
 	order := make([]NodeID, 0, n)
 	indeg := make([]int32, n)
 	// mark dedups multi-pin fanins with a per-gate epoch (the gate index
-	// itself), one allocation for the whole pass.
+	// itself); the register walk below reuses it as its stamp.
 	mark := make([]int32, n)
 	for i := range c.nodes {
 		nd := &c.nodes[i]
@@ -335,44 +381,24 @@ func (c *Circuit) TopoOrder() ([]NodeID, error) {
 		}
 	}
 	if len(order) != n {
-		return nil, fmt.Errorf("circuit %q: combinational cycle detected (%d of %d nodes ordered)", c.Name, len(order), n)
+		return fmt.Errorf("circuit %q: combinational cycle detected (%d of %d nodes ordered)", c.Name, len(order), n)
 	}
-	return order, nil
-}
-
-// CheckFanin reports why a node of kind k (with function fn, for a
-// gate) cannot read n nets, or nil if it can: a PI reads none, a DFF
-// exactly one, and a gate between fn's MinInputs and MaxInputs.
-func CheckFanin(k Kind, fn Func, n int) error {
-	switch k {
-	case KindPI:
-		if n != 0 {
-			return fmt.Errorf("a primary input has no fanin, got %d", n)
-		}
-	case KindDFF:
-		if n != 1 {
-			return fmt.Errorf("a DFF takes exactly 1 input, got %d", n)
-		}
-	case KindGate:
-		if n < fn.MinInputs() || (fn.MaxInputs() >= 0 && n > fn.MaxInputs()) {
-			return fmt.Errorf("%s cannot take %d inputs", fn, n)
-		}
-	}
-	return nil
-}
-
-// Validate checks structural well-formedness: fanin arities (CheckFanin)
-// and no combinational cycles.
-func (c *Circuit) Validate() error {
+	// Walk each flip-flop chain back to its gate or primary input,
+	// stamping its flip-flops with the walk's number. A walk stops at
+	// the first stamped flip-flop: one stamped by an earlier walk leads
+	// to a chain already cleared, one stamped by this walk closes a loop.
+	clear(mark)
 	for i := range c.nodes {
-		nd := &c.nodes[i]
-		if err := CheckFanin(nd.Kind, nd.Fn, len(nd.Fanin)); err != nil {
-			return fmt.Errorf("circuit %q: node %q: %v", c.Name, nd.Name, err)
+		walk, id := int32(i)+1, NodeID(i)
+		for c.nodes[id].Kind == KindDFF && mark[id] == 0 {
+			mark[id] = walk
+			id = c.nodes[id].Fanin[0]
+		}
+		if c.nodes[id].Kind == KindDFF && mark[id] == walk {
+			return fmt.Errorf("circuit %q: flip-flop %q is on a loop with no gate", c.Name, c.nodes[id].Name)
 		}
 	}
-	if _, err := c.TopoOrder(); err != nil {
-		return err
-	}
+	c.order = order
 	return nil
 }
 
@@ -385,16 +411,12 @@ type Stats struct {
 	MaxFanout int
 }
 
-// Stats computes summary statistics. The circuit must be valid.
-func (c *Circuit) Stats() (Stats, error) {
+// Stats computes summary statistics.
+func (c *Circuit) Stats() Stats {
 	var s Stats
 	s.PIs, s.POs, s.Gates, s.DFFs = c.Counts()
-	order, err := c.TopoOrder()
-	if err != nil {
-		return Stats{}, err
-	}
 	depth := make([]int, len(c.nodes))
-	for _, id := range order {
+	for _, id := range c.order {
 		nd := &c.nodes[id]
 		if nd.Kind != KindGate {
 			continue
@@ -415,7 +437,7 @@ func (c *Circuit) Stats() (Stats, error) {
 			s.MaxFanout = len(c.nodes[i].Fanout)
 		}
 	}
-	return s, nil
+	return s
 }
 
 // NodesOfKind returns all node IDs of the given kind in ascending order.

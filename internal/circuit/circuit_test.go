@@ -144,10 +144,7 @@ func TestMarkPOIdempotent(t *testing.T) {
 
 func TestTopoOrder(t *testing.T) {
 	c := buildS27ish(t)
-	order, err := c.TopoOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
+	order := c.TopoOrder()
 	if len(order) != c.NumNodes() {
 		t.Fatalf("order len = %d, want %d", len(order), c.NumNodes())
 	}
@@ -177,10 +174,7 @@ func TestTopoOrderMixedFanin(t *testing.T) {
 	}
 	g1, _ := c.Lookup("g1")
 	g2, _ := c.Lookup("g2")
-	order, err := c.TopoOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
+	order := c.TopoOrder()
 	pos := make(map[NodeID]int)
 	for i, id := range order {
 		pos[id] = i
@@ -214,17 +208,54 @@ func TestSequentialLoopAllowed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sequential loop rejected: %v", err)
 	}
-	if _, err := c.TopoOrder(); err != nil {
-		t.Fatalf("sequential loop rejected: %v", err)
+	if got := len(c.TopoOrder()); got != c.NumNodes() {
+		t.Fatalf("TopoOrder lists %d of %d nodes", got, c.NumNodes())
+	}
+}
+
+// TestFromNodesSelfLoopDFF: a flip-flop reading itself closes a loop with
+// no gate, which the retiming graph (one vertex per gate, register chains
+// folded into edge weights) cannot represent, so no circuit is built.
+func TestFromNodesSelfLoopDFF(t *testing.T) {
+	_, err := NewBuilder("selfloop").DFF("x", "x").PO("x").Build()
+	if err == nil || !strings.Contains(err.Error(), `flip-flop "x" is on a loop with no gate`) {
+		t.Fatalf("Build of a self-loop DFF: %v", err)
+	}
+	if _, err := FromNodes("selfloop", []Node{{Name: "x", Kind: KindDFF, Fanin: []NodeID{0}}}, nil); err == nil {
+		t.Fatal("FromNodes accepted a self-loop DFF nothing reads")
+	}
+}
+
+// TestFromNodesDFFCycleChain: a loop of two flip-flops with no gate is
+// rejected whether logic reads it or a flip-flop chain leads into it;
+// flip-flop chains that branch and end at a gate or an input are not.
+func TestFromNodesDFFCycleChain(t *testing.T) {
+	b := NewBuilder("dffcycle")
+	b.DFF("p", "q")
+	b.DFF("q", "p")
+	b.PI("a")
+	b.Gate("g", FnAnd, "a", "p")
+	b.PO("g")
+	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "loop with no gate") {
+		t.Fatalf("Build of a gate-free DFF cycle read by a gate: %v", err)
+	}
+	_, err := NewBuilder("tail").DFF("t", "p").DFF("p", "q").DFF("q", "p").PI("a").PO("a").Build()
+	if err == nil {
+		t.Fatal("Build accepted a chain leading into a gate-free DFF cycle")
+	}
+	c, err := NewBuilder("tree").PI("a").DFF("p1", "a").DFF("p2", "p1").DFF("p3", "p1").
+		DFF("p4", "p3").Gate("g", FnOr, "p2", "p4").DFF("p5", "g").DFF("p6", "p5").PO("p6").Build()
+	if err != nil {
+		t.Fatalf("branching DFF chains rejected: %v", err)
+	}
+	if got := len(c.TopoOrder()); got != c.NumNodes() {
+		t.Fatalf("TopoOrder lists %d of %d nodes", got, c.NumNodes())
 	}
 }
 
 func TestStats(t *testing.T) {
 	c := buildS27ish(t)
-	s, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := c.Stats()
 	if s.Gates != 6 || s.DFFs != 3 || s.PIs != 4 || s.POs != 1 {
 		t.Fatalf("Stats = %+v", s)
 	}
@@ -273,7 +304,7 @@ func TestKindAndFuncStrings(t *testing.T) {
 }
 
 // randomDAGCircuit builds a random layered sequential circuit.
-func randomDAGCircuit(r *rand.Rand, nGates int) *Circuit {
+func randomDAGCircuit(r *rand.Rand, nGates int) (*Circuit, error) {
 	nodes := make([]Node, 0, nGates+4)
 	for i := 0; i < 4; i++ {
 		nodes = append(nodes, Node{Name: pick2(r, i), Kind: KindPI})
@@ -295,11 +326,7 @@ func randomDAGCircuit(r *rand.Rand, nGates int) *Circuit {
 			nodes = append(nodes, Node{Name: name("g", i), Kind: KindGate, Fn: fn, Fanin: fanin})
 		}
 	}
-	c, err := FromNodes("rand", nodes, []NodeID{NodeID(len(nodes) - 1)})
-	if err != nil {
-		panic(err)
-	}
-	return c
+	return FromNodes("rand", nodes, []NodeID{NodeID(len(nodes) - 1)})
 }
 
 func name(p string, i int) string {
@@ -323,8 +350,8 @@ func pick2(r *rand.Rand, i int) string { return "pi" + itoa(i) }
 func TestPropertyRandomCircuitsValid(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		c := randomDAGCircuit(r, 30)
-		return c.Validate() == nil
+		_, err := randomDAGCircuit(r, 30)
+		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -334,11 +361,11 @@ func TestPropertyRandomCircuitsValid(t *testing.T) {
 func TestPropertyTopoOrderComplete(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		c := randomDAGCircuit(r, 50)
-		order, err := c.TopoOrder()
+		c, err := randomDAGCircuit(r, 50)
 		if err != nil {
 			return false
 		}
+		order := c.TopoOrder()
 		seen := make(map[NodeID]bool)
 		for _, id := range order {
 			if seen[id] {

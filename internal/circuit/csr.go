@@ -62,23 +62,19 @@ func (s *CSR) FanoutOf(n NodeID) []NodeID {
 // CSR returns the flat view of the circuit, building and caching it on
 // first use; concurrent callers share one build. The returned CSR is
 // shared: callers must treat it as read-only.
-func (c *Circuit) CSR() (*CSR, error) {
-	c.csrMu.Lock()
-	defer c.csrMu.Unlock()
-	if c.csr != nil {
-		return c.csr, nil
-	}
-	order, err := c.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
+func (c *Circuit) CSR() *CSR {
+	c.csrOnce.Do(func() { c.csr = c.buildCSR() })
+	return c.csr
+}
+
+func (c *Circuit) buildCSR() *CSR {
 	n := len(c.nodes)
 	s := &CSR{
 		N:     n,
 		Kind:  make([]Kind, n),
 		Fn:    make([]Func, n),
 		Level: make([]int32, n),
-		Order: order,
+		Order: c.order,
 		IsPO:  make([]bool, n),
 		PIs:   append([]NodeID(nil), c.pis...),
 		POs:   append([]NodeID(nil), c.pos...),
@@ -107,7 +103,7 @@ func (c *Circuit) CSR() (*CSR, error) {
 	}
 	s.RevOrder = make([]NodeID, n)
 	s.GateOrder = make([]NodeID, 0, gates)
-	for i, id := range order {
+	for i, id := range c.order {
 		s.RevOrder[n-1-i] = id
 		if s.Kind[id] == KindGate {
 			s.GateOrder = append(s.GateOrder, id)
@@ -123,6 +119,5 @@ func (c *Circuit) CSR() (*CSR, error) {
 	for _, po := range c.pos {
 		s.IsPO[po] = true
 	}
-	c.csr = s
-	return s, nil
+	return s
 }

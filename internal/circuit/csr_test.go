@@ -26,10 +26,7 @@ func csrTestCircuit(t *testing.T) *Circuit {
 // orders of the CSR view must agree exactly with the per-node slices.
 func TestCSRMirrorsNodes(t *testing.T) {
 	c := csrTestCircuit(t)
-	s, err := c.CSR()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := c.CSR()
 	if s.N != c.NumNodes() {
 		t.Fatalf("N = %d, want %d", s.N, c.NumNodes())
 	}
@@ -58,10 +55,7 @@ func TestCSRMirrorsNodes(t *testing.T) {
 			}
 		}
 	}
-	order, err := c.TopoOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
+	order := c.TopoOrder()
 	if len(s.Order) != len(order) {
 		t.Fatalf("order length %d, want %d", len(s.Order), len(order))
 	}
@@ -93,10 +87,7 @@ func TestCSRMirrorsNodes(t *testing.T) {
 // TestCSRLevels: sources at level 0, gates one above their deepest fanin.
 func TestCSRLevels(t *testing.T) {
 	c := csrTestCircuit(t)
-	s, err := c.CSR()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := c.CSR()
 	for id := 0; id < s.N; id++ {
 		if s.Kind[id] != KindGate {
 			if s.Level[id] != 0 {
@@ -125,13 +116,7 @@ func TestCSRCachedAndInvalidated(t *testing.T) {
 	c := csrTestCircuit(t)
 	views := make(chan *CSR, 4)
 	for i := 0; i < cap(views); i++ {
-		go func() {
-			s, err := c.CSR()
-			if err != nil {
-				t.Error(err)
-			}
-			views <- s
-		}()
+		go func() { views <- c.CSR() }()
 	}
 	s1 := <-views
 	for i := 1; i < cap(views); i++ {
@@ -139,7 +124,7 @@ func TestCSRCachedAndInvalidated(t *testing.T) {
 			t.Fatal("concurrent CSR calls built separate views")
 		}
 	}
-	if s2, _ := c.CSR(); s2 != s1 {
+	if s2 := c.CSR(); s2 != s1 {
 		t.Fatal("CSR not cached across calls")
 	}
 	nodes := make([]Node, c.NumNodes())
@@ -151,10 +136,7 @@ func TestCSRCachedAndInvalidated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s3, err := d.CSR()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s3 := d.CSR()
 	if s3 == s1 || !s3.IsPO[a] {
 		t.Fatal("the new circuit does not have its own view")
 	}

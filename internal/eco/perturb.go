@@ -89,12 +89,8 @@ func (g *Gen) rewire() []serretime.DeltaOp {
 	if len(gates) == 0 {
 		return nil
 	}
-	order, err := g.c.TopoOrder()
-	if err != nil {
-		return nil
-	}
 	rank := make([]int, g.c.NumNodes())
-	for i, id := range order {
+	for i, id := range g.c.TopoOrder() {
 		rank[id] = i
 	}
 	for attempt := 0; attempt < 64; attempt++ {

@@ -15,9 +15,6 @@ func TestGenerateSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	_, _, gates, dffs := c.Counts()
 	if gates != 50 || dffs != 10 {
 		t.Fatalf("counts: %d gates, %d dffs", gates, dffs)
@@ -71,10 +68,7 @@ func TestGenerateStatisticsAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := graph.FromCircuit(c, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := graph.FromCircuit(c)
 	if g.NumGates() != s.Gates {
 		t.Fatalf("|V| = %d, want %d", g.NumGates(), s.Gates)
 	}
@@ -109,10 +103,7 @@ func TestGenerateRetimable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := graph.FromCircuit(c, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := graph.FromCircuit(c)
 	init, err := retime.Initialize(context.Background(), g, retime.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -167,10 +158,7 @@ func TestTableIGenerateSmallest(t *testing.T) {
 	if gates != 4049 || dffs != 2382 {
 		t.Fatalf("counts: %d %d", gates, dffs)
 	}
-	g, err := graph.FromCircuit(c, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := graph.FromCircuit(c)
 	if err := g.Check(); err != nil {
 		t.Fatal(err)
 	}

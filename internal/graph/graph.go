@@ -7,6 +7,11 @@
 // labeling r with r(host) = 0; the retimed register count of an edge is
 // w_r(u,v) = w(u,v) + r(v) - r(u).
 //
+// FromCircuit extracts the graph of any circuit, with no error to return:
+// circuit.FromNodes already rejected every netlist that has none (a
+// combinational cycle, or a loop of flip-flops with no gate). Each gate's
+// delay comes from one fixed model keyed by its function and fanin.
+//
 // The representation is flat and index-based (DESIGN.md §15): edge
 // attributes live in parallel slices indexed by EdgeID, and the adjacency
 // is compressed-sparse-row — one contiguous EdgeID array per direction

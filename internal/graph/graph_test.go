@@ -167,10 +167,7 @@ func loadS27(t testing.TB) (*circuit.Circuit, *Graph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := FromCircuit(c, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := FromCircuit(c)
 	return c, g
 }
 
@@ -213,10 +210,7 @@ func TestFromCircuitDFFChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := FromCircuit(c, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := FromCircuit(c)
 	if g.NumEdges() != 2 {
 		t.Fatalf("|E| = %d", g.NumEdges())
 	}
@@ -238,10 +232,7 @@ func TestFromCircuitPIPODropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := FromCircuit(c, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := FromCircuit(c)
 	// Only the x->g pin and the g->host PO edge remain.
 	if g.NumEdges() != 2 {
 		t.Fatalf("|E| = %d, want 2", g.NumEdges())
@@ -279,9 +270,6 @@ func TestRebuildIdentity(t *testing.T) {
 	if pis != 4 || pos != 1 || gates != 10 || dffs != 3 {
 		t.Fatalf("identity rebuild counts = %d %d %d %d", pis, pos, gates, dffs)
 	}
-	if err := rb.C.Validate(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestRebuildForwardMove moves pipeline4's registers r1 and r2 forward
@@ -293,10 +281,7 @@ func TestRebuildForwardMove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := FromCircuit(c, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := FromCircuit(c)
 	n, _ := c.Lookup("n3")
 	v, _ := g.VertexOf(n)
 	r := NewRetiming(g)
@@ -306,9 +291,6 @@ func TestRebuildForwardMove(t *testing.T) {
 	}
 	rb, err := Rebuild(c, g, r)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rb.C.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	_, _, gates, dffs := rb.C.Counts()

@@ -91,10 +91,7 @@ func Rebuild(c *circuit.Circuit, g *Graph, r Retiming) (*Rebuilt, error) {
 			continue
 		}
 		for _, fin := range nd.Fanin {
-			drv, w, err := effectiveDriver(c, fin)
-			if err != nil {
-				return nil, err
-			}
+			drv, w := effectiveDriver(c, fin)
 			nw := w + rOf[x] - rOf[drv]
 			if nw < 0 {
 				return nil, fmt.Errorf("graph: pin of %q gets %d registers", c.Node(drv).Name, nw)
@@ -104,10 +101,7 @@ func Rebuild(c *circuit.Circuit, g *Graph, r Retiming) (*Rebuilt, error) {
 		}
 	}
 	for _, po := range pos {
-		drv, w, err := effectiveDriver(c, po)
-		if err != nil {
-			return nil, err
-		}
+		drv, w := effectiveDriver(c, po)
 		nw := w // a PI feeding a PO has no graph edge: registers preserved verbatim
 		if c.Node(drv).Kind == circuit.KindGate {
 			nw = w - rOf[drv]

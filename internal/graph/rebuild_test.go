@@ -325,10 +325,7 @@ func TestRebuildMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		c = withRebuildCorners(t, c, rng)
-		g, err := graph.FromCircuit(c, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := graph.FromCircuit(c)
 		r := randomLegalRetiming(g, rng)
 		name := fmt.Sprintf("seed %d", seed)
 		checkRebuild(t, name, c, g, r)
@@ -359,10 +356,7 @@ func TestRebuildMatchesReferenceTableI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := graph.FromCircuit(c, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := graph.FromCircuit(c)
 		init, err := retime.Initialize(context.Background(), g, retime.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
@@ -387,10 +381,7 @@ func TestRebuildTapNameCollision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := graph.FromCircuit(c, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := graph.FromCircuit(c)
 	rb, err := graph.Rebuild(c, g, graph.NewRetiming(g))
 	if err != nil {
 		t.Fatal(err)

@@ -278,16 +278,13 @@ func ppSens(fn circuit.Func, ded []circuit.NodeID, x circuit.NodeID, p []float64
 // estimate is analytical. A done ctx aborts between level shards with a
 // guard.ErrTimeout-wrapped error.
 func ComputeFast(ctx context.Context, c *circuit.Circuit, frames int, opt Options) (*Result, error) {
-	csr, err := c.CSR()
-	if err != nil {
-		return nil, err
-	}
 	if frames < 1 {
 		return nil, fmt.Errorf("obs: fast engine needs frames >= 1, got %d", frames)
 	}
 	if opt.Frame < 0 || opt.Frame >= frames {
 		return nil, fmt.Errorf("obs: frame %d outside horizon of %d frames", opt.Frame, frames)
 	}
+	csr := c.CSR()
 	n := csr.N
 
 	floats := par.Arena[float64]{Pool: &ppFloatPool}

@@ -329,10 +329,7 @@ func TestTimingMatchesReferenceTableI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := graph.FromCircuit(c, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := graph.FromCircuit(c)
 		want, err := refInitialize(g, o)
 		if err != nil {
 			t.Fatal(err)

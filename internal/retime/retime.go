@@ -18,9 +18,9 @@ import (
 
 const eps = 1e-9
 
-// grid is the delay quantum: all delays produced by graph.TypeDelays are
-// multiples of 0.5, so achievable clock periods lie on this grid and the
-// binary search over periods is exact.
+// grid is the delay quantum: every gate delay graph.FromCircuit assigns
+// is a multiple of 0.5, so achievable clock periods lie on this grid and
+// the binary search over periods is exact.
 const grid = 0.5
 
 // Feasible reports whether retiming r meets clock period phi with setup

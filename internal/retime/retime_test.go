@@ -197,10 +197,7 @@ func TestInitializeTracesProbes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := graph.FromCircuit(c, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := graph.FromCircuit(c)
 	probes := &probeCounter{}
 	tr := telemetry.NewTrace(telemetry.TraceID{})
 	o := DefaultOptions()
@@ -251,10 +248,7 @@ func TestInitializeS27(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := graph.FromCircuit(c, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := graph.FromCircuit(c)
 	init, err := Initialize(context.Background(), g, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)

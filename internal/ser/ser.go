@@ -24,12 +24,10 @@ import (
 	"serretime/internal/obs"
 )
 
-// SyntheticRates is the characterization table (SPICE substitute): raw
-// soft-error rates in arbitrary FIT-like units.
-type SyntheticRates struct{}
-
-// GateRate is err(g) for a combinational gate of function fn.
-func (SyntheticRates) GateRate(fn circuit.Func, fanin int) float64 {
+// GateRate is err(g) for a combinational gate of function fn: the
+// synthetic characterization table (SPICE substitute), in arbitrary
+// FIT-like units.
+func GateRate(fn circuit.Func, fanin int) float64 {
 	var base float64
 	switch fn {
 	case circuit.FnConst0, circuit.FnConst1:
@@ -51,10 +49,10 @@ func (SyntheticRates) GateRate(fn circuit.Func, fanin int) float64 {
 	return base
 }
 
-// RegisterRate is err(r) for a flip-flop. Flip-flops dominate the raw upset
-// rate of modern designs (exposed state nodes), so the synthetic rate sits
-// roughly an order of magnitude above a gate's.
-func (SyntheticRates) RegisterRate() float64 { return 2.0e-4 }
+// RegisterRate is err(r) for a flip-flop, in GateRate's units. Flip-flops
+// dominate the raw upset rate of modern designs (exposed state nodes), so
+// the synthetic rate sits roughly an order of magnitude above a gate's.
+const RegisterRate = 2.0e-4
 
 // Inputs bundles the per-element quantities eq. (4) consumes.
 type Inputs struct {
@@ -74,57 +72,44 @@ type Inputs struct {
 	MaxIntervals int
 }
 
-// VertexRates maps per-vertex err(g) rates of SyntheticRates for a
+// VertexRates maps per-vertex err(g) rates (GateRate) for a
 // circuit-extracted graph. Index 0 (the host) is zero.
-func VertexRates(c *circuit.Circuit, g *graph.Graph) ([]float64, error) {
+func VertexRates(c *circuit.Circuit, g *graph.Graph) []float64 {
 	rates := make([]float64, g.NumVertices())
 	for v := 1; v < g.NumVertices(); v++ {
-		n := g.NodeOf(graph.VertexID(v))
-		if n == circuit.InvalidNode {
-			return nil, fmt.Errorf("ser: vertex %d has no circuit node", v)
-		}
-		nd := c.Node(n)
-		rates[v] = SyntheticRates{}.GateRate(nd.Fn, len(nd.Fanin))
+		nd := c.Node(g.NodeOf(graph.VertexID(v)))
+		rates[v] = GateRate(nd.Fn, len(nd.Fanin))
 	}
-	return rates, nil
+	return rates
 }
 
-// VertexObs maps the observability analysis onto graph vertices. Index 0
-// (the host) is zero.
-func VertexObs(c *circuit.Circuit, g *graph.Graph, res *obs.Result) ([]float64, error) {
+// VertexObs maps the observability analysis onto the vertices of a
+// circuit-extracted graph. Index 0 (the host) is zero.
+func VertexObs(g *graph.Graph, res *obs.Result) []float64 {
 	o := make([]float64, g.NumVertices())
 	for v := 1; v < g.NumVertices(); v++ {
-		n := g.NodeOf(graph.VertexID(v))
-		if n == circuit.InvalidNode {
-			return nil, fmt.Errorf("ser: vertex %d has no circuit node", v)
-		}
-		o[v] = res.GateObs(n)
+		o[v] = res.GateObs(g.NodeOf(graph.VertexID(v)))
 	}
-	return o, nil
+	return o
 }
 
-// EdgeObs computes the per-edge driver observability: obs of the source
-// vertex for ordinary edges, obs of the originating primary input for host
-// out-edges (the graph merges all PIs into the host, but boundary
-// registers keep their own PI's observability).
-func EdgeObs(c *circuit.Circuit, g *graph.Graph, gateObs []float64, res *obs.Result) ([]float64, error) {
-	if len(gateObs) != g.NumVertices() {
-		return nil, fmt.Errorf("ser: gateObs length mismatch")
-	}
+// EdgeObs computes the per-edge driver observability of the circuit c was
+// extracted from: obs of the source vertex for ordinary edges, obs of the
+// originating primary input for host out-edges (the graph merges all PIs
+// into the host, but boundary registers keep their own PI's
+// observability). gateObs is VertexObs of g.
+func EdgeObs(c *circuit.Circuit, g *graph.Graph, gateObs []float64, res *obs.Result) []float64 {
 	eo := make([]float64, g.NumEdges())
 	pis := c.PIs()
 	for i := 0; i < g.NumEdges(); i++ {
 		e := g.Edge(graph.EdgeID(i))
 		if e.From == graph.Host {
-			if int(e.SrcPort) < 0 || int(e.SrcPort) >= len(pis) {
-				return nil, fmt.Errorf("ser: host edge %d has bad port %d", i, e.SrcPort)
-			}
 			eo[i] = res.GateObs(pis[e.SrcPort])
 			continue
 		}
 		eo[i] = gateObs[e.From]
 	}
-	return eo, nil
+	return eo
 }
 
 // EdgeObsFromVertex derives per-edge observabilities from per-vertex ones

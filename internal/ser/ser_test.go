@@ -14,18 +14,17 @@ import (
 )
 
 func TestSyntheticRates(t *testing.T) {
-	m := SyntheticRates{}
-	if m.GateRate(circuit.FnConst1, 0) != 0 {
+	if GateRate(circuit.FnConst1, 0) != 0 {
 		t.Fatal("constants must have zero rate")
 	}
-	if m.GateRate(circuit.FnNot, 1) <= m.GateRate(circuit.FnNand, 2) {
+	if GateRate(circuit.FnNot, 1) <= GateRate(circuit.FnNand, 2) {
 		t.Fatal("inverter should out-rate a NAND")
 	}
 	// Wider gates have lower raw rates.
-	if m.GateRate(circuit.FnNand, 4) >= m.GateRate(circuit.FnNand, 2) {
+	if GateRate(circuit.FnNand, 4) >= GateRate(circuit.FnNand, 2) {
 		t.Fatal("rate must fall with fanin")
 	}
-	if m.RegisterRate() <= 0 {
+	if RegisterRate <= 0 {
 		t.Fatal("register rate must be positive")
 	}
 }
@@ -180,10 +179,7 @@ func TestFullPipelineS27(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := graph.FromCircuit(c, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := graph.FromCircuit(c)
 	tr, err := sim.Run(context.Background(), c, sim.Config{Words: 16, Frames: 15, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -192,25 +188,16 @@ func TestFullPipelineS27(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gateObs, err := VertexObs(c, g, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	edgeObs, err := EdgeObs(c, g, gateObs, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rates, err := VertexRates(c, g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gateObs := VertexObs(g, res)
+	edgeObs := EdgeObs(c, g, gateObs, res)
+	rates := VertexRates(c, g)
 	_, crit, err := g.ArrivalTimes(graph.NewRetiming(g))
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := elw.DefaultParams(crit + 1)
 	in := Inputs{GateObs: gateObs, EdgeObs: edgeObs, GateRate: rates,
-		RegRate: SyntheticRates{}.RegisterRate(), Params: p}
+		RegRate: RegisterRate, Params: p}
 	an, err := Compute(g, graph.NewRetiming(g), in)
 	if err != nil {
 		t.Fatal(err)

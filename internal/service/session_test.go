@@ -282,14 +282,15 @@ func TestSessionDeltaValidation(t *testing.T) {
 		t.Errorf("broken body: want 400, got %d", resp.StatusCode)
 	}
 
-	// Net names for the bad ops: a primary input, a gate read by another
-	// gate, and that reader, which closes a cycle when the gate reads it.
+	// Net names for the bad ops: a primary input, a flip-flop, a gate read
+	// by another gate, and that reader, which closes a cycle when the gate
+	// reads it.
 	c, err := benchfmt.Parse(bytes.NewReader(body), "b14_1_opt")
 	if err != nil {
 		t.Fatal(err)
 	}
 	name := func(id circuit.NodeID) string { return c.Node(id).Name }
-	pi := name(c.PIs()[0])
+	pi, ff := name(c.PIs()[0]), name(c.NodesOfKind(circuit.KindDFF)[0])
 	var gate, reader *circuit.Node
 search:
 	for _, id := range c.NodesOfKind(circuit.KindGate) {
@@ -325,6 +326,7 @@ search:
 		}},
 		{"duplicate-name", []op{{Op: "add_gate", Name: reader.Name, Fn: "AND", Fanin: []string{pi, pi}}}},
 		{"cycle", []op{{Op: "rewire", Name: gate.Name, Fanin: cyclic}}},
+		{"register-loop", []op{{Op: "rewire", Name: ff, Fanin: []string{ff}}}},
 	} {
 		if dmsg, dcode := postDelta(t, ts.URL, msg.ID, tc.ops); dcode != http.StatusBadRequest {
 			t.Errorf("%s: want 400, got %d (%+v)", tc.name, dcode, dmsg)

@@ -119,10 +119,7 @@ func Run(ctx context.Context, c *circuit.Circuit, cfg Config) (*Trace, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	csr, err := c.CSR()
-	if err != nil {
-		return nil, err
-	}
+	csr := c.CSR()
 	n := csr.N
 	t := &Trace{
 		Circuit: c,

@@ -24,10 +24,7 @@ func NewStepper(c *circuit.Circuit, words int) (*Stepper, error) {
 	if words <= 0 {
 		return nil, fmt.Errorf("sim: words = %d", words)
 	}
-	csr, err := c.CSR()
-	if err != nil {
-		return nil, err
-	}
+	csr := c.CSR()
 	return &Stepper{
 		c:     c,
 		csr:   csr,

@@ -34,10 +34,7 @@ func FuzzStateMoves(f *testing.F) {
 		if err != nil {
 			t.Skip(err) // inconsistent shape draw
 		}
-		g, err := graph.FromCircuit(c, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := graph.FromCircuit(c)
 		r0 := graph.NewRetiming(g)
 		_, crit, err := g.ArrivalTimes(r0)
 		if err != nil {

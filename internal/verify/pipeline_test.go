@@ -24,10 +24,7 @@ func TestOptimizerMovesEquivalentOnGenerated(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
-		g, err := graph.FromCircuit(c, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", spec.Name, err)
-		}
+		g := graph.FromCircuit(c)
 		init, err := retime.Initialize(context.Background(), g, retime.DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
@@ -65,10 +62,7 @@ func TestOptimizerMovesEquivalentOnGenerated(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
-		g1, err := graph.FromCircuit(rb.C, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", spec.Name, err)
-		}
+		g1 := graph.FromCircuit(rb.C)
 		r1 := graph.NewRetiming(g1)
 		moved := 0
 		for v := 1; v < base.NumVertices(); v++ {

@@ -17,10 +17,7 @@ func load(t testing.TB, name string) (*circuit.Circuit, *graph.Graph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := graph.FromCircuit(c, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := graph.FromCircuit(c)
 	return c, g
 }
 
@@ -151,10 +148,7 @@ func TestPropertyRandomForwardRetimingsEquivalent(t *testing.T) {
 		if err != nil {
 			return true // degenerate build (e.g. PO of a PI): skip
 		}
-		g, err := graph.FromCircuit(c, nil)
-		if err != nil {
-			return true
-		}
+		g := graph.FromCircuit(c)
 		r := graph.NewRetiming(g)
 		for tries := 0; tries < 30; tries++ {
 			v := graph.VertexID(1 + rng.Intn(g.NumGates()))
@@ -181,10 +175,7 @@ func TestPropertyMultiStepForwardMoves(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		g, err := graph.FromCircuit(c, nil)
-		if err != nil {
-			return true
-		}
+		g := graph.FromCircuit(c)
 		r := graph.NewRetiming(g)
 		for v := 1; v < g.NumVertices(); v++ {
 			for k := 0; k < 3; k++ {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"serretime/internal/graph"
 	"serretime/internal/guard"
 )
 
@@ -47,6 +48,44 @@ func TestRetimeRejectsNonFiniteOptions(t *testing.T) {
 				t.Errorf("RetimeRobust: want *guard.OptionError (ErrParse), got %v", err)
 			}
 		})
+	}
+}
+
+// TestAnalyzeRejectsBadPhi: Analyze and CriticalElements check the clock
+// period they are given, because +Inf would make every SER NaN, NaN would
+// fail inside the ELW analysis with an untyped error, and a negative
+// period would silently mean the critical path. Each fails with a
+// *guard.OptionError (ErrParse); 0, of either sign, means the critical
+// path.
+func TestAnalyzeRejectsBadPhi(t *testing.T) {
+	d, err := Load("testdata/s27.bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, phi := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -math.SmallestNonzeroFloat64} {
+		var oe *guard.OptionError
+		if _, err := d.Analyze(phi, fastAnalysis); !errors.As(err, &oe) || !errors.Is(err, guard.ErrParse) {
+			t.Errorf("Analyze(%v): want *guard.OptionError (ErrParse), got %v", phi, err)
+		}
+		if _, err := d.CriticalElements(phi, 3, fastAnalysis); !errors.As(err, &oe) || !errors.Is(err, guard.ErrParse) {
+			t.Errorf("CriticalElements(%v): want *guard.OptionError (ErrParse), got %v", phi, err)
+		}
+	}
+	_, crit, err := d.g.ArrivalTimes(graph.NewRetiming(d.g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, phi := range []float64{0, math.Copysign(0, -1)} {
+		an, err := d.Analyze(phi, fastAnalysis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if an.Phi != crit || math.IsNaN(an.SER) || an.SER <= 0 {
+			t.Fatalf("Analyze(%v) = phi %v SER %v, want phi %v (the critical path)", phi, an.Phi, an.SER, crit)
+		}
+		if _, err := d.CriticalElements(phi, 3, fastAnalysis); err != nil {
+			t.Fatalf("CriticalElements(%v): %v", phi, err)
+		}
 	}
 }
 

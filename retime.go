@@ -401,10 +401,7 @@ func (d *Design) verifyMove(initR graph.Retiming, moveR graph.Retiming) error {
 	if err != nil {
 		return err
 	}
-	g1, err := graph.FromCircuit(rb.C, nil)
-	if err != nil {
-		return err
-	}
+	g1 := graph.FromCircuit(rb.C)
 	// Transfer the move onto the rebuilt circuit's graph by gate name.
 	r1 := graph.NewRetiming(g1)
 	for v := 1; v < d.g.NumVertices(); v++ {

@@ -96,6 +96,14 @@ func TestCorruptNetlistsReturnParseError(t *testing.T) {
 		{"verilog/nomodule", func(s string) (*Design, error) { return ParseVerilog(strings.NewReader(s), "x") }, "not n1(y, a);\n"},
 		{"verilog/assign", func(s string) (*Design, error) { return ParseVerilog(strings.NewReader(s), "x") }, "module m(y);\nassign y = 1;\nendmodule\n"},
 		{"verilog/arity", func(s string) (*Design, error) { return ParseVerilog(strings.NewReader(s), "x") }, "module m(y);\noutput y;\nand g1(y);\nendmodule\n"},
+		// A loop of flip-flops with no gate has no retiming graph: one
+		// flip-flop reading itself, and two reading each other.
+		{"bench/register-loop", func(s string) (*Design, error) { return ParseBench(strings.NewReader(s), "x") }, "INPUT(a)\nOUTPUT(g)\nq = DFF(q)\ng = AND(a, q)\n"},
+		{"bench/register-pair", func(s string) (*Design, error) { return ParseBench(strings.NewReader(s), "x") }, "INPUT(a)\nOUTPUT(g)\np = DFF(q)\nq = DFF(p)\ng = AND(a, p)\n"},
+		{"blif/register-loop", func(s string) (*Design, error) { return ParseBLIF(strings.NewReader(s), "x") }, ".model m\n.inputs a\n.outputs g\n.latch q q re clk 0\n.names a q g\n11 1\n.end\n"},
+		{"blif/register-pair", func(s string) (*Design, error) { return ParseBLIF(strings.NewReader(s), "x") }, ".model m\n.inputs a\n.outputs g\n.latch q p re clk 0\n.latch p q re clk 0\n.names a p g\n11 1\n.end\n"},
+		{"verilog/register-loop", func(s string) (*Design, error) { return ParseVerilog(strings.NewReader(s), "x") }, "module m(a, g);\ninput a;\noutput g;\ndff r0(q, q);\nand g0(g, a, q);\nendmodule\n"},
+		{"verilog/register-pair", func(s string) (*Design, error) { return ParseVerilog(strings.NewReader(s), "x") }, "module m(a, g);\ninput a;\noutput g;\ndff r0(p, q);\ndff r1(q, p);\nand g0(g, a, p);\nendmodule\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -24,6 +24,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -52,19 +53,14 @@ type Design struct {
 	gateObs []float64
 	edgeObs []float64
 	rates   []float64
-	regRate float64
 }
 
-// newDesign extracts the retiming graph and validates the circuit. Graph
-// extraction runs under guard so that a degenerate netlist which trips an
-// internal invariant surfaces as guard.ErrInternal, never as a crash.
+// newDesign extracts the retiming graph of a circuit; circuit.FromNodes
+// already checked that it has one. Graph extraction runs under guard so
+// that a bug it trips surfaces as guard.ErrInternal, never as a crash.
 func newDesign(c *circuit.Circuit) (*Design, error) {
 	return guard.Do(context.Background(), "serretime.newDesign", func(context.Context) (*Design, error) {
-		g, err := graph.FromCircuit(c, nil)
-		if err != nil {
-			return nil, err
-		}
-		return &Design{c: c, g: g}, nil
+		return &Design{c: c, g: graph.FromCircuit(c)}, nil
 	})
 }
 
@@ -277,15 +273,12 @@ type Stats struct {
 }
 
 // Stats computes the design's summary statistics.
-func (d *Design) Stats() (Stats, error) {
-	cs, err := d.c.Stats()
-	if err != nil {
-		return Stats{}, err
-	}
+func (d *Design) Stats() Stats {
+	cs := d.c.Stats()
 	return Stats{
 		PIs: cs.PIs, POs: cs.POs, Gates: cs.Gates, FFs: cs.DFFs,
 		Vertices: d.g.NumGates(), Edges: d.g.NumEdges(), Depth: cs.Depth,
-	}, nil
+	}
 }
 
 // Accuracy selects the observability engine (DESIGN.md §16).
@@ -399,23 +392,10 @@ func (d *Design) ensureObs(ctx context.Context, opt AnalysisOptions, workers int
 	if err != nil {
 		return err
 	}
-	gateObs, err := ser.VertexObs(d.c, d.g, res)
-	if err != nil {
-		return err
-	}
-	edgeObs, err := ser.EdgeObs(d.c, d.g, gateObs, res)
-	if err != nil {
-		return err
-	}
-	rates, err := ser.VertexRates(d.c, d.g)
-	if err != nil {
-		return err
-	}
 	d.obsOpt = opt
-	d.gateObs = gateObs
-	d.edgeObs = edgeObs
-	d.rates = rates
-	d.regRate = ser.SyntheticRates{}.RegisterRate()
+	d.gateObs = ser.VertexObs(d.g, res)
+	d.edgeObs = ser.EdgeObs(d.c, d.g, d.gateObs, res)
+	d.rates = ser.VertexRates(d.c, d.g)
 	return nil
 }
 
@@ -435,14 +415,29 @@ type Analysis struct {
 }
 
 // Analyze evaluates the SER of the unretimed design at clock period phi
-// (0 = the design's combinational critical path, unrelaxed).
+// (0 = the design's combinational critical path, unrelaxed). A NaN,
+// infinite or negative phi fails with an error unwrapping to
+// guard.ErrParse.
 func (d *Design) Analyze(phi float64, opt AnalysisOptions) (*Analysis, error) {
+	if err := checkPhi("serretime.Analyze", phi); err != nil {
+		return nil, err
+	}
 	return guard.Do(context.Background(), "serretime.Analyze", func(ctx context.Context) (*Analysis, error) {
 		if err := d.ensureObs(ctx, opt, 0, nil); err != nil {
 			return nil, err
 		}
 		return d.analyzeAt(d.g, graph.NewRetiming(d.g), elwParams(phi), opt)
 	})
+}
+
+// checkPhi rejects a clock period that is NaN, infinite or negative, as
+// RetimeOptions.validate rejects such timing options; op names the entry
+// point for the error text.
+func checkPhi(op string, phi float64) error {
+	if math.IsNaN(phi) || math.IsInf(phi, 0) || phi < 0 {
+		return guard.Optionf(op, "phi", "must be finite and not negative, got %v", phi)
+	}
+	return nil
 }
 
 // analyzeAt evaluates eq. (4) for g under r with the ELW timing p.
@@ -475,6 +470,6 @@ func (d *Design) serInputs(g *graph.Graph, r graph.Retiming, p elw.Params, opt A
 	}
 	return ser.Inputs{
 		GateObs: d.gateObs, EdgeObs: d.edgeObs, GateRate: d.rates,
-		RegRate: d.regRate, Params: p, MaxIntervals: opt.MaxIntervals,
+		RegRate: ser.RegisterRate, Params: p, MaxIntervals: opt.MaxIntervals,
 	}, nil
 }

@@ -3,11 +3,13 @@ package serretime
 import (
 	"bytes"
 	"math"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
 	"serretime/internal/elw"
+	"serretime/internal/gen"
 	"serretime/internal/graph"
 	"serretime/internal/ser"
 )
@@ -17,10 +19,7 @@ func TestLoadBenchAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := d.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := d.Stats()
 	if st.Gates != 10 || st.FFs != 3 || st.PIs != 4 || st.POs != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -45,8 +44,8 @@ func TestParseBenchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, _ := d.Stats()
-	s2, _ := d2.Stats()
+	s1 := d.Stats()
+	s2 := d2.Stats()
 	if s1 != s2 {
 		t.Fatalf("round trip stats: %+v vs %+v", s1, s2)
 	}
@@ -88,7 +87,7 @@ func TestSynthesize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, _ := d.Stats()
+	st := d.Stats()
 	if st.Gates != 200 {
 		t.Fatalf("gates = %d", st.Gates)
 	}
@@ -109,7 +108,7 @@ func TestTableIList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, _ := d.Stats()
+	st := d.Stats()
 	if st.Gates != 4049/8 {
 		t.Fatalf("scaled gates = %d", st.Gates)
 	}
@@ -133,11 +132,8 @@ func TestRetimeMinObsWinOnS27(t *testing.T) {
 	if res.Retimed == nil {
 		t.Fatal("no retimed design")
 	}
-	if err := res.Retimed.c.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	// The retimed netlist has the same combinational gates.
-	st, _ := res.Retimed.Stats()
+	st := res.Retimed.Stats()
 	if st.Gates != 10 {
 		t.Fatalf("retimed gates = %d", st.Gates)
 	}
@@ -293,8 +289,8 @@ func TestBLIFRoundTripAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, _ := d.Stats()
-	s2, _ := d2.Stats()
+	s1 := d.Stats()
+	s2 := d2.Stats()
 	if s1 != s2 {
 		t.Fatalf("BLIF round trip stats: %+v vs %+v", s1, s2)
 	}
@@ -362,7 +358,7 @@ func TestRetimeReportsSERAtSolveTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := ser.Inputs{
-		GateObs: d.gateObs, EdgeObs: d.edgeObs, GateRate: d.rates, RegRate: d.regRate,
+		GateObs: d.gateObs, EdgeObs: d.edgeObs, GateRate: d.rates, RegRate: ser.RegisterRate,
 		Params: elw.Params{Phi: res.Phi, Ts: DefaultTs, Th: 4},
 	}
 	want, err := ser.Compute(d.g, graph.NewRetiming(d.g), in)
@@ -387,9 +383,44 @@ func TestVerilogRoundTripAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, _ := d.Stats()
-	s2, _ := d2.Stats()
+	s1 := d.Stats()
+	s2 := d2.Stats()
 	if s1 != s2 {
 		t.Fatalf("Verilog round trip stats: %+v vs %+v", s1, s2)
+	}
+}
+
+// TestExtractedGraphsCheck: graph.FromCircuit does not check the graph it
+// builds, because circuit construction rules out every way to fail Check
+// (no combinational cycle means no register-free cycle). This holds it to
+// that on every testdata netlist and on the 21 Table I substitutes at the
+// default serbench size (-autocap 12000).
+func TestExtractedGraphsCheck(t *testing.T) {
+	files, err := filepath.Glob("testdata/*.bench")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata netlists (%v)", err)
+	}
+	for _, f := range files {
+		d, err := Load(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.g.Check(); err != nil {
+			t.Errorf("%s: %v", f, err)
+		}
+	}
+	const gateCap = 12000
+	for _, name := range TableICircuits() {
+		spec, err := gen.FindTableI(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := NewTableIDesign(name, (spec.Gates+gateCap-1)/gateCap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.g.Check(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
