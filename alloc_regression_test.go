@@ -163,10 +163,7 @@ func TestAllocRegressionMinimize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gains, obsInt, err := core.Gains(base, d.gateObs, d.edgeObs, opt.kUnits())
-	if err != nil {
-		t.Fatal(err)
-	}
+	gains, obsInt := core.Gains(base, d.gateObs, d.edgeObs, opt.kUnits())
 	copt := core.Options{Phi: init.Phi, Ts: opt.Ts, Th: opt.Th, Rmin: init.Rmin, ELWConstraints: true}
 	var steps int
 	run := func() {
@@ -234,9 +231,7 @@ func TestAllocRegressionELWExact(t *testing.T) {
 	opt := RetimeOptions{}.normalized()
 	p := elw.Params{Phi: init.Phi, Ts: opt.Ts, Th: opt.Th}
 	run := func() {
-		if _, err := elw.Exact(g, init.R, p, 0); err != nil {
-			t.Fatal(err)
-		}
+		elw.Exact(g, init.R, p, 0)
 	}
 	const maxAllocs = 1600
 	got := testing.AllocsPerRun(5, run)

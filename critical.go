@@ -37,13 +37,10 @@ func (d *Design) CriticalElements(phi float64, n int, opt AnalysisOptions) ([]Co
 	}
 	g := d.g
 	r := graph.NewRetiming(g)
-	in, err := d.serInputs(g, r, elwParams(phi), opt)
-	if err != nil {
-		return nil, err
-	}
+	in := d.serInputs(g, r, elwParams(phi), opt)
 	var out []Contributor
 	var total float64
-	err = ser.Terms(g, r, in, func(t ser.Term) {
+	ser.Terms(g, r, in, func(t ser.Term) {
 		total += t.SER
 		if t.SER <= 0 {
 			return
@@ -64,9 +61,6 @@ func (d *Design) CriticalElements(phi float64, n int, opt AnalysisOptions) ([]Co
 		}
 		out = append(out, c)
 	})
-	if err != nil {
-		return nil, err
-	}
 	sort.Slice(out, func(i, j int) bool { return out[i].SER > out[j].SER })
 	if n > 0 && len(out) > n {
 		out = out[:n]

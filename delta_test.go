@@ -291,14 +291,24 @@ func TestApplyDeltaOpsRejections(t *testing.T) {
 		}, "loop with no gate"},
 		// Cases named s27/... edit testdata/s27.bench.
 		{"s27/register-self-loop", []op{{Op: "rewire", Name: "G5", Fanin: []string{"G5"}}}, `flip-flop "G5" is on a loop with no gate`},
+		// Cases named one-gate/... edit INPUT(a) OUTPUT(q) g = NOT(a)
+		// q = DFF(g). Without g no gate is left, so no clock period.
+		{"one-gate/remove-last-gate", []op{
+			{Op: "rewire", Name: "q", Fanin: []string{"a"}},
+			{Op: "rm_node", Name: "g"},
+		}, "no gate other than a constant"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := deltaBase(t)
-			if strings.HasPrefix(tc.name, "s27/") {
+			switch {
+			case strings.HasPrefix(tc.name, "s27/"):
 				var err error
 				if c, err = benchfmt.ParseFile("testdata/s27.bench"); err != nil {
 					t.Fatal(err)
 				}
+			case strings.HasPrefix(tc.name, "one-gate/"):
+				c = mustBuild(t, circuit.NewBuilder("one-gate").PI("a").PO("q").
+					Gate("g", circuit.FnNot, "a").DFF("q", "g"))
 			}
 			before := snap(t, c)
 			got, err := serretime.ApplyDeltaOps(c, tc.ops)
@@ -441,7 +451,8 @@ func fuzzBases(t testing.TB) []*circuit.Circuit {
 // small generated circuit (the first byte picks). Every call must leave
 // its input's .bench bytes as they were; every rejection must unwrap to
 // guard.ErrParse; every result must round-trip through benchfmt.Write
-// and Parse node for node and build a Design with no error at all.
+// and Parse node for node, build a Design with no error at all, and pass
+// analyzeProblem.
 // The corpus holds internal/eco delta streams and hand-written
 // rejections.
 func FuzzApplyDeltaOps(f *testing.F) {
@@ -500,8 +511,12 @@ func FuzzApplyDeltaOps(f *testing.F) {
 			if err := sameCircuit(back, got); err != nil {
 				t.Fatalf("delta %d %+v: .bench round trip: %v", delta, ops, err)
 			}
-			if _, err := serretime.ParseBench(bytes.NewReader(b), "fallback"); err != nil {
+			d, err := serretime.ParseBench(bytes.NewReader(b), "fallback")
+			if err != nil {
 				t.Fatalf("delta %d %+v: Design: %v", delta, ops, err)
+			}
+			if err := analyzeProblem(d); err != nil {
+				t.Fatalf("delta %d %+v: %v", delta, ops, err)
 			}
 			c = got
 		}

@@ -56,17 +56,11 @@ func main() {
 	p := elw.Params{Phi: 8, Ts: 0, Th: 2}
 
 	show := func(title string, r graph.Retiming) *ser.Analysis {
-		elws, err := elw.Exact(g, r, p, 0)
-		if err != nil {
-			log.Fatal(err)
-		}
-		an, err := ser.Compute(g, r, ser.Inputs{
+		elws := elw.Exact(g, r, p, 0)
+		an := ser.Compute(g, r, ser.Inputs{
 			GateObs: gateObs, EdgeObs: edgeObs, GateRate: gateRate,
 			RegRate: 2e-4, Params: p,
 		})
-		if err != nil {
-			log.Fatal(err)
-		}
 		fmt.Printf("%s\n", title)
 		for v := 1; v < g.NumVertices(); v++ {
 			fmt.Printf("  ELW(%s) = %v  (|ELW| = %g)\n",

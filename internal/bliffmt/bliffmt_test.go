@@ -82,7 +82,9 @@ func TestCoverMapping(t *testing.T) {
 		{".names y", circuit.FnConst0},
 	}
 	for _, tc := range cases {
-		src := ".model t\n.inputs a b c\n.outputs y\n" + tc.cover + "\n.end\n"
+		// The inverter n gives the constant covers a gate other than a
+		// constant, which every circuit needs.
+		src := ".model t\n.inputs a b c\n.outputs y\n" + tc.cover + "\n.names a n\n0 1\n.end\n"
 		c, err := Parse(strings.NewReader(src), "t")
 		if err != nil {
 			t.Errorf("%q: %v", tc.cover, err)

@@ -99,8 +99,9 @@ func (b *Builder) Build() (*Circuit, error) {
 // FromNodes builds a circuit from complete nodes: node i gets ID i, and
 // each Fanin lists node IDs in pin order, forward references allowed (a
 // flip-flop may read a gate that comes after it). It rejects a node with
-// the wrong number of fanins, a combinational cycle and a loop of
-// flip-flops with no gate, and keeps the topological order. Fanout is
+// the wrong number of fanins, a combinational cycle, a loop of
+// flip-flops with no gate and a circuit with no gate other than
+// CONST0/CONST1, and keeps the topological order. Fanout is
 // derived, deduplicated and in ascending ID order, replacing whatever the
 // caller set. pos lists the primary outputs in declaration order; a
 // repeated entry counts once, at its first position. The circuit takes

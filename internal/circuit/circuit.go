@@ -11,13 +11,15 @@
 // delta, builds a new circuit from a copy of the old one's nodes.
 //
 // FromNodes is also where a netlist is checked, once: fanin arities, no
-// combinational cycle, and no loop of flip-flops without a gate, so every
-// circuit has a retiming graph (package graph). It keeps the topological
+// combinational cycle, no loop of flip-flops without a gate, and at least
+// one gate other than a constant, so every circuit has a retiming graph
+// (package graph) with a positive critical path. It keeps the topological
 // order that proves acyclicity, so TopoOrder, CSR and Stats cannot fail.
 package circuit
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -324,7 +326,10 @@ func CheckFanin(k Kind, fn Func, n int) error {
 //     gates in release order);
 //   - no loop of flip-flops without a gate. The retiming graph has one
 //     vertex per gate and folds each register chain into an edge weight,
-//     so such a loop has no place in it.
+//     so such a loop has no place in it;
+//   - at least one gate other than CONST0/CONST1. Constants have no
+//     delay, so without another gate the critical path, and with it
+//     every clock period the toolkit derives, would be 0.
 func (c *Circuit) validate() error {
 	n := len(c.nodes)
 	for i := range c.nodes {
@@ -397,6 +402,11 @@ func (c *Circuit) validate() error {
 		if c.nodes[id].Kind == KindDFF && mark[id] == walk {
 			return fmt.Errorf("circuit %q: flip-flop %q is on a loop with no gate", c.Name, c.nodes[id].Name)
 		}
+	}
+	if !slices.ContainsFunc(c.nodes, func(nd Node) bool {
+		return nd.Kind == KindGate && nd.Fn != FnConst0 && nd.Fn != FnConst1
+	}) {
+		return fmt.Errorf("circuit %q: no gate other than a constant, so no clock period", c.Name)
 	}
 	c.order = order
 	return nil

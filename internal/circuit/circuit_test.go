@@ -131,10 +131,13 @@ func TestMarkPOIdempotent(t *testing.T) {
 	if got := c.POs(); len(got) != 2 || got[0] != g || got[1] != a {
 		t.Fatalf("POs = %v, want [g a] (a repeat counts once, at its first position)", got)
 	}
-	if _, err := FromNodes("po", []Node{{Name: "a"}}, []NodeID{0, 0}); err != nil {
+	nodes := func() []Node {
+		return []Node{{Name: "a"}, {Name: "g", Kind: KindGate, Fn: FnNot, Fanin: []NodeID{0}}}
+	}
+	if _, err := FromNodes("po", nodes(), []NodeID{0, 0}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FromNodes("po", []Node{{Name: "a"}}, []NodeID{999}); err == nil {
+	if _, err := FromNodes("po", nodes(), []NodeID{999}); err == nil {
 		t.Fatal("PO of unknown node accepted")
 	}
 	if _, err := NewBuilder("po").PI("a").PO("b").Build(); err == nil {
@@ -250,6 +253,31 @@ func TestFromNodesDFFCycleChain(t *testing.T) {
 	}
 	if got := len(c.TopoOrder()); got != c.NumNodes() {
 		t.Fatalf("TopoOrder lists %d of %d nodes", got, c.NumNodes())
+	}
+}
+
+// TestFromNodesNeedsGate: a circuit with no gate other than CONST0/CONST1
+// has a critical path of 0, so no clock period, and is not built. The
+// check runs last, so a gate-free flip-flop loop keeps its own message.
+func TestFromNodesNeedsGate(t *testing.T) {
+	for name, b := range map[string]*Builder{
+		"empty":      NewBuilder("empty"),
+		"wire":       NewBuilder("wire").PI("a").PO("a"),
+		"lone-dff":   NewBuilder("lone-dff").PI("a").DFF("q", "a").PO("q"),
+		"constants":  NewBuilder("constants").Gate("c0", FnConst0).Gate("c1", FnConst1).DFF("q", "c1").PO("q").PO("c0"),
+		"unread-pis": NewBuilder("unread-pis").PI("a").PI("b"),
+	} {
+		_, err := b.Build()
+		if err == nil || !strings.Contains(err.Error(), "no gate other than a constant") {
+			t.Errorf("%s: Build = %v, want the no-gate error", name, err)
+		}
+	}
+	if _, err := NewBuilder("loop").DFF("x", "x").Build(); err == nil || !strings.Contains(err.Error(), "loop with no gate") {
+		t.Errorf("gate-free loop: Build = %v, want the loop error", err)
+	}
+	// One gate of positive delay is enough, even one nothing reads.
+	if _, err := NewBuilder("one").PI("a").Gate("g", FnNot, "a").Build(); err != nil {
+		t.Fatal(err)
 	}
 }
 

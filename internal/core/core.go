@@ -169,10 +169,9 @@ type Result struct {
 // (The paper's formula sums obs of the fanout gates; eq. (5) makes clear a
 // register on (v,x) carries obs(v), so we read that as a typo — see
 // DESIGN.md. GainsLiteral implements the literal formula for ablation.)
-func Gains(g *graph.Graph, gateObs, edgeObs []float64, k int) ([]int64, []int64, error) {
-	if len(gateObs) != g.NumVertices() || len(edgeObs) != g.NumEdges() {
-		return nil, nil, fmt.Errorf("core: obs length mismatch")
-	}
+// gateObs holds one observability per vertex of g and edgeObs one per
+// edge, as package ser maps them.
+func Gains(g *graph.Graph, gateObs, edgeObs []float64, k int) ([]int64, []int64) {
 	obsInt := make([]int64, g.NumEdges())
 	for e := 0; e < g.NumEdges(); e++ {
 		obsInt[e] = int64(math.Round(float64(k) * edgeObs[e]))
@@ -188,15 +187,12 @@ func Gains(g *graph.Graph, gateObs, edgeObs []float64, k int) ([]int64, []int64,
 		}
 	}
 	gains[graph.Host] = 0
-	return gains, obsInt, nil
+	return gains, obsInt
 }
 
 // GainsLiteral computes b(v) with the paper's literal formula
 // K(Σ_in obs(u) − Σ_out obs(x)), crediting fanout-gate observabilities.
-func GainsLiteral(g *graph.Graph, gateObs, edgeObs []float64, k int) ([]int64, []int64, error) {
-	if len(gateObs) != g.NumVertices() || len(edgeObs) != g.NumEdges() {
-		return nil, nil, fmt.Errorf("core: obs length mismatch")
-	}
+func GainsLiteral(g *graph.Graph, gateObs, edgeObs []float64, k int) ([]int64, []int64) {
 	obsInt := make([]int64, g.NumEdges())
 	for e := 0; e < g.NumEdges(); e++ {
 		obsInt[e] = int64(math.Round(float64(k) * edgeObs[e]))
@@ -216,7 +212,7 @@ func GainsLiteral(g *graph.Graph, gateObs, edgeObs []float64, k int) ([]int64, [
 		}
 	}
 	gains[graph.Host] = 0
-	return gains, obsInt, nil
+	return gains, obsInt
 }
 
 // Objective evaluates Σ_e obsInt(e)·w_r(e).
@@ -255,13 +251,14 @@ func (b *violationBuf) add(v violation, limit int) bool {
 }
 
 // Minimize runs Algorithm 1 on g (already rebased to the Section V
-// initialization) with per-vertex gains (from Gains) and per-edge integer
-// observabilities obsInt. The iteration loop checks ctx at every step and
-// aborts with an error unwrapping to guard.ErrTimeout once it is done. On
-// cancellation (and on a watchdog stall, see Options.StallSteps) the
-// returned Result is non-nil and holds the last *committed* retiming — a
-// legal, verified-improving prefix of the full run that callers may still
-// use — alongside the error.
+// initialization) with per-vertex gains and per-edge integer
+// observabilities obsInt, both as Gains sizes them, at the positive
+// clock period retime.Initialize derives. The iteration loop checks ctx
+// at every step and aborts with an error unwrapping to guard.ErrTimeout
+// once it is done. On cancellation (and on a watchdog stall, see
+// Options.StallSteps) the returned Result is non-nil and holds the last
+// *committed* retiming — a legal, verified-improving prefix of the full
+// run that callers may still use — alongside the error.
 func Minimize(ctx context.Context, g *graph.Graph, gains []int64, obsInt []int64, opt Options) (*Result, error) {
 	// Fault-injection sites: tests arm these to exercise the callers'
 	// panic-isolation and degradation paths (guard.Run turns the panic
@@ -269,15 +266,6 @@ func Minimize(ctx context.Context, g *graph.Graph, gains []int64, obsInt []int64
 	guard.Failpoint("core.Minimize")
 	if opt.ELWConstraints {
 		guard.Failpoint("core.Minimize.elw")
-	}
-	if len(gains) != g.NumVertices() {
-		return nil, fmt.Errorf("core: gains length mismatch")
-	}
-	if len(obsInt) != g.NumEdges() {
-		return nil, fmt.Errorf("core: obsInt length mismatch")
-	}
-	if opt.Phi <= 0 {
-		return nil, fmt.Errorf("core: clock period %g", opt.Phi)
 	}
 	order := opt.CheckOrder
 	if len(order) == 0 {
@@ -300,14 +288,11 @@ func Minimize(ctx context.Context, g *graph.Graph, gains []int64, obsInt []int64
 	// The transactional state owns the retiming vector, the retimed edge
 	// weights, the L/R labels and the objective; tentative moves are
 	// applied with Begin and then either committed or rolled back.
-	st, err := solverstate.New(g, res.R, solverstate.Config{
+	st := solverstate.New(g, res.R, solverstate.Config{
 		Params:   params,
 		ObsInt:   obsInt,
 		Recorder: opt.Recorder,
 	})
-	if err != nil {
-		return nil, err
-	}
 	res.Initial = st.Objective()
 
 	newEngine := func() (engine, error) {
@@ -523,10 +508,7 @@ func findViolations(g *graph.Graph, st *solverstate.State, inI []bool, params el
 				}
 			}
 		case KindP1:
-			lb, err := st.Labels()
-			if err != nil {
-				return nil, err
-			}
+			lb := st.Labels()
 			for u := 1; u < g.NumVertices(); u++ {
 				uid := graph.VertexID(u)
 				if !lb.HasWindow[u] || lb.L[u] >= g.Delay(uid)-eps {
@@ -545,10 +527,7 @@ func findViolations(g *graph.Graph, st *solverstate.State, inI []bool, params el
 			if !opt.ELWConstraints {
 				continue
 			}
-			lb, err := st.Labels()
-			if err != nil {
-				return nil, err
-			}
+			lb := st.Labels()
 			for e := 0; e < g.NumEdges(); e++ {
 				eid := graph.EdgeID(e)
 				ed := g.Edge(eid)

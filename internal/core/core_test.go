@@ -29,10 +29,7 @@ const kUnits = 1000
 
 func TestGains(t *testing.T) {
 	g, a, bb, gateObs, edgeObs := singleMove(1, 1)
-	gains, obsInt, err := Gains(g, gateObs, edgeObs, kUnits)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gains, obsInt := Gains(g, gateObs, edgeObs, kUnits)
 	// b(A) = K(0.5 − 0.9) = −400; b(B) = K(0.9 − 0.1) = 800.
 	if gains[a] != -400 || gains[bb] != 800 {
 		t.Fatalf("gains = %v", gains)
@@ -47,7 +44,7 @@ func TestGains(t *testing.T) {
 
 func TestMinimizeSingleMove(t *testing.T) {
 	g, _, bb, gateObs, edgeObs := singleMove(1, 1)
-	gains, obsInt, _ := Gains(g, gateObs, edgeObs, kUnits)
+	gains, obsInt := Gains(g, gateObs, edgeObs, kUnits)
 	res, err := Minimize(context.Background(), g, gains, obsInt, Options{Phi: 100, Ts: 0, Th: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +65,7 @@ func TestMinimizeBlockedByP1(t *testing.T) {
 	// path of length dA+dB = 10 > Φ: P1' forbids the move and the chain of
 	// constraints freezes at the host.
 	g, _, _, gateObs, edgeObs := singleMove(5, 5)
-	gains, obsInt, _ := Gains(g, gateObs, edgeObs, kUnits)
+	gains, obsInt := Gains(g, gateObs, edgeObs, kUnits)
 	res, err := Minimize(context.Background(), g, gains, obsInt, Options{Phi: 6, Ts: 0, Th: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +99,7 @@ func p2Graph() (*graph.Graph, graph.VertexID, []float64, []float64) {
 
 func TestMinObsWinRespectsRmin(t *testing.T) {
 	g, bb, gateObs, edgeObs := p2Graph()
-	gains, obsInt, _ := Gains(g, gateObs, edgeObs, kUnits)
+	gains, obsInt := Gains(g, gateObs, edgeObs, kUnits)
 
 	// Baseline MinObs happily moves the register (obs 0.9 -> 0.1).
 	base, err := Minimize(context.Background(), g, gains, obsInt, Options{Phi: 100, Ts: 0, Th: 2})
@@ -136,23 +133,9 @@ func TestMinObsWinRespectsRmin(t *testing.T) {
 	}
 }
 
-func TestMinimizeValidation(t *testing.T) {
-	g, _, _, gateObs, edgeObs := singleMove(1, 1)
-	gains, obsInt, _ := Gains(g, gateObs, edgeObs, kUnits)
-	if _, err := Minimize(context.Background(), g, gains[:1], obsInt, Options{Phi: 10}); err == nil {
-		t.Fatal("short gains accepted")
-	}
-	if _, err := Minimize(context.Background(), g, gains, obsInt[:1], Options{Phi: 10}); err == nil {
-		t.Fatal("short obsInt accepted")
-	}
-	if _, err := Minimize(context.Background(), g, gains, obsInt, Options{Phi: 0}); err == nil {
-		t.Fatal("zero period accepted")
-	}
-}
-
 func TestMinObsExactSingleMove(t *testing.T) {
 	g, _, bb, gateObs, edgeObs := singleMove(1, 1)
-	gains, obsInt, _ := Gains(g, gateObs, edgeObs, kUnits)
+	gains, obsInt := Gains(g, gateObs, edgeObs, kUnits)
 	res, err := MinObsExact(g, gains, obsInt, 100, 0, true)
 	if err != nil {
 		t.Fatal(err)
@@ -215,9 +198,9 @@ func randomInstance(rng *rand.Rand, n int) (*graph.Graph, []int64, []int64, floa
 			edgeObs[e] = gateObs[ed.From]
 		}
 	}
-	gains, obsInt, _ := Gains(g, gateObs, edgeObs, kUnits)
+	gains, obsInt := Gains(g, gateObs, edgeObs, kUnits)
 	// A generous but not infinite period.
-	_, crit, _ := g.ArrivalTimes(graph.NewRetiming(g))
+	_, crit := g.ArrivalTimes(graph.NewRetiming(g))
 	phi := crit * (1 + rng.Float64())
 	_ = obsInt
 	return g, gains, obsInt, phi
@@ -266,10 +249,7 @@ func TestPropertyMinObsWinInvariants(t *testing.T) {
 			return true
 		}
 		p := elw.Params{Phi: phi, Ts: 0, Th: 2}
-		lab, err := elw.ComputeLabels(g, graph.NewRetiming(g), p, nil)
-		if err != nil {
-			return true
-		}
+		lab := elw.ComputeLabels(g, graph.NewRetiming(g), p, nil)
 		rmin, found := lab.MinHoldSlack(g, graph.NewRetiming(g), p)
 		if !found {
 			rmin = g.MinDelay()
@@ -295,10 +275,7 @@ func TestPropertyMinObsWinInvariants(t *testing.T) {
 		if res.Objective > res.Initial {
 			return false
 		}
-		lab, err = elw.ComputeLabels(g, res.R, p, nil)
-		if err != nil {
-			return false
-		}
+		lab = elw.ComputeLabels(g, res.R, p, nil)
 		if _, ok := lab.CheckP1(g); !ok {
 			t.Logf("seed %d: P1' violated in result", seed)
 			return false
@@ -323,10 +300,7 @@ func TestPropertyWinNeverBeatsUnconstrained(t *testing.T) {
 			return true
 		}
 		p := elw.Params{Phi: phi, Ts: 0, Th: 2}
-		lab, err := elw.ComputeLabels(g, graph.NewRetiming(g), p, nil)
-		if err != nil {
-			return true
-		}
+		lab := elw.ComputeLabels(g, graph.NewRetiming(g), p, nil)
 		if _, ok := lab.CheckP1(g); !ok {
 			return true
 		}
@@ -367,10 +341,7 @@ func TestMinAreaMatchesExact(t *testing.T) {
 		for e := range edgeOnes {
 			edgeOnes[e] = 1
 		}
-		gains, obsInt, err := Gains(g, ones, edgeOnes, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		gains, obsInt := Gains(g, ones, edgeOnes, 1)
 		inc, err := Minimize(context.Background(), g, gains, obsInt, Options{Phi: phi, Ts: 0, Th: 2})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -11,10 +11,13 @@
 // formulation constrains. By Theorem 1, L and R are the outer ends of the
 // exact window, so a caller that holds the windows (eq. 4's evaluation in
 // package ser) reads them there instead of sweeping the labels.
+//
+// Both sweeps walk the zero-weight subgraph in reverse topological order,
+// which exists under every retiming of an extracted graph (package graph:
+// a retiming keeps each cycle's register count), so neither can fail.
 package elw
 
 import (
-	"fmt"
 	"math"
 
 	"serretime/internal/graph"
@@ -22,7 +25,11 @@ import (
 	"serretime/internal/telemetry"
 )
 
-// Params are the timing parameters of the analysis.
+// Params are the timing parameters of the analysis. They are not checked
+// here: every clock period the toolkit derives is a critical path or a
+// relaxation of one, positive because a circuit has a gate of positive
+// delay (circuit.FromNodes), and the serretime entry points reject a
+// negative or non-finite Φ, Ts or Th before any analysis runs.
 type Params struct {
 	// Phi is the clock period Φ.
 	Phi float64
@@ -34,16 +41,6 @@ type Params struct {
 // DefaultParams returns Ts=0, Th=2 with the given clock period.
 func DefaultParams(phi float64) Params { return Params{Phi: phi, Ts: 0, Th: 2} }
 
-func (p Params) validate() error {
-	if p.Phi <= 0 || math.IsNaN(p.Phi) {
-		return fmt.Errorf("elw: clock period %g", p.Phi)
-	}
-	if p.Ts < 0 || p.Th < 0 {
-		return fmt.Errorf("elw: negative setup/hold (%g, %g)", p.Ts, p.Th)
-	}
-	return nil
-}
-
 // LatchWindow returns the base latching window [Φ−Ts, Φ+Th].
 func (p Params) LatchWindow() interval.Set {
 	return interval.Single(p.Phi-p.Ts, p.Phi+p.Th)
@@ -54,14 +51,8 @@ func (p Params) LatchWindow() interval.Set {
 // empty set. maxIntervals caps the interval count per set (0 = unlimited);
 // when exceeded, the smallest gaps are coalesced, which soundly
 // over-approximates the window.
-func Exact(g *graph.Graph, r graph.Retiming, p Params, maxIntervals int) ([]interval.Set, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
-	order, err := g.ZeroWeightTopo(r)
-	if err != nil {
-		return nil, err
-	}
+func Exact(g *graph.Graph, r graph.Retiming, p Params, maxIntervals int) []interval.Set {
+	order := g.ZeroWeightTopo(r)
 	base := p.LatchWindow()
 	out := make([]interval.Set, g.NumVertices())
 	for i := len(order) - 1; i >= 0; i-- {
@@ -82,7 +73,7 @@ func Exact(g *graph.Graph, r graph.Retiming, p Params, maxIntervals int) ([]inte
 		}
 		out[u] = s
 	}
-	return out, nil
+	return out
 }
 
 // coalesce merges the smallest gaps of s until at most max intervals
@@ -123,24 +114,18 @@ type Labels struct {
 // recorded to rec as one elw-recompute span and counted, making the
 // dominant cost of the P1'/P2' checks visible in traces; a nil rec
 // records nothing.
-func ComputeLabels(g *graph.Graph, r graph.Retiming, p Params, rec telemetry.Recorder) (_ *Labels, err error) {
+func ComputeLabels(g *graph.Graph, r graph.Retiming, p Params, rec telemetry.Recorder) *Labels {
 	rec = telemetry.OrNop(rec)
 	rec.SpanStart(telemetry.PhaseELWRecompute)
 	rec.Count(telemetry.CounterELWRecomputes, 1)
-	defer func() { rec.SpanEnd(telemetry.PhaseELWRecompute, err) }()
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
-	order, err := g.ZeroWeightTopo(r)
-	if err != nil {
-		return nil, err
-	}
+	order := g.ZeroWeightTopo(r)
 	lab := newLabels(g.NumVertices())
 	wr := g.EdgeWeights(r)
 	for i := len(order) - 1; i >= 0; i-- {
 		lab.relabelVertex(g, p, wr, order[i])
 	}
-	return lab, nil
+	rec.SpanEnd(telemetry.PhaseELWRecompute, nil)
+	return lab
 }
 
 // newLabels returns empty labels for n vertices: no window, L = +Inf,

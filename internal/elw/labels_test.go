@@ -29,15 +29,9 @@ func randomLabeled(t *testing.T, rng *rand.Rand) (*graph.Graph, graph.Retiming, 
 	b.AddEdge(vs[n-1], graph.Host, 0)
 	g := b.Build()
 	r := graph.NewRetiming(g)
-	_, crit, err := g.ArrivalTimes(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, crit := g.ArrivalTimes(r)
 	p := Params{Phi: crit * (1 + rng.Float64()), Ts: 0, Th: 2}
-	lab, err := ComputeLabels(g, r, p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lab := ComputeLabels(g, r, p, nil)
 	return g, r, p, lab
 }
 

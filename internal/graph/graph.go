@@ -12,6 +12,14 @@
 // combinational cycle, or a loop of flip-flops with no gate). Each gate's
 // delay comes from one fixed model keyed by its function and fanin.
 //
+// Every extracted graph passes Check: each cycle that avoids the host
+// carries a register. A retiming keeps the register count of every cycle
+// (Leiserson–Saxe: w_r(C) = w(C)), so under any retiming the zero-weight
+// subgraph stays acyclic, and ZeroWeightTopo and ArrivalTimes, the sweeps
+// behind every timing view, cannot fail. The circuit also has a gate of
+// positive delay, so its critical path, and every clock period derived
+// from it, is positive.
+//
 // The representation is flat and index-based (DESIGN.md §15): edge
 // attributes live in parallel slices indexed by EdgeID, and the adjacency
 // is compressed-sparse-row — one contiguous EdgeID array per direction
@@ -284,10 +292,21 @@ func (g *Graph) SharedRegisters(r Retiming) int64 {
 
 // ZeroWeightTopo returns the vertices (excluding Host) in a topological
 // order of the subgraph of edges with w_r = 0, ignoring edges incident to
-// the host (the environment is a timing barrier). An error is returned if
-// the zero-weight subgraph has a cycle, which means the retimed circuit is
-// not a synchronous circuit.
-func (g *Graph) ZeroWeightTopo(r Retiming) ([]VertexID, error) {
+// the host (the environment is a timing barrier). The order exists under
+// every retiming r, legal or not, of a graph that passes Check, as every
+// extracted graph does (see the package comment); a hand-built graph that
+// fails Check makes ZeroWeightTopo panic.
+func (g *Graph) ZeroWeightTopo(r Retiming) []VertexID {
+	order, err := g.zeroWeightTopo(r)
+	if err != nil {
+		panic(err)
+	}
+	return order
+}
+
+// zeroWeightTopo is ZeroWeightTopo returning a zero-weight cycle as an
+// error instead of panicking; Check reports it.
+func (g *Graph) zeroWeightTopo(r Retiming) ([]VertexID, error) {
 	n := g.NumVertices()
 	indeg := make([]int32, n)
 	for i := range g.eW {
@@ -330,11 +349,9 @@ func (g *Graph) ZeroWeightTopo(r Retiming) ([]VertexID, error) {
 // under r: A(v) = d(v) + max over zero-weight in-edges (u,v) of A(u),
 // with registered and host inputs arriving at time 0. The second return
 // value is the maximum arrival (the combinational critical path delay).
-func (g *Graph) ArrivalTimes(r Retiming) ([]float64, float64, error) {
-	order, err := g.ZeroWeightTopo(r)
-	if err != nil {
-		return nil, 0, err
-	}
+// Like ZeroWeightTopo, it needs a graph that passes Check.
+func (g *Graph) ArrivalTimes(r Retiming) ([]float64, float64) {
+	order := g.ZeroWeightTopo(r)
 	arr := make([]float64, g.NumVertices())
 	var crit float64
 	for _, v := range order {
@@ -353,12 +370,13 @@ func (g *Graph) ArrivalTimes(r Retiming) ([]float64, float64, error) {
 			crit = arr[v]
 		}
 	}
-	return arr, crit, nil
+	return arr, crit
 }
 
 // Check verifies structural invariants of the graph itself: consistent
 // adjacency, non-negative base weights, and at least one register on every
-// cycle (the zero retiming must be synchronous).
+// cycle that avoids the host (the zero retiming must be synchronous, and
+// then so is every retiming).
 func (g *Graph) Check() error {
 	for i := range g.eW {
 		if g.eW[i] < 0 {
@@ -368,7 +386,7 @@ func (g *Graph) Check() error {
 			return fmt.Errorf("graph: edge %d endpoint out of range", i)
 		}
 	}
-	_, err := g.ZeroWeightTopo(NewRetiming(g))
+	_, err := g.zeroWeightTopo(NewRetiming(g))
 	return err
 }
 

@@ -92,20 +92,14 @@ func TestRegisterCounts(t *testing.T) {
 
 func TestArrivalTimes(t *testing.T) {
 	g, a, bb, c := ringGraph()
-	arr, crit, err := g.ArrivalTimes(NewRetiming(g))
-	if err != nil {
-		t.Fatal(err)
-	}
+	arr, crit := g.ArrivalTimes(NewRetiming(g))
 	if arr[a] != 1 || arr[bb] != 3 || arr[c] != 6 || crit != 6 {
 		t.Fatalf("arrivals: %v crit %g", arr, crit)
 	}
 	// Retime A forward: register appears on A->B, splitting the path.
 	r := NewRetiming(g)
 	r[a] = -1
-	arr, crit, err = g.ArrivalTimes(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	arr, crit = g.ArrivalTimes(r)
 	if arr[a] != 1 || arr[bb] != 2 || arr[c] != 5 || crit != 5 {
 		t.Fatalf("arrivals after retime: %v crit %g", arr, crit)
 	}
@@ -120,6 +114,68 @@ func TestZeroWeightCycleDetected(t *testing.T) {
 	g := b.Build()
 	if err := g.Check(); err == nil {
 		t.Fatal("zero-weight cycle not detected")
+	}
+	// The timing views need a graph that passes Check; given one that
+	// fails it, they panic rather than order a cycle.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ZeroWeightTopo ordered a zero-weight cycle")
+		}
+	}()
+	g.ZeroWeightTopo(NewRetiming(g))
+}
+
+// TestPropertyZeroWeightTopoAnyRetiming: a retiming keeps every cycle's
+// register count, so on a graph that passes Check, ZeroWeightTopo orders
+// every gate under any integer retiming, legal or not, with each
+// zero-weight edge between gates running forward in the order.
+func TestPropertyZeroWeightTopoAnyRetiming(t *testing.T) {
+	checked := 0
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		b := NewBuilder()
+		n := 2 + rng.Intn(8)
+		for i := 0; i < n; i++ {
+			b.AddVertex("v", 1)
+		}
+		for e := rng.Intn(3 * n); e >= 0; e-- {
+			// Any pair, host and self loops included; weights 0..2.
+			b.AddEdge(VertexID(rng.Intn(n+1)), VertexID(rng.Intn(n+1)), int32(rng.Intn(3)))
+		}
+		g := b.Build()
+		if g.Check() != nil {
+			continue
+		}
+		checked++
+		for trial := 0; trial < 20; trial++ {
+			r := NewRetiming(g)
+			for v := range r {
+				r[v] = int32(rng.Intn(7) - 3)
+			}
+			order := g.ZeroWeightTopo(r)
+			pos := make([]int, g.NumVertices())
+			for i := range pos {
+				pos[i] = -1
+			}
+			for i, v := range order {
+				if v == Host || pos[v] >= 0 {
+					t.Fatalf("seed %d: order %v lists the host or a vertex twice", seed, order)
+				}
+				pos[v] = i
+			}
+			if len(order) != g.NumGates() {
+				t.Fatalf("seed %d, r %v: ordered %d of %d gates", seed, r, len(order), g.NumGates())
+			}
+			for e := 0; e < g.NumEdges(); e++ {
+				ed := g.Edge(EdgeID(e))
+				if ed.From != Host && ed.To != Host && g.WR(EdgeID(e), r) == 0 && pos[ed.From] >= pos[ed.To] {
+					t.Fatalf("seed %d, r %v: zero-weight edge %d->%d runs backward", seed, r, ed.From, ed.To)
+				}
+			}
+		}
+	}
+	if checked < 100 {
+		t.Fatalf("only %d of 300 random graphs pass Check", checked)
 	}
 }
 
@@ -328,11 +384,14 @@ func TestRebuildForwardMove(t *testing.T) {
 
 func TestRebuildRequiresExtractedGraph(t *testing.T) {
 	g, _, _, _ := ringGraph()
-	empty, err := circuit.FromNodes("x", nil, nil)
+	one, err := circuit.FromNodes("x", []circuit.Node{
+		{Name: "a", Kind: circuit.KindPI},
+		{Name: "g", Kind: circuit.KindGate, Fn: circuit.FnNot, Fanin: []circuit.NodeID{0}},
+	}, []circuit.NodeID{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Rebuild(empty, g, NewRetiming(g)); err == nil {
+	if _, err := Rebuild(one, g, NewRetiming(g)); err == nil {
 		t.Fatal("Rebuild accepted synthetic graph")
 	}
 }

@@ -29,10 +29,7 @@ func Feasible(g *graph.Graph, r graph.Retiming, phi, ts float64) bool {
 	if g.CheckLegal(r) != nil {
 		return false
 	}
-	_, crit, err := g.ArrivalTimes(r)
-	if err != nil {
-		return false
-	}
+	_, crit := g.ArrivalTimes(r)
 	return crit <= phi-ts+eps
 }
 
@@ -56,12 +53,9 @@ func feasPassCap(g *graph.Graph) int {
 // does. Arrival times are those at the start of the pass. violated
 // reports whether any vertex moved; ok is false when the pass is blocked
 // (the move would pull a register out of a zero-weight edge at the
-// host, or r has a zero-weight cycle), which ends the relaxation in
-// failure.
+// host), which ends the relaxation in failure.
 func (t *timing) pass(a *arrivals, phi, ts float64) (violated, ok bool) {
-	if t.refresh(a) != nil {
-		return false, false
-	}
+	t.refresh(a)
 	g := t.g
 	delta := int32(1)
 	if a.reverse {
@@ -195,9 +189,6 @@ func MinPeriod(ctx context.Context, g *graph.Graph, ts float64) (graph.Retiming,
 }
 
 func (t *timing) minPeriod(ctx context.Context, ts float64, rec telemetry.Recorder) (graph.Retiming, float64, error) {
-	if t.err0 != nil {
-		return nil, 0, t.err0
-	}
 	var best graph.Retiming
 	fits := func(phi float64) (bool, error) {
 		return t.probe(rec, &best, func() (bool, error) { return t.tryPeriod(ctx, phi, ts) })
@@ -258,10 +249,7 @@ func (t *timing) setupHold(ctx context.Context, phi, ts, th float64, rec telemet
 		if violated {
 			continue
 		}
-		lab, err := elw.ComputeLabels(g, t.r, p, rec)
-		if err != nil {
-			return false, nil
-		}
+		lab := elw.ComputeLabels(g, t.r, p, rec)
 		// Batch: repair every currently-violated edge in one pass (labels
 		// go stale as repairs move registers, but the loop re-verifies).
 		repaired, holdV := 0, 0
@@ -330,9 +318,6 @@ func (t *timing) holdsRegisters(es []graph.EdgeID) bool {
 // minPeriodSetupHold finds the smallest period (on the delay grid) for
 // which SetupHold succeeds.
 func (t *timing) minPeriodSetupHold(ctx context.Context, ts, th float64, rec telemetry.Recorder) (graph.Retiming, float64, bool, error) {
-	if t.err0 != nil {
-		return nil, 0, false, nil
-	}
 	var best graph.Retiming
 	fits := func(phi float64) (bool, error) {
 		return t.probe(rec, &best, func() (bool, error) { return t.setupHold(ctx, phi, ts, th, rec) })
@@ -415,10 +400,7 @@ func Initialize(ctx context.Context, g *graph.Graph, o Options) (init *Init, err
 		// Rmin: the minimal register-launched shortest path of the
 		// initialized circuit (independent of Φ).
 		p := elw.Params{Phi: init.Phi, Ts: o.Ts, Th: o.Th}
-		lab, err := elw.ComputeLabels(g, r, p, rec)
-		if err != nil {
-			return nil, err
-		}
+		lab := elw.ComputeLabels(g, r, p, rec)
 		if slack, found := lab.MinHoldSlack(g, r, p); found {
 			init.Rmin = slack
 		} else {

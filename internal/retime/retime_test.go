@@ -137,10 +137,7 @@ func TestSetupHoldRepairsShortPath(t *testing.T) {
 	b.AddEdge(c, graph.Host, 0)
 	g := b.Build()
 	p := elw.Params{Phi: 11, Ts: 0, Th: 2}
-	lab, err := elw.ComputeLabels(g, graph.NewRetiming(g), p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lab := elw.ComputeLabels(g, graph.NewRetiming(g), p, nil)
 	if _, ok := lab.CheckP2(g, graph.NewRetiming(g), p, 2); ok {
 		t.Fatal("test premise broken: no hold violation unretimed")
 	}
@@ -151,10 +148,7 @@ func TestSetupHoldRepairsShortPath(t *testing.T) {
 	if !ok {
 		t.Fatal("SetupHold could not repair the short path")
 	}
-	lab, err = elw.ComputeLabels(g, r, p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lab = elw.ComputeLabels(g, r, p, nil)
 	if _, ok := lab.CheckP2(g, r, p, 2); !ok {
 		t.Fatal("hold violation survived successful SetupHold")
 	}
@@ -180,10 +174,7 @@ func TestInitializePipeline(t *testing.T) {
 	}
 	// P2' must hold at the initialization point.
 	p := elw.Params{Phi: init.Phi, Ts: 0, Th: 2}
-	lab, err := elw.ComputeLabels(g, init.R, p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lab := elw.ComputeLabels(g, init.R, p, nil)
 	if _, ok := lab.CheckP2(g, init.R, p, init.Rmin); !ok {
 		t.Fatal("P2' violated at initialization")
 	}
@@ -307,10 +298,7 @@ func TestPropertyMinPeriodSoundness(t *testing.T) {
 			return false
 		}
 		// Never worse than the unretimed circuit.
-		_, crit, err := g.ArrivalTimes(graph.NewRetiming(g))
-		if err != nil {
-			return false
-		}
+		_, crit := g.ArrivalTimes(graph.NewRetiming(g))
 		return phi <= snapUp(crit)+eps
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -338,10 +326,7 @@ func TestPropertyInitializeFeasible(t *testing.T) {
 		// When setup+hold succeeded, P2' must hold at Rmin.
 		if init.SetupHoldOK {
 			p := elw.Params{Phi: init.Phi, Ts: 0, Th: 2}
-			lab, err := elw.ComputeLabels(g, init.R, p, nil)
-			if err != nil {
-				return false
-			}
+			lab := elw.ComputeLabels(g, init.R, p, nil)
 			if _, ok := lab.CheckP2(g, init.R, p, init.Rmin); !ok {
 				return false
 			}

@@ -18,7 +18,8 @@ import (
 // and only over the zero-weight cone of the recorded vertices. Every value
 // comes from the recurrence graph.ArrivalTimes uses, evaluated after all
 // of the vertex's zero-weight fanins, so the arrays are bit for bit what a
-// from-scratch computation under r gives.
+// from-scratch computation under r gives. Like graph.ArrivalTimes, it
+// cannot fail: no retiming closes a zero-weight cycle (package graph).
 type timing struct {
 	g   *graph.Graph
 	r   graph.Retiming
@@ -27,10 +28,8 @@ type timing struct {
 
 	fwd, rev arrivals
 
-	// crit0 is the largest arrival time at r = 0; err0 reports a
-	// zero-weight cycle at r = 0 instead.
+	// crit0 is the largest arrival time at r = 0.
 	crit0 float64
-	err0  error
 
 	// Scratch of refresh: the cone, its membership marks, each member's
 	// count of zero-weight fanins still to be evaluated, and the members
@@ -52,9 +51,6 @@ type arrivals struct {
 	// reverse) changed since the last refresh; listed marks them.
 	dirty  []graph.VertexID
 	listed []bool
-	// err is the zero-weight cycle the last refresh found. It stays until
-	// reset, since at no longer follows r.
-	err error
 }
 
 func newArrivals(n int, reverse bool) arrivals {
@@ -87,9 +83,8 @@ func newTiming(g *graph.Graph) *timing {
 		t.fwd.mark(graph.VertexID(v))
 		t.rev.mark(graph.VertexID(v))
 	}
-	if t.err0 = t.refresh(&t.fwd); t.err0 == nil {
-		t.err0 = t.refresh(&t.rev)
-	}
+	t.refresh(&t.fwd)
+	t.refresh(&t.rev)
 	copy(t.fwd.at0, t.fwd.at)
 	copy(t.rev.at0, t.rev.at)
 	for _, a := range t.fwd.at0 {
@@ -102,17 +97,16 @@ func newTiming(g *graph.Graph) *timing {
 func (t *timing) reset() {
 	clear(t.r)
 	copy(t.wr, t.wr0)
-	t.fwd.reset(t.err0)
-	t.rev.reset(t.err0)
+	t.fwd.reset()
+	t.rev.reset()
 }
 
-func (a *arrivals) reset(err error) {
+func (a *arrivals) reset() {
 	copy(a.at, a.at0)
 	for _, v := range a.dirty {
 		a.listed[v] = false
 	}
 	a.dirty = a.dirty[:0]
-	a.err = err
 }
 
 func (a *arrivals) mark(v graph.VertexID) {
@@ -184,12 +178,12 @@ func (t *timing) across(e graph.EdgeID, v graph.VertexID) (graph.VertexID, bool)
 // refresh brings a's arrival times up to date with r. It recomputes the
 // recorded vertices and everything downstream of them over zero-weight
 // edges, in a topological order of that cone; no other value can have
-// changed. A cone that cannot be ordered holds a zero-weight cycle, and
-// every new cycle passes through a recorded vertex, so refresh reports
-// one exactly when graph.ZeroWeightTopo would.
-func (t *timing) refresh(a *arrivals) error {
-	if a.err != nil || len(a.dirty) == 0 {
-		return a.err
+// changed. The cone is acyclic, as the whole zero-weight subgraph is; a
+// hand-built graph that fails graph.Check panics here, as it does in
+// graph.ZeroWeightTopo.
+func (t *timing) refresh(a *arrivals) {
+	if len(a.dirty) == 0 {
+		return
 	}
 	g := t.g
 	cone := t.cone[:0]
@@ -246,7 +240,6 @@ func (t *timing) refresh(a *arrivals) error {
 	}
 	t.cone, t.ready = cone, ready
 	if done != len(cone) {
-		a.err = fmt.Errorf("retime: zero-weight cycle under retiming (%d of %d vertices in the cone ordered)", done, len(cone))
+		panic(fmt.Sprintf("retime: zero-weight cycle (%d of %d vertices in the cone ordered): the graph fails Check", done, len(cone)))
 	}
-	return a.err
 }

@@ -12,10 +12,12 @@
 // gate function and fanin that preserves the qualitative trend (bigger,
 // higher-drive gates collect less charge per node and have lower raw upset
 // rates). Only relative magnitudes shape the optimization.
+//
+// Terms and Compute return no error: the windows come from elw.Exact,
+// which cannot fail, and Terms states what its callers guarantee.
 package ser
 
 import (
-	"fmt"
 	"math"
 
 	"serretime/internal/circuit"
@@ -176,20 +178,12 @@ type Term struct {
 // d(v) + Φ + Th − R(v), and by Theorem 1 the R(v) label of eq. (6) is the
 // right end of the exact window ELW(v), so the windows of eq. (3) give it
 // without a label sweep.
-func Terms(g *graph.Graph, r graph.Retiming, in Inputs, fn func(Term)) error {
-	if len(in.GateObs) != g.NumVertices() || len(in.GateRate) != g.NumVertices() {
-		return fmt.Errorf("ser: obs/rate length mismatch")
-	}
-	if len(in.EdgeObs) != g.NumEdges() {
-		return fmt.Errorf("ser: edge obs length mismatch")
-	}
-	if err := g.CheckLegal(r); err != nil {
-		return err
-	}
-	elws, err := elw.Exact(g, r, in.Params, in.MaxIntervals)
-	if err != nil {
-		return err
-	}
+//
+// in must be sized for g (VertexObs, EdgeObs and VertexRates of the
+// circuit g was extracted from) and r must be legal; every caller passes
+// the zero retiming or one the optimizer has checked.
+func Terms(g *graph.Graph, r graph.Retiming, in Inputs, fn func(Term)) {
+	elws := elw.Exact(g, r, in.Params, in.MaxIntervals)
 	for v := 1; v < g.NumVertices(); v++ {
 		w := elws[v].Measure()
 		fn(Term{
@@ -222,14 +216,13 @@ func Terms(g *graph.Graph, r graph.Retiming, in Inputs, fn func(Term)) error {
 			SER: o * in.RegRate * win / in.Params.Phi,
 		})
 	}
-	return nil
 }
 
 // Compute evaluates eq. (4) for graph g under retiming r: the sum of its
 // Terms, gates and registers accumulated separately.
-func Compute(g *graph.Graph, r graph.Retiming, in Inputs) (*Analysis, error) {
+func Compute(g *graph.Graph, r graph.Retiming, in Inputs) *Analysis {
 	a := &Analysis{}
-	err := Terms(g, r, in, func(t Term) {
+	Terms(g, r, in, func(t Term) {
 		if t.Regs == 0 {
 			a.Gates += t.SER
 			return
@@ -238,12 +231,9 @@ func Compute(g *graph.Graph, r graph.Retiming, in Inputs) (*Analysis, error) {
 		a.RegisterObs += t.Obs * float64(t.Regs)
 		a.Registers += t.SER
 	})
-	if err != nil {
-		return nil, err
-	}
 	a.SharedRegisters = g.SharedRegisters(r)
 	a.Total = a.Gates + a.Registers
-	return a, nil
+	return a
 }
 
 // SumRegisterObs evaluates eq. (5): Σ_(u,v) obs(u)·w_r(u,v), the quantity

@@ -45,10 +45,7 @@ func TestComputeHand(t *testing.T) {
 	edgeObs := EdgeObsFromVertex(g, gateObs, 0.8)
 	gateRate := []float64{0, 1e-5, 2e-5}
 	in := Inputs{GateObs: gateObs, EdgeObs: edgeObs, GateRate: gateRate, RegRate: 3e-5, Params: p}
-	an, err := Compute(g, graph.NewRetiming(g), in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	an := Compute(g, graph.NewRetiming(g), in)
 	// Gates: 0.5·1e-5·2/10 + 1.0·2e-5·2/10 = 1e-6 + 4e-6 = 5e-6.
 	if math.Abs(an.Gates-5e-6) > 1e-12 {
 		t.Fatalf("Gates = %g", an.Gates)
@@ -88,10 +85,7 @@ func TestComputeDeepChain(t *testing.T) {
 		RegRate:  1e-5,
 		Params:   p,
 	}
-	an, err := Compute(g, graph.NewRetiming(g), in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	an := Compute(g, graph.NewRetiming(g), in)
 	// 0.6·1e-5·(2 + 2·2)/10 = 3.6e-6.
 	if math.Abs(an.Registers-3.6e-6) > 1e-12 {
 		t.Fatalf("Registers = %g", an.Registers)
@@ -128,48 +122,17 @@ func TestRegisterWindows(t *testing.T) {
 			RegRate: 1, Params: elw.DefaultParams(10),
 		}
 		var regs []Term
-		err := Terms(g, graph.NewRetiming(g), in, func(t Term) {
+		Terms(g, graph.NewRetiming(g), in, func(t Term) {
 			if t.Regs > 0 {
 				regs = append(regs, t)
 			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		if len(regs) != 1 || regs[0].Edge != 0 || regs[0].Regs != int(w) {
 			t.Fatalf("w=%d: register terms %+v, want one on edge 0", w, regs)
 		}
 		if want := 4 + 2*float64(w-1); regs[0].Window != want {
 			t.Fatalf("w=%d: register window %g, want %g", w, regs[0].Window, want)
 		}
-	}
-}
-
-func TestComputeValidation(t *testing.T) {
-	b := graph.NewBuilder()
-	a := b.AddVertex("A", 1)
-	b.AddEdge(graph.Host, a, 1)
-	b.AddEdge(a, graph.Host, 0)
-	g := b.Build()
-	p := elw.DefaultParams(10)
-	good := Inputs{GateObs: []float64{0, 1}, EdgeObs: []float64{0, 1}, GateRate: []float64{0, 1}, RegRate: 1, Params: p}
-	if _, err := Compute(g, graph.NewRetiming(g), good); err != nil {
-		t.Fatal(err)
-	}
-	bad := good
-	bad.GateObs = []float64{0}
-	if _, err := Compute(g, graph.NewRetiming(g), bad); err == nil {
-		t.Fatal("short GateObs accepted")
-	}
-	bad = good
-	bad.EdgeObs = []float64{0}
-	if _, err := Compute(g, graph.NewRetiming(g), bad); err == nil {
-		t.Fatal("short EdgeObs accepted")
-	}
-	r := graph.NewRetiming(g)
-	r[a] = 1 // host->A weight becomes... w + r(to)... = 1+1 = 2, A->host = -1
-	if _, err := Compute(g, r, good); err == nil {
-		t.Fatal("illegal retiming accepted")
 	}
 }
 
@@ -191,17 +154,11 @@ func TestFullPipelineS27(t *testing.T) {
 	gateObs := VertexObs(g, res)
 	edgeObs := EdgeObs(c, g, gateObs, res)
 	rates := VertexRates(c, g)
-	_, crit, err := g.ArrivalTimes(graph.NewRetiming(g))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, crit := g.ArrivalTimes(graph.NewRetiming(g))
 	p := elw.DefaultParams(crit + 1)
 	in := Inputs{GateObs: gateObs, EdgeObs: edgeObs, GateRate: rates,
 		RegRate: RegisterRate, Params: p}
-	an, err := Compute(g, graph.NewRetiming(g), in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	an := Compute(g, graph.NewRetiming(g), in)
 	if an.Total <= 0 {
 		t.Fatalf("SER = %g, want positive", an.Total)
 	}

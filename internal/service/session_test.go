@@ -260,6 +260,43 @@ func TestSessionEvictionLRUAndTTL(t *testing.T) {
 	}
 }
 
+// TestNoClockPeriodRejected: a netlist with no gate other than a
+// constant has no clock period, so it is a client error (400, class
+// parse) wherever it arrives: an empty submission, a session opened on a
+// lone flip-flop, and a delta that removes a session's last gate, which
+// leaves the session's delta count as it was.
+func TestNoClockPeriodRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, Timeout: time.Minute})
+	for _, tc := range []struct{ name, path, body string }{
+		{"empty submission", "/v1/retime", ""},
+		{"lone flip-flop session", "/v1/sessions?frames=2&words=1", "INPUT(a)\nOUTPUT(q)\nq = DFF(a)\n"},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "text/plain", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e errorResponse
+		derr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || derr != nil || e.Class != "parse" {
+			t.Errorf("%s: HTTP %d, class %q (%s, %v); want 400, parse", tc.name, resp.StatusCode, e.Class, e.Error, derr)
+		}
+	}
+	msg, code := openSessionHTTP(t, ts.URL, []byte("INPUT(a)\nOUTPUT(q)\ng = NOT(a)\nq = DFF(g)\n"), "?frames=2&words=1")
+	if code != http.StatusCreated {
+		t.Fatalf("open one-gate session: HTTP %d", code)
+	}
+	ops := []serretime.DeltaOp{{Op: "rewire", Name: "q", Fanin: []string{"a"}}, {Op: "rm_node", Name: "g"}}
+	if dmsg, dcode := postDelta(t, ts.URL, msg.ID, ops); dcode != http.StatusBadRequest {
+		t.Errorf("delta removing the last gate: want 400, got %d (%+v)", dcode, dmsg)
+	}
+	sb, _ := fetchBody(t, ts.URL+"/v1/sessions/"+msg.ID)
+	var sv SessionView
+	if err := json.Unmarshal(sb, &sv); err != nil || sv.Deltas != 0 {
+		t.Errorf("rejected delta counted as applied: %.200s (%v)", sb, err)
+	}
+}
+
 // TestSessionDeltaValidation: malformed bodies and every delta that
 // ApplyDeltaOps rejects are client errors (400); a failed delta leaves
 // the session answering for its previous netlist and does not count as

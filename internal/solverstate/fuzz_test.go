@@ -36,19 +36,13 @@ func FuzzStateMoves(f *testing.F) {
 		}
 		g := graph.FromCircuit(c)
 		r0 := graph.NewRetiming(g)
-		_, crit, err := g.ArrivalTimes(r0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, crit := g.ArrivalTimes(r0)
 		params := elw.Params{Phi: crit * 1.2, Ts: 0, Th: 2}
 		obsInt := make([]int64, g.NumEdges())
 		for e := range obsInt {
 			obsInt[e] = int64(shape.Intn(256))
 		}
-		st, err := solverstate.New(g, r0, solverstate.Config{Params: params, ObsInt: obsInt})
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := solverstate.New(g, r0, solverstate.Config{Params: params, ObsInt: obsInt})
 		rng := rand.New(rand.NewSource(moveSeed))
 		shadow := r0.Clone()
 		for step := 0; step < 15; step++ {
@@ -61,14 +55,8 @@ func FuzzStateMoves(f *testing.F) {
 			if got, want := st.Objective(), objectiveScan(g, tent, obsInt); got != want {
 				t.Fatalf("step %d: tentative objective %d, scan %d", step, got, want)
 			}
-			lab, err := st.Labels()
-			if err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
-			want, err := elw.ComputeLabels(g, tent, params, nil)
-			if err != nil {
-				t.Fatalf("step %d: oracle: %v", step, err)
-			}
+			lab := st.Labels()
+			want := elw.ComputeLabels(g, tent, params, nil)
 			if v, diff := lab.FirstDiff(want); diff {
 				t.Fatalf("step %d: tentative labels diverge at v%d", step, v)
 			}
@@ -78,14 +66,8 @@ func FuzzStateMoves(f *testing.F) {
 			} else {
 				st.Rollback()
 			}
-			lab, err = st.Labels()
-			if err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
-			want, err = elw.ComputeLabels(g, shadow, params, nil)
-			if err != nil {
-				t.Fatalf("step %d: oracle: %v", step, err)
-			}
+			lab = st.Labels()
+			want = elw.ComputeLabels(g, shadow, params, nil)
 			if v, diff := lab.FirstDiff(want); diff {
 				t.Fatalf("step %d: labels diverge at v%d after close", step, v)
 			}

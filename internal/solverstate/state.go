@@ -10,11 +10,12 @@
 // transaction runs one full elw.ComputeLabels sweep on the tentative
 // retiming, which the transaction keeps until it closes. Nothing else
 // keeps labels: the next transaction sweeps its own retiming, and a read
-// outside a transaction sweeps the committed one.
+// outside a transaction sweeps the committed one. A sweep cannot fail
+// (package elw), so neither can New or Labels; the caller, core.Minimize,
+// hands New a legal retiming and an objective weight per edge.
 package solverstate
 
 import (
-	"fmt"
 	"slices"
 
 	"serretime/internal/elw"
@@ -73,14 +74,8 @@ type State struct {
 // New builds a State for g at retiming r0 (cloned). r0 must be P0-legal:
 // the incremental P0 check relies on every committed state having
 // non-negative weights, so tentative negatives can only sit on edges the
-// move changed.
-func New(g *graph.Graph, r0 graph.Retiming, cfg Config) (*State, error) {
-	if len(cfg.ObsInt) != g.NumEdges() {
-		return nil, fmt.Errorf("solverstate: obsInt length %d, want %d", len(cfg.ObsInt), g.NumEdges())
-	}
-	if err := g.CheckLegal(r0); err != nil {
-		return nil, fmt.Errorf("solverstate: illegal initial retiming: %w", err)
-	}
+// move changed. cfg.ObsInt must hold one weight per edge of g.
+func New(g *graph.Graph, r0 graph.Retiming, cfg Config) *State {
 	s := &State{
 		g:              g,
 		cfg:            cfg,
@@ -98,7 +93,7 @@ func New(g *graph.Graph, r0 graph.Retiming, cfg Config) (*State, error) {
 		s.vertexObsDelta[g.EdgeFrom(eid)] -= cfg.ObsInt[e]
 	}
 	s.objTent = s.obj
-	return s, nil
+	return s
 }
 
 // Graph returns the underlying graph.
@@ -183,20 +178,17 @@ func (s *State) Begin(members []int32, weight func(v int32) int32) {
 // with elw.ComputeLabels; later reads of the same transaction return the
 // same labels. A read outside a transaction sweeps the committed
 // retiming every time.
-func (s *State) Labels() (*elw.Labels, error) {
+func (s *State) Labels() *elw.Labels {
 	guard.Failpoint("solverstate.Labels")
 	if s.lab != nil {
-		return s.lab, nil
+		return s.lab
 	}
 	s.rec.Count(telemetry.CounterLabelFulls, 1)
-	lab, err := elw.ComputeLabels(s.g, s.r, s.cfg.Params, s.rec)
-	if err != nil {
-		return nil, err
-	}
+	lab := elw.ComputeLabels(s.g, s.r, s.cfg.Params, s.rec)
 	if s.open {
 		s.lab = lab
 	}
-	return lab, nil
+	return lab
 }
 
 // Commit makes the tentative state the committed one.

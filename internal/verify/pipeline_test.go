@@ -47,10 +47,7 @@ func TestOptimizerMovesEquivalentOnGenerated(t *testing.T) {
 				edgeObs[e] = gateObs[ed.From]
 			}
 		}
-		gains, obsInt, err := core.Gains(base, gateObs, edgeObs, 256)
-		if err != nil {
-			t.Fatalf("%s: %v", spec.Name, err)
-		}
+		gains, obsInt := core.Gains(base, gateObs, edgeObs, 256)
 		res, err := core.Minimize(context.Background(), base, gains, obsInt, core.Options{
 			Phi: init.Phi, Ts: 0, Th: 2, Rmin: init.Rmin, ELWConstraints: true,
 		})

@@ -304,17 +304,9 @@ func (d *Design) retime(ctx context.Context, opt RetimeOptions) (*RetimeResult, 
 		gateObs = ones(len(d.gateObs))
 		edgeObs = ones(len(d.edgeObs))
 	}
-	gains, obsInt, err := core.Gains(base, gateObs, edgeObs, k)
-	if err != nil {
-		rec.SpanEnd(telemetry.PhaseGains, err)
-		return nil, err
-	}
+	gains, obsInt := core.Gains(base, gateObs, edgeObs, k)
 	if opt.AreaWeight != 0 && opt.Algorithm != MinArea {
-		areaGains, _, err := core.Gains(base, ones(len(gateObs)), ones(len(edgeObs)), k)
-		if err != nil {
-			rec.SpanEnd(telemetry.PhaseGains, err)
-			return nil, err
-		}
+		areaGains, _ := core.Gains(base, ones(len(gateObs)), ones(len(edgeObs)), k)
 		lambda := opt.AreaWeight
 		for v := range gains {
 			gains[v] += int64(lambda * float64(areaGains[v]))
@@ -372,16 +364,9 @@ func (d *Design) retime(ctx context.Context, opt RetimeOptions) (*RetimeResult, 
 
 	rec.SpanStart(telemetry.PhaseAnalysis)
 	p := elw.Params{Phi: init.Phi, Ts: opt.Ts, Th: opt.Th}
-	before, err := d.analyzeAt(d.g, graph.NewRetiming(d.g), p, opt.Analysis)
-	if err != nil {
-		rec.SpanEnd(telemetry.PhaseAnalysis, err)
-		return nil, err
-	}
-	after, err := d.analyzeAt(d.g, total, p, opt.Analysis)
-	rec.SpanEnd(telemetry.PhaseAnalysis, err)
-	if err != nil {
-		return nil, err
-	}
+	before := d.analyzeAt(d.g, graph.NewRetiming(d.g), p, opt.Analysis)
+	after := d.analyzeAt(d.g, total, p, opt.Analysis)
+	rec.SpanEnd(telemetry.PhaseAnalysis, nil)
 	return &RetimeResult{
 		Algorithm: opt.Algorithm,
 		Phi:       init.Phi, PhiMin: init.PhiMin, Rmin: init.Rmin,

@@ -221,10 +221,7 @@ func (d *Design) identityResult(ctx context.Context, opt RetimeOptions) (*Retime
 			return nil, err
 		}
 		p := elw.Params{Ts: opt.Ts, Th: opt.Th} // Phi 0: the critical path
-		an, err := d.analyzeAt(d.g, graph.NewRetiming(d.g), p, opt.Analysis)
-		if err != nil {
-			return nil, err
-		}
+		an := d.analyzeAt(d.g, graph.NewRetiming(d.g), p, opt.Analysis)
 		return &RetimeResult{
 			Algorithm: opt.Algorithm,
 			Phi:       an.Phi, PhiMin: an.Phi,

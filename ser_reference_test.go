@@ -18,14 +18,8 @@ import (
 // shortfall added where the labels give the consumer a window. It also
 // counts the register terms that took a shortfall.
 func referenceSER(g *graph.Graph, r graph.Retiming, in ser.Inputs) (*ser.Analysis, int, error) {
-	elws, err := elw.Exact(g, r, in.Params, in.MaxIntervals)
-	if err != nil {
-		return nil, 0, err
-	}
-	lab, err := elw.ComputeLabels(g, r, in.Params, nil)
-	if err != nil {
-		return nil, 0, err
-	}
+	elws := elw.Exact(g, r, in.Params, in.MaxIntervals)
+	lab := elw.ComputeLabels(g, r, in.Params, nil)
 	a := &ser.Analysis{}
 	for v := 1; v < g.NumVertices(); v++ {
 		a.Gates += in.GateObs[v] * in.GateRate[v] * elws[v].Measure() / in.Params.Phi
@@ -78,10 +72,7 @@ func solvedRetiming(t *testing.T, d *Design, opt RetimeOptions) (graph.Retiming,
 	if err != nil {
 		t.Fatal(err)
 	}
-	gains, obsInt, err := core.Gains(base, d.gateObs, d.edgeObs, opt.kUnits())
-	if err != nil {
-		t.Fatal(err)
-	}
+	gains, obsInt := core.Gains(base, d.gateObs, d.edgeObs, opt.kUnits())
 	cres, err := core.Minimize(ctx, base, gains, obsInt, core.Options{
 		Phi: init.Phi, Ts: opt.Ts, Th: opt.Th, Rmin: init.Rmin,
 		ELWConstraints: opt.Algorithm == MinObsWin,
@@ -118,14 +109,8 @@ func TestSERMatchesLabelReference(t *testing.T) {
 			opt := RetimeOptions{Algorithm: algo, Analysis: AnalysisOptions{Frames: 3, SignatureWords: 1}, Workers: 1}
 			solved, p := solvedRetiming(t, d, opt)
 			for _, r := range []graph.Retiming{graph.NewRetiming(d.g), solved} {
-				in, err := d.serInputs(d.g, r, p, opt.Analysis)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := ser.Compute(d.g, r, in)
-				if err != nil {
-					t.Fatal(err)
-				}
+				in := d.serInputs(d.g, r, p, opt.Analysis)
+				got := ser.Compute(d.g, r, in)
 				want, n, err := referenceSER(d.g, r, in)
 				if err != nil {
 					t.Fatal(err)

@@ -426,7 +426,7 @@ func (d *Design) Analyze(phi float64, opt AnalysisOptions) (*Analysis, error) {
 		if err := d.ensureObs(ctx, opt, 0, nil); err != nil {
 			return nil, err
 		}
-		return d.analyzeAt(d.g, graph.NewRetiming(d.g), elwParams(phi), opt)
+		return d.analyzeAt(d.g, graph.NewRetiming(d.g), elwParams(phi), opt), nil
 	})
 }
 
@@ -441,35 +441,25 @@ func checkPhi(op string, phi float64) error {
 }
 
 // analyzeAt evaluates eq. (4) for g under r with the ELW timing p.
-func (d *Design) analyzeAt(g *graph.Graph, r graph.Retiming, p elw.Params, opt AnalysisOptions) (*Analysis, error) {
-	in, err := d.serInputs(g, r, p, opt)
-	if err != nil {
-		return nil, err
-	}
-	an, err := ser.Compute(g, r, in)
-	if err != nil {
-		return nil, err
-	}
+func (d *Design) analyzeAt(g *graph.Graph, r graph.Retiming, p elw.Params, opt AnalysisOptions) *Analysis {
+	in := d.serInputs(g, r, p, opt)
+	an := ser.Compute(g, r, in)
 	return &Analysis{
 		SER: an.Total, GateSER: an.Gates, RegisterSER: an.Registers,
 		Registers: an.NumRegisters, SharedFFs: an.SharedRegisters,
 		RegisterObs: an.RegisterObs, Phi: in.Params.Phi,
-	}, nil
+	}
 }
 
 // serInputs gathers the cached analysis into the inputs of eq. (4) with
 // the ELW timing p; a non-positive p.Phi is replaced by the combinational
-// critical path of g under r.
-func (d *Design) serInputs(g *graph.Graph, r graph.Retiming, p elw.Params, opt AnalysisOptions) (ser.Inputs, error) {
+// critical path of g under r, which is positive (package graph).
+func (d *Design) serInputs(g *graph.Graph, r graph.Retiming, p elw.Params, opt AnalysisOptions) ser.Inputs {
 	if p.Phi <= 0 {
-		_, crit, err := g.ArrivalTimes(r)
-		if err != nil {
-			return ser.Inputs{}, err
-		}
-		p.Phi = crit
+		_, p.Phi = g.ArrivalTimes(r)
 	}
 	return ser.Inputs{
 		GateObs: d.gateObs, EdgeObs: d.edgeObs, GateRate: d.rates,
 		RegRate: ser.RegisterRate, Params: p, MaxIntervals: opt.MaxIntervals,
-	}, nil
+	}
 }

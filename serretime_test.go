@@ -361,10 +361,7 @@ func TestRetimeReportsSERAtSolveTiming(t *testing.T) {
 		GateObs: d.gateObs, EdgeObs: d.edgeObs, GateRate: d.rates, RegRate: ser.RegisterRate,
 		Params: elw.Params{Phi: res.Phi, Ts: DefaultTs, Th: 4},
 	}
-	want, err := ser.Compute(d.g, graph.NewRetiming(d.g), in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := ser.Compute(d.g, graph.NewRetiming(d.g), in)
 	if res.Before.SER != want.Total {
 		t.Fatalf("Before.SER = %g, eq. (4) at Th=4 gives %g", res.Before.SER, want.Total)
 	}
