@@ -45,7 +45,8 @@ var benchCircuits = []struct {
 	{"b17_opt", 8},
 }
 
-// prepared caches the expensive per-circuit setup shared by benchmarks.
+// prepared caches the expensive per-circuit setup shared by benchmarks
+// and TestEnginesAgainstExactTableI.
 type preparedProblem struct {
 	d     *Design
 	base  *graph.Graph
@@ -59,7 +60,7 @@ var (
 	preps  = map[string]*preparedProblem{}
 )
 
-func prepare(b *testing.B, name string, scale int) *preparedProblem {
+func prepare(b testing.TB, name string, scale int) *preparedProblem {
 	b.Helper()
 	key := fmt.Sprintf("%s/%d", name, scale)
 	prepMu.Lock()

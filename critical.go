@@ -27,9 +27,9 @@ type Contributor struct {
 // design at clock period phi (0 = critical path): the per-gate and
 // per-register-chain terms of eq. (4), as ser.Terms evaluates them for
 // Analyze. This is the view a designer uses to decide where hardening or
-// retiming will pay off. phi is checked as Analyze checks it.
+// retiming will pay off. phi and opt are checked as Analyze checks them.
 func (d *Design) CriticalElements(phi float64, n int, opt AnalysisOptions) ([]Contributor, error) {
-	if err := checkPhi("serretime.CriticalElements", phi); err != nil {
+	if err := checkAnalysis("serretime.CriticalElements", phi, opt); err != nil {
 		return nil, err
 	}
 	if err := d.ensureObs(context.Background(), opt, 0, nil); err != nil {

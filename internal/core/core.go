@@ -353,7 +353,6 @@ func Minimize(ctx context.Context, g *graph.Graph, gains []int64, obsInt []int64
 		var mask []bool
 		exact := false
 		if needExact {
-			rec.Count(telemetry.CounterExactClosures, 1)
 			rec.SpanStart(telemetry.PhasePositiveSet)
 			members, mask = eng.PositiveSet()
 			rec.SpanEnd(telemetry.PhasePositiveSet, nil)

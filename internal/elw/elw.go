@@ -111,13 +111,11 @@ type Labels struct {
 }
 
 // ComputeLabels evaluates eq. (6) under retiming r. The computation is
-// recorded to rec as one elw-recompute span and counted, making the
-// dominant cost of the P1'/P2' checks visible in traces; a nil rec
-// records nothing.
+// recorded to rec as one elw-recompute span, making the dominant cost of
+// the P1'/P2' checks visible in traces; a nil rec records nothing.
 func ComputeLabels(g *graph.Graph, r graph.Retiming, p Params, rec telemetry.Recorder) *Labels {
 	rec = telemetry.OrNop(rec)
 	rec.SpanStart(telemetry.PhaseELWRecompute)
-	rec.Count(telemetry.CounterELWRecomputes, 1)
 	order := g.ZeroWeightTopo(r)
 	lab := newLabels(g.NumVertices())
 	wr := g.EdgeWeights(r)

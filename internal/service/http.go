@@ -239,9 +239,10 @@ func (s *Server) readNetlist(r *http.Request) (io.ReadCloser, string, error) {
 //
 //	algorithm    minobswin (default) | minobs | minarea
 //	engine       closure (default) | forest
-//	epsilon      clock-period relaxation ε (non-negative float)
+//	epsilon      clock-period relaxation ε (float in [0, MaxEpsilon])
 //	frames       time-frame expansion depth n
-//	words        signature width in 64-bit words
+//	words        signature width in 64-bit words (frames × words ×
+//	             nodes is bounded by analysisBudget)
 //	seed         simulation seed
 //	maxintervals per-gate ELW interval cap
 //	stallsteps   optimizer stall watchdog
@@ -253,10 +254,10 @@ func (s *Server) readNetlist(r *http.Request) (io.ReadCloser, string, error) {
 //	             is the analytical propagation-probability estimate
 //
 // Unknown values fail with typed errors unwrapping to guard.ErrParse;
-// a non-finite or negative epsilon is rejected here so it never reaches
-// the hashing, caching or solving layers. Unknown parameter NAMES are
-// rejected too: a typo like acuracy=fast must not silently fall back to
-// the expensive exact path the caller was trying to avoid.
+// an epsilon outside [0, MaxEpsilon] is rejected here so it never
+// reaches the hashing, caching or solving layers. Unknown parameter
+// NAMES are rejected too: a typo like acuracy=fast must not silently
+// fall back to the expensive exact path the caller was trying to avoid.
 func optionsFromQuery(r *http.Request) (serretime.RobustOptions, error) {
 	q := r.URL.Query()
 	var opt serretime.RobustOptions
@@ -300,8 +301,8 @@ func optionsFromQuery(r *http.Request) (serretime.RobustOptions, error) {
 	}
 	if v := q.Get("epsilon"); v != "" {
 		x, err := strconv.ParseFloat(v, 64)
-		if err != nil || math.IsNaN(x) || math.IsInf(x, 0) || x < 0 {
-			return opt, guard.Optionf("service.submit", "epsilon", "want a finite non-negative float, got %q", v)
+		if err != nil || !(x >= 0 && x <= serretime.MaxEpsilon) {
+			return opt, guard.Optionf("service.submit", "epsilon", "want a float in [0, %v], got %q", serretime.MaxEpsilon, v)
 		}
 		opt.Epsilon = x
 	}

@@ -16,7 +16,7 @@ import (
 	"serretime/internal/telemetry"
 )
 
-func openStore(t *testing.T, dir string) (*store.Disk, []store.RecoveredJob, store.Stats) {
+func openStore(t testing.TB, dir string) (*store.Disk, []store.RecoveredJob, store.Stats) {
 	t.Helper()
 	d, err := store.Open(store.Options{Dir: dir})
 	if err != nil {

@@ -24,6 +24,7 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -210,7 +211,6 @@ func (c Config) withDefaults() Config {
 // Handler, and call Drain on shutdown.
 type Server struct {
 	cfg   Config
-	lat   *telemetry.ExemplarHistogram
 	queue chan *Job
 	busy  atomic.Int64 // workers currently inside a solve
 
@@ -224,9 +224,9 @@ type Server struct {
 	order    []string // finished-job eviction order (oldest first)
 	draining bool
 	// phaseLat aggregates per-phase latencies across finished jobs (one
-	// exemplared histogram per span name), rendered by /metrics. Guarded
-	// by mu; created lazily so zero-value servers in tests stay usable.
-	phaseLat map[string]*telemetry.ExemplarHistogram
+	// histogram per span name), rendered by /metrics. Guarded by mu;
+	// created lazily so zero-value servers in tests stay usable.
+	phaseLat map[string]*histogram
 	// solver folds the trace of every finished job and session solve:
 	// the /metrics solver section. Guarded by mu.
 	solver telemetry.RunStats
@@ -270,7 +270,6 @@ func New(ctx context.Context, cfg Config) *Server {
 	bctx, cancel := context.WithCancel(ctx)
 	s := &Server{
 		cfg:     cfg,
-		lat:     telemetry.NewExemplarHistogram(telemetry.LatencyBounds()),
 		queue:   make(chan *Job, cfg.QueueDepth),
 		baseCtx: bctx,
 		cancel:  cancel,
@@ -311,6 +310,29 @@ func jobKey(d *serretime.Design, opt serretime.RobustOptions) (string, []byte, e
 	return hex.EncodeToString(h.Sum(nil)), buf.Bytes(), nil
 }
 
+// analysisBudget bounds frames × words × nodes, the 64-bit words of the
+// signature plane an exact analysis allocates (2^27 words, 1 GiB). An
+// out-of-memory is no panic that guard can recover: it would take the
+// daemon down with every queued job and open session, so a request
+// beyond the budget is refused instead.
+const analysisBudget = 1 << 27
+
+// checkAnalysisBudget refuses analysis options whose signature plane on
+// d exceeds analysisBudget, with a typed error unwrapping to
+// guard.ErrParse (HTTP 400); op names the entry point. Nodes are the
+// design's primary inputs, gates and flip-flops.
+func checkAnalysisBudget(op string, d *serretime.Design, a serretime.AnalysisOptions) error {
+	st := d.Stats()
+	nodes := int64(st.PIs + st.Gates + st.FFs)
+	frames := int64(cmp.Or(a.Frames, serretime.DefaultFrames))
+	words := int64(cmp.Or(a.SignatureWords, serretime.DefaultSignatureWords))
+	if frames > analysisBudget || words > analysisBudget || frames*words > analysisBudget/nodes {
+		return guard.Optionf(op, "frames×words", "%d frames × %d words × %d nodes exceeds the analysis budget of %d words",
+			frames, words, nodes, analysisBudget)
+	}
+	return nil
+}
+
 // Submit registers a parsed design for solving under the given options
 // (the server default is applied to a zero Timeout). It returns the
 // job — possibly an existing one — and how the submission was resolved:
@@ -320,13 +342,17 @@ func jobKey(d *serretime.Design, opt serretime.RobustOptions) (string, []byte, e
 //	cached    an identical job already finished; its result is served
 //
 // A full queue returns ErrQueueFull (HTTP 429 upstream); a draining
-// server returns ErrDraining (HTTP 503).
+// server returns ErrDraining (HTTP 503); options beyond the analysis
+// budget fail with guard.ErrParse (HTTP 400).
 //
 // traceID names the job's trace (from a Traceparent header); a zero ID
 // mints one. A coalesced or cached submission keeps the existing job's
 // trace — the job's identity, and therefore its trace, belongs to the
 // first submission.
 func (s *Server) Submit(d *serretime.Design, opt serretime.RobustOptions, traceID telemetry.TraceID) (*Job, Disposition, error) {
+	if err := checkAnalysisBudget("service.submit", d, opt.Analysis); err != nil {
+		return nil, 0, err
+	}
 	// The recorder is result-invariant (excluded from CanonicalKey), so
 	// the per-job trace recorder never fragments the cache key.
 	tr := s.applySolveDefaults(&opt, traceID)
@@ -524,7 +550,6 @@ func (s *Server) runJob(j *Job) {
 		return
 	}
 	doc := s.finalizeTrace(j, StateDone.String(), res.Tier.String(), res.Degraded)
-	s.lat.Observe(time.Since(j.started), traceIDOf(j))
 	s.mu.Lock()
 	j.state = StateDone
 	j.finished = time.Now()
@@ -536,7 +561,7 @@ func (s *Server) runJob(j *Job) {
 	if int(res.Tier) < len(s.byTier) {
 		s.byTier[res.Tier]++
 	}
-	s.observePhasesLocked(doc, traceIDOf(j))
+	s.observePhasesLocked(doc)
 	s.journal(func(st Store) error {
 		return st.JournalDone(j.ID, store.ResultMeta{
 			Tier:     int(res.Tier),
@@ -557,7 +582,7 @@ func (s *Server) finishJob(j *Job, err error) {
 	j.err = err
 	s.failed++
 	s.byClass[guard.Classify(err)]++
-	s.observePhasesLocked(doc, traceIDOf(j))
+	s.observePhasesLocked(doc)
 	s.journal(func(st Store) error {
 		return st.JournalFailed(j.ID, guard.Classify(err), err.Error())
 	})
@@ -579,28 +604,21 @@ func (s *Server) finalizeTrace(j *Job, status, tier string, degraded bool) *tele
 	return doc
 }
 
-func traceIDOf(j *Job) telemetry.TraceID {
-	if j.trace == nil {
-		return telemetry.TraceID{}
-	}
-	return j.trace.ID()
-}
-
 // phaseDepth bounds which spans feed the per-phase /metrics histograms:
 // depth 1 is queue-wait/solve, 2 the degradation tiers, 3 the pipeline
 // stages. Deeper merged inner-loop spans stay in the trace only.
 const phaseDepth = 3
 
 // observePhasesLocked feeds one finished job's span durations into the
-// per-phase exemplar histograms and folds its document into the solver
-// section. Callers hold s.mu.
-func (s *Server) observePhasesLocked(doc *telemetry.TraceDoc, id telemetry.TraceID) {
+// per-phase histograms, with the job's trace ID as their exemplar, and
+// folds its document into the solver section. Callers hold s.mu.
+func (s *Server) observePhasesLocked(doc *telemetry.TraceDoc) {
 	if doc == nil || doc.Root == nil {
 		return
 	}
 	s.solver.Add(doc)
 	if s.phaseLat == nil {
-		s.phaseLat = make(map[string]*telemetry.ExemplarHistogram)
+		s.phaseLat = make(map[string]*histogram)
 	}
 	doc.Root.Walk(func(depth int, sp *telemetry.Span) {
 		if depth == 0 || depth > phaseDepth {
@@ -608,10 +626,10 @@ func (s *Server) observePhasesLocked(doc *telemetry.TraceDoc, id telemetry.Trace
 		}
 		h := s.phaseLat[sp.Name]
 		if h == nil {
-			h = telemetry.NewExemplarHistogram(telemetry.LatencyBounds())
+			h = new(histogram)
 			s.phaseLat[sp.Name] = h
 		}
-		h.Observe(time.Duration(sp.DurNS), id)
+		h.observe(time.Duration(sp.DurNS), doc.TraceID)
 	})
 }
 

@@ -48,7 +48,7 @@ func benchBytes(t *testing.T, d *serretime.Design) []byte {
 	return buf.Bytes()
 }
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	svc := New(context.Background(), cfg)
 	ts := httptest.NewServer(svc.Handler())
@@ -227,7 +227,7 @@ func TestServiceEndToEnd(t *testing.T) {
 		"serretimed_jobs_accepted_total 1",
 		"serretimed_cache_hits_total 2",
 		"serretimed_jobs_completed_total 1",
-		"serretimed_solve_seconds_count 1",
+		`serretimed_phase_seconds_count{phase="solve"} 1`,
 	} {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("metrics missing %q", want)

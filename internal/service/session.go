@@ -327,6 +327,9 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	}
 	d, err := serretime.Parse(body, name)
 	body.Close()
+	if err == nil {
+		err = checkAnalysisBudget("service.session", d, opt.Analysis)
+	}
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -391,7 +394,11 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	opt := ss.warm.Options()
 	if len(r.URL.Query()) > 0 {
 		var err error
-		if opt, err = optionsFromQuery(r); err != nil {
+		opt, err = optionsFromQuery(r)
+		if err == nil {
+			err = checkAnalysisBudget("service.delta", ss.warm.Design(), opt.Analysis)
+		}
+		if err != nil {
 			s.writeError(w, err)
 			return
 		}

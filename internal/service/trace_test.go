@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -150,15 +151,18 @@ func TestTraceObservability(t *testing.T) {
 	for _, want := range []string{
 		`serretimed_phase_seconds_bucket{phase="solve",`,
 		`serretimed_phase_seconds_bucket{phase="queue-wait",`,
-		`serretimed_phase_seconds_count{phase="solve"}`,
+		`serretimed_phase_seconds_count{phase="solve"} 1`,
 		"# {trace_id=\"" + msg.TraceID + "\"}",
-		"serretimed_solve_seconds_bucket",
 		`serretimed_solver_events_total{counter="steps"}`,
 		`serretimed_solver_phase_seconds_total{phase="minimize"}`,
 	} {
 		if !strings.Contains(m, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	// The solve span's histogram is the one solve histogram.
+	if strings.Contains(m, "serretimed_solve_seconds") {
+		t.Error("/metrics still serves serretimed_solve_seconds")
 	}
 
 	data, r := fetchBody(t, ts.URL+"/debug/jobs")
@@ -183,6 +187,78 @@ func TestTraceObservability(t *testing.T) {
 	}
 	if h.GoVersion == "" || h.GOMAXPROCS < 1 || h.Uptime == "" {
 		t.Fatalf("/healthz build identity = %+v", h)
+	}
+}
+
+// TestHistogram checks the /metrics histogram: each observation lands
+// in the first bucket whose bound it does not exceed (negative as zero,
+// beyond the last bound in +Inf), buckets render cumulatively, and each
+// bucket's exemplar is its latest observation.
+func TestHistogram(t *testing.T) {
+	var h histogram
+	h.observe(3*time.Millisecond, "a")
+	h.observe(4*time.Millisecond, "b")
+	h.observe(-time.Second, "c")
+	h.observe(time.Hour, "d")
+	var b strings.Builder
+	h.write(&b, "x", "solve")
+	got := b.String()
+	for _, want := range []string{
+		`x_bucket{phase="solve",le="0.001"} 1 # {trace_id="c"} 0.000000 `,
+		`x_bucket{phase="solve",le="0.002"} 1` + "\n",
+		`x_bucket{phase="solve",le="0.004"} 3 # {trace_id="b"} 0.004000 `,
+		`x_bucket{phase="solve",le="262.144"} 3` + "\n",
+		`x_bucket{phase="solve",le="+Inf"} 4 # {trace_id="d"} 3600.000000 `,
+		`x_sum{phase="solve"} 3600.007000` + "\n",
+		`x_count{phase="solve"} 4` + "\n",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("histogram text lacks %q:\n%s", want, got)
+		}
+	}
+	if n := strings.Count(got, "_bucket{"); n != numBuckets {
+		t.Errorf("%d buckets rendered, want %d", n, numBuckets)
+	}
+}
+
+// TestMetricsWhileSolving scrapes /metrics while four workers finish
+// jobs and observe into the same histograms, so that -race sees
+// rendering and observing from several goroutines at once.
+func TestMetricsWhileSolving(t *testing.T) {
+	svc, ts := newTestServer(t, Config{Workers: 4, Timeout: time.Minute})
+	stop, scraped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if resp, err := http.Get(ts.URL + "/metrics"); err == nil {
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}
+	}()
+	body := s27(t)
+	var jobs []*Job
+	for seed := 1; seed <= 32; seed++ {
+		msg, code := postNetlist(t, fmt.Sprintf("%s/v1/retime?name=s27.bench&frames=2&words=1&seed=%d", ts.URL, seed), body)
+		if code != http.StatusAccepted {
+			t.Fatalf("seed %d: HTTP %d", seed, code)
+		}
+		j, _ := svc.Job(msg.ID)
+		jobs = append(jobs, j)
+	}
+	for _, j := range jobs {
+		<-j.Done
+	}
+	close(stop)
+	<-scraped
+	metrics, _ := fetchBody(t, ts.URL+"/metrics")
+	if want := `serretimed_phase_seconds_count{phase="solve"} 32`; !strings.Contains(string(metrics), want) {
+		t.Errorf("/metrics lacks %q", want)
 	}
 }
 

@@ -165,12 +165,6 @@ const (
 	CounterViolationsP0
 	CounterViolationsP1
 	CounterViolationsP2
-	// CounterELWRecomputes counts L/R timing-label computations — the
-	// dominant cost of the P1'/P2' checks.
-	CounterELWRecomputes
-	// CounterExactClosures counts exact max-weight-closure cuts (cache
-	// misses of the incremental closed-set maintenance).
-	CounterExactClosures
 	// CounterForestLinks / CounterForestBreaks count weighted-regular-
 	// forest restructuring operations (Link and BreakTree).
 	CounterForestLinks
@@ -178,8 +172,6 @@ const (
 	// CounterWatchdogResets counts stall-watchdog streak resets: commits
 	// that rescued at least one non-improving step.
 	CounterWatchdogResets
-	// CounterTierTransitions counts degradation-chain step-downs.
-	CounterTierTransitions
 	// CounterLabelPatches is incremented by nothing: the solver state
 	// has one label path and counts every sweep as CounterLabelFulls. It
 	// stays because the benchmark's per-layer core.label_patch_ratio,
@@ -187,7 +179,9 @@ const (
 	CounterLabelPatches
 	// CounterLabelFulls counts full L/R label sweeps performed by the
 	// solver state: one per transaction that reads labels, plus any
-	// closed-state read with no cached labels.
+	// closed-state read with no cached labels. Each sweep is also an
+	// elw-recompute span; the counter stays for the same benchmark ratio
+	// as CounterLabelPatches.
 	CounterLabelFulls
 	// CounterParRuns counts parallel sections executed by internal/par
 	// pools (Run calls that actually forked; inline sequential runs are
@@ -209,23 +203,20 @@ const (
 )
 
 var counterNames = [NumCounters]string{
-	CounterSteps:           "steps",
-	CounterCommits:         "commits",
-	CounterViolationsP0:    "violations-p0",
-	CounterViolationsP1:    "violations-p1",
-	CounterViolationsP2:    "violations-p2",
-	CounterELWRecomputes:   "elw-recomputes",
-	CounterExactClosures:   "exact-closures",
-	CounterForestLinks:     "forest-links",
-	CounterForestBreaks:    "forest-breaks",
-	CounterWatchdogResets:  "watchdog-resets",
-	CounterTierTransitions: "tier-transitions",
-	CounterLabelPatches:    "label-patches",
-	CounterLabelFulls:      "label-fulls",
-	CounterParRuns:         "par-runs",
-	CounterParShards:       "par-shards",
-	CounterParBusyNanos:    "par-busy-ns",
-	CounterParWallNanos:    "par-wall-ns",
+	CounterSteps:          "steps",
+	CounterCommits:        "commits",
+	CounterViolationsP0:   "violations-p0",
+	CounterViolationsP1:   "violations-p1",
+	CounterViolationsP2:   "violations-p2",
+	CounterForestLinks:    "forest-links",
+	CounterForestBreaks:   "forest-breaks",
+	CounterWatchdogResets: "watchdog-resets",
+	CounterLabelPatches:   "label-patches",
+	CounterLabelFulls:     "label-fulls",
+	CounterParRuns:        "par-runs",
+	CounterParShards:      "par-shards",
+	CounterParBusyNanos:   "par-busy-ns",
+	CounterParWallNanos:   "par-wall-ns",
 }
 
 // String returns the counter's trace name (constant; never allocates).

@@ -116,7 +116,7 @@ func TestCollectorMergeConcurrent(t *testing.T) {
 // instances of a merged span.
 func TestTraceCountersOnSpans(t *testing.T) {
 	tr := NewTrace(TraceID{})
-	tr.Count(CounterTierTransitions, 1) // no span open: the root
+	tr.Count(CounterCommits, 1) // no span open: the root
 	tr.SpanStart(PhaseMinimize)
 	tr.Count(CounterSteps, 2)
 	for i := 0; i < 3; i++ { // merged level-2 node
@@ -128,8 +128,8 @@ func TestTraceCountersOnSpans(t *testing.T) {
 	tr.Count(CounterSteps, 1)
 	tr.SpanEnd(PhaseMinimize, nil)
 	root := finishedDoc(tr).Root
-	if got := root.Counters["tier-transitions"]; got != 1 {
-		t.Errorf("root tier-transitions = %d, want 1 (%v)", got, root.Counters)
+	if got := root.Counters["commits"]; got != 1 {
+		t.Errorf("root commits = %d, want 1 (%v)", got, root.Counters)
 	}
 	min := root.Find("minimize")
 	if got := min.Counters; len(got) != 1 || got["steps"] != 3 {

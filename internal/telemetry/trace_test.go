@@ -382,39 +382,3 @@ func TestAggregateTraces(t *testing.T) {
 		t.Errorf("report has a per-run table beyond top 2:\n%s", out)
 	}
 }
-
-func TestExemplarHistogram(t *testing.T) {
-	h := NewExemplarHistogram(LatencyBounds())
-	id := NewTraceID()
-	h.Observe(3*time.Millisecond, id)
-	h.Observe(4*time.Millisecond, TraceID{}) // untraced: buckets only
-	snap, ex := h.Snapshot()
-	if snap.Count != 2 {
-		t.Fatalf("count = %d", snap.Count)
-	}
-	var found bool
-	for _, e := range ex {
-		if e.TraceID == id.String() {
-			found = true
-			if e.Value != 3*time.Millisecond || e.When.IsZero() {
-				t.Fatalf("exemplar = %+v", e)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("no exemplar carries %s: %+v", id, ex)
-	}
-	// A later traced observation in the same bucket replaces the exemplar.
-	id2 := NewTraceID()
-	h.Observe(3500*time.Microsecond, id2)
-	_, ex = h.Snapshot()
-	var last string
-	for _, e := range ex {
-		if e.TraceID != "" {
-			last = e.TraceID
-		}
-	}
-	if last != id2.String() {
-		t.Fatalf("bucket exemplar = %s, want %s", last, id2)
-	}
-}

@@ -16,10 +16,14 @@ import (
 
 // TestRetimeRejectsNonFiniteOptions pins the option boundary: a NaN
 // cannot equal itself as a cache key, ±Inf poisons the Section V
-// initialization, and a negative Epsilon, Ts or Th fails every optimizer
-// tier, so RetimeRobust would silently answer from the identity tier.
-// Both entry points must refuse these at the boundary with a typed error
-// unwrapping to guard.ErrParse, before any solving or caching happens.
+// initialization, an Epsilon above MaxEpsilon can overflow the clock
+// period (1e308 makes every SER NaN), a negative Epsilon, Ts or Th fails
+// every optimizer tier, so RetimeRobust would silently answer from the
+// identity tier, and a negative Frames or SignatureWords fails every
+// tier in the simulator. Both entry points must refuse these at the
+// boundary with a typed error unwrapping to guard.ErrParse, before any
+// solving or caching happens: RetimeRobust's error is its own, not a
+// tier's.
 func TestRetimeRejectsNonFiniteOptions(t *testing.T) {
 	d := smallDesign(t)
 	bad := []struct {
@@ -29,11 +33,15 @@ func TestRetimeRejectsNonFiniteOptions(t *testing.T) {
 		{"epsilon/nan", func(o *RetimeOptions) { o.Epsilon = math.NaN() }},
 		{"epsilon/+inf", func(o *RetimeOptions) { o.Epsilon = math.Inf(1) }},
 		{"epsilon/negative", func(o *RetimeOptions) { o.Epsilon = -0.5 }},
+		{"epsilon/overflow", func(o *RetimeOptions) { o.Epsilon = 1e308 }},
+		{"epsilon/above-max", func(o *RetimeOptions) { o.Epsilon = 150 }},
 		{"ts/nan", func(o *RetimeOptions) { o.Ts = math.NaN() }},
 		{"ts/negative", func(o *RetimeOptions) { o.Ts = -0.5 }},
 		{"th/-inf", func(o *RetimeOptions) { o.Th = math.Inf(-1) }},
 		{"th/negative", func(o *RetimeOptions) { o.Th = -1 }},
 		{"area/nan", func(o *RetimeOptions) { o.AreaWeight = math.NaN() }},
+		{"frames/negative", func(o *RetimeOptions) { o.Analysis.Frames = -1 }},
+		{"words/negative", func(o *RetimeOptions) { o.Analysis.SignatureWords = -1 }},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
@@ -44,8 +52,8 @@ func TestRetimeRejectsNonFiniteOptions(t *testing.T) {
 			}
 			var oe *guard.OptionError
 			_, err := d.RetimeRobust(context.Background(), RobustOptions{RetimeOptions: opt})
-			if !errors.Is(err, guard.ErrParse) || !errors.As(err, &oe) {
-				t.Errorf("RetimeRobust: want *guard.OptionError (ErrParse), got %v", err)
+			if !errors.Is(err, guard.ErrParse) || !errors.As(err, &oe) || oe.Op != "serretime.RetimeRobust" {
+				t.Errorf("RetimeRobust: want its own *guard.OptionError (ErrParse), got %v", err)
 			}
 		})
 	}
@@ -83,6 +91,28 @@ func TestAnalyzeRejectsBadPhi(t *testing.T) {
 		if _, err := d.CriticalElements(phi, 3, fastAnalysis); err != nil {
 			t.Fatalf("CriticalElements(%v): %v", phi, err)
 		}
+	}
+}
+
+// TestAnalyzeRejectsNegativeSizes: Analyze and CriticalElements refuse a
+// negative Frames or SignatureWords with a *guard.OptionError (ErrParse)
+// instead of handing it to the simulator; 0 still means the default.
+func TestAnalyzeRejectsNegativeSizes(t *testing.T) {
+	d, err := Load("testdata/s27.bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opt := range []AnalysisOptions{{Frames: -1}, {SignatureWords: -1}} {
+		var oe *guard.OptionError
+		if _, err := d.Analyze(0, opt); !errors.As(err, &oe) || !errors.Is(err, guard.ErrParse) {
+			t.Errorf("Analyze(%+v): want *guard.OptionError (ErrParse), got %v", opt, err)
+		}
+		if _, err := d.CriticalElements(0, 3, opt); !errors.As(err, &oe) || !errors.Is(err, guard.ErrParse) {
+			t.Errorf("CriticalElements(%+v): want *guard.OptionError (ErrParse), got %v", opt, err)
+		}
+	}
+	if _, err := d.Analyze(0, AnalysisOptions{Frames: 0, SignatureWords: 1}); err != nil {
+		t.Errorf("Analyze with default frames: %v", err)
 	}
 }
 

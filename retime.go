@@ -18,10 +18,13 @@ import (
 	"serretime/internal/verify"
 )
 
-// Default setup and hold times, following [23] as the paper does.
+// Default setup and hold times, following [23] as the paper does, and
+// the largest clock-period relaxation ε a solve accepts: Φ = (1+ε)·Φmin
+// must stay finite, and the paper relaxes by 0.10.
 const (
-	DefaultTs = 0.0
-	DefaultTh = 2.0
+	DefaultTs  = 0.0
+	DefaultTh  = 2.0
+	MaxEpsilon = 100.0
 )
 
 // elwParams is the ELW timing at clock period phi under the default setup
@@ -149,13 +152,13 @@ func (o RetimeOptions) normalized() RetimeOptions {
 // simulated vectors K, as in the paper.
 func (o RetimeOptions) kUnits() int { return 64 * o.Analysis.SignatureWords }
 
-// validate rejects non-finite float parameters and a negative Epsilon,
-// Ts or Th with typed errors unwrapping to guard.ErrParse, and folds
-// negative zeros to +0, so the service's content-addressed result cache
-// never sees a key that cannot equal itself (NaN) or two spellings of one
-// value (±0), and no out-of-range parameter fails every tier of
-// RetimeRobust instead of failing at the boundary. op names the entry
-// point for the error text.
+// validate rejects non-finite float parameters, a negative Epsilon, Ts
+// or Th, an Epsilon above MaxEpsilon and bad analysis options with typed
+// errors unwrapping to guard.ErrParse, and folds negative zeros to +0,
+// so the service's content-addressed result cache never sees a key that
+// cannot equal itself (NaN) or two spellings of one value (±0), and no
+// out-of-range parameter fails every tier of RetimeRobust instead of
+// failing at the boundary. op names the entry point for the error text.
 func (o *RetimeOptions) validate(op string) error {
 	for _, f := range []struct {
 		name   string
@@ -177,10 +180,10 @@ func (o *RetimeOptions) validate(op string) error {
 			return guard.Optionf(op, f.name, "must not be negative, got %v", *f.v)
 		}
 	}
-	if o.Analysis.Accuracy > AccuracyFast {
-		return guard.Optionf(op, "Accuracy", "unknown accuracy %d", o.Analysis.Accuracy)
+	if o.Epsilon > MaxEpsilon {
+		return guard.Optionf(op, "Epsilon", "must not exceed %v, got %v", MaxEpsilon, o.Epsilon)
 	}
-	return nil
+	return o.Analysis.validate(op)
 }
 
 // canonFloat renders a float for canonical keys: shortest round-trip

@@ -71,8 +71,8 @@ type RobustOptions struct {
 	Timeout time.Duration
 }
 
-// relaxFactor scales the period relaxation ε (and any Rmin override) for
-// the relaxed tier.
+// relaxFactor scales the period relaxation ε (capped at MaxEpsilon) and
+// shrinks any Rmin override for the relaxed tier.
 const relaxFactor = 2
 
 // Attempt records one run of the degradation chain.
@@ -142,7 +142,7 @@ func (d *Design) RetimeRobust(ctx context.Context, opt RobustOptions) (*RobustRe
 		if relaxed.Epsilon == 0 {
 			relaxed.Epsilon = 0.10
 		}
-		relaxed.Epsilon *= relaxFactor
+		relaxed.Epsilon = min(relaxed.Epsilon*relaxFactor, MaxEpsilon)
 		relaxed.rminOverride /= relaxFactor
 		minobs := opt.RetimeOptions
 		minobs.Algorithm = MinObs
@@ -174,10 +174,7 @@ func (d *Design) RetimeRobust(ctx context.Context, opt RobustOptions) (*RobustRe
 	}
 
 	var lastErr error
-	for i, r := range chain {
-		if i > 0 {
-			rec.Count(telemetry.CounterTierTransitions, 1)
-		}
+	for _, r := range chain {
 		res, err := attempt(r.tier, func(actx context.Context) (*RetimeResult, error) {
 			return d.RetimeCtx(actx, r.opts)
 		})
@@ -196,9 +193,6 @@ func (d *Design) RetimeRobust(ctx context.Context, opt RobustOptions) (*RobustRe
 	}
 
 	// Identity tier: no optimization, analyze the circuit as-is.
-	if len(chain) > 0 {
-		rec.Count(telemetry.CounterTierTransitions, 1)
-	}
 	res, err := attempt(TierIdentity, func(actx context.Context) (*RetimeResult, error) {
 		return d.identityResult(actx, opt.RetimeOptions)
 	})

@@ -295,30 +295,34 @@ func TestCancelMidMinimizePartialResult(t *testing.T) {
 
 // TestRobustDegradesToMinObs injects a fault that only fires when ELW
 // constraints are enabled: both MinObsWin tiers must fail with
-// guard.ErrInternal and the chain must answer at TierMinObs.
+// guard.ErrInternal and the chain must answer at TierMinObs. At
+// Epsilon = MaxEpsilon the relaxed tier must still run, not fail its
+// own validation with a doubled ε.
 func TestRobustDegradesToMinObs(t *testing.T) {
 	guard.ArmFailpoint("core.Minimize.elw")
 	defer guard.DisarmFailpoint("core.Minimize.elw")
 	d := smallDesign(t)
-	res, err := d.RetimeRobust(context.Background(), RobustOptions{
-		RetimeOptions: RetimeOptions{Algorithm: MinObsWin, Analysis: fastAnalysis},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tier != TierMinObs || !res.Degraded {
-		t.Fatalf("want degraded TierMinObs answer, got tier %s degraded=%v", res.Tier, res.Degraded)
-	}
-	if len(res.Attempts) != 3 {
-		t.Fatalf("want 3 attempts, got %d: %+v", len(res.Attempts), res.Attempts)
-	}
-	for _, a := range res.Attempts[:2] {
-		if !errors.Is(a.Err, guard.ErrInternal) {
-			t.Errorf("tier %s error does not unwrap to guard.ErrInternal: %v", a.Tier, a.Err)
+	for _, eps := range []float64{0, MaxEpsilon} {
+		res, err := d.RetimeRobust(context.Background(), RobustOptions{
+			RetimeOptions: RetimeOptions{Algorithm: MinObsWin, Epsilon: eps, Analysis: fastAnalysis},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if res.Attempts[2].Err != nil {
-		t.Errorf("TierMinObs attempt failed: %v", res.Attempts[2].Err)
+		if res.Tier != TierMinObs || !res.Degraded {
+			t.Fatalf("ε=%v: want degraded TierMinObs answer, got tier %s degraded=%v", eps, res.Tier, res.Degraded)
+		}
+		if len(res.Attempts) != 3 {
+			t.Fatalf("ε=%v: want 3 attempts, got %d: %+v", eps, len(res.Attempts), res.Attempts)
+		}
+		for _, a := range res.Attempts[:2] {
+			if !errors.Is(a.Err, guard.ErrInternal) {
+				t.Errorf("ε=%v: tier %s error does not unwrap to guard.ErrInternal: %v", eps, a.Tier, a.Err)
+			}
+		}
+		if res.Attempts[2].Err != nil {
+			t.Errorf("ε=%v: TierMinObs attempt failed: %v", eps, res.Attempts[2].Err)
+		}
 	}
 }
 

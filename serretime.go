@@ -329,11 +329,10 @@ type AnalysisOptions struct {
 	// of every cache key (ensureObs, CanonicalKey) — fast and exact
 	// results never alias.
 	Accuracy Accuracy
-	// Frames is the time-frame expansion depth n (default 15, as in the
-	// paper).
+	// Frames is the time-frame expansion depth n (0 = DefaultFrames).
 	Frames int
 	// SignatureWords is the random-vector width in 64-bit words
-	// (default 4 = 256 vectors).
+	// (0 = DefaultSignatureWords).
 	SignatureWords int
 	// Seed drives the random simulation vectors (default 1).
 	Seed int64
@@ -342,17 +341,40 @@ type AnalysisOptions struct {
 	MaxIntervals int
 }
 
+// Default analysis sizes: n = 15 time frames, as in the paper, and 4
+// signature words (256 random vectors).
+const (
+	DefaultFrames         = 15
+	DefaultSignatureWords = 4
+)
+
 func (o AnalysisOptions) normalized() AnalysisOptions {
 	if o.Frames == 0 {
-		o.Frames = 15
+		o.Frames = DefaultFrames
 	}
 	if o.SignatureWords == 0 {
-		o.SignatureWords = 4
+		o.SignatureWords = DefaultSignatureWords
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
 	return o
+}
+
+// validate rejects a negative Frames or SignatureWords and an unknown
+// Accuracy with typed errors unwrapping to guard.ErrParse, before they
+// reach the simulator; op names the entry point for the error text.
+func (o AnalysisOptions) validate(op string) error {
+	if o.Frames < 0 {
+		return guard.Optionf(op, "Frames", "must not be negative, got %d", o.Frames)
+	}
+	if o.SignatureWords < 0 {
+		return guard.Optionf(op, "SignatureWords", "must not be negative, got %d", o.SignatureWords)
+	}
+	if o.Accuracy > AccuracyFast {
+		return guard.Optionf(op, "Accuracy", "unknown accuracy %d", o.Accuracy)
+	}
+	return nil
 }
 
 // CanonicalKey returns a deterministic textual encoding of the analysis
@@ -416,10 +438,10 @@ type Analysis struct {
 
 // Analyze evaluates the SER of the unretimed design at clock period phi
 // (0 = the design's combinational critical path, unrelaxed). A NaN,
-// infinite or negative phi fails with an error unwrapping to
-// guard.ErrParse.
+// infinite or negative phi, or options that RetimeOptions.validate would
+// reject, fail with an error unwrapping to guard.ErrParse.
 func (d *Design) Analyze(phi float64, opt AnalysisOptions) (*Analysis, error) {
-	if err := checkPhi("serretime.Analyze", phi); err != nil {
+	if err := checkAnalysis("serretime.Analyze", phi, opt); err != nil {
 		return nil, err
 	}
 	return guard.Do(context.Background(), "serretime.Analyze", func(ctx context.Context) (*Analysis, error) {
@@ -430,14 +452,15 @@ func (d *Design) Analyze(phi float64, opt AnalysisOptions) (*Analysis, error) {
 	})
 }
 
-// checkPhi rejects a clock period that is NaN, infinite or negative, as
-// RetimeOptions.validate rejects such timing options; op names the entry
-// point for the error text.
-func checkPhi(op string, phi float64) error {
+// checkAnalysis rejects a clock period that is NaN, infinite or
+// negative, as RetimeOptions.validate rejects such timing options, and
+// the analysis options it would reject; op names the entry point for the
+// error text.
+func checkAnalysis(op string, phi float64, opt AnalysisOptions) error {
 	if math.IsNaN(phi) || math.IsInf(phi, 0) || phi < 0 {
 		return guard.Optionf(op, "phi", "must be finite and not negative, got %v", phi)
 	}
-	return nil
+	return opt.validate(op)
 }
 
 // analyzeAt evaluates eq. (4) for g under r with the ELW timing p.
