@@ -15,7 +15,9 @@ package serretime
 //   - BenchmarkFigure3_BreakTree: the weighted-regular-forest BreakTree /
 //     re-link sequence.
 //   - BenchmarkAblation_*: design-choice ablations called out in DESIGN.md
-//     (check order, engine, batching, literal gains, signature width).
+//     (check order, batching, literal gains, signature width). The engine
+//     ablation, closure against forest, is internal/core's
+//     BenchmarkAblation_Engine.
 
 import (
 	"context"
@@ -45,8 +47,7 @@ var benchCircuits = []struct {
 	{"b17_opt", 8},
 }
 
-// prepared caches the expensive per-circuit setup shared by benchmarks
-// and TestEnginesAgainstExactTableI.
+// prepared caches the expensive per-circuit setup shared by benchmarks.
 type preparedProblem struct {
 	d     *Design
 	base  *graph.Graph
@@ -272,27 +273,6 @@ func BenchmarkAblation_CheckOrder(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			opt := coreOpts(p, true)
 			opt.CheckOrder = order
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Minimize(context.Background(), p.base, p.gains, p.obsI, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_Engine compares the exact closure engine against the
-// paper's weighted regular forest.
-func BenchmarkAblation_Engine(b *testing.B) {
-	p := prepare(b, "b14_1_opt", 4)
-	for _, eng := range []struct {
-		name string
-		e    core.Engine
-	}{{"closure", core.EngineClosure}, {"forest", core.EngineForest}} {
-		b.Run(eng.name, func(b *testing.B) {
-			opt := coreOpts(p, true)
-			opt.Engine = eng.e
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Minimize(context.Background(), p.base, p.gains, p.obsI, opt); err != nil {

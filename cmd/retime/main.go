@@ -6,8 +6,7 @@
 // Usage:
 //
 //	retime -in s27.bench -out s27_retimed.bench [-algo minobswin|minobs|minarea]
-//	       [-epsilon 0.10] [-area-weight 0] [-engine closure|forest] [-verify]
-//	       [-workers N]
+//	       [-epsilon 0.10] [-area-weight 0] [-verify] [-workers N]
 //
 // A summary of the run (clock period, Rmin, SER before/after, register
 // counts, iterations) is printed to standard output. Without -out the
@@ -43,7 +42,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		algo       = fs.String("algo", "minobswin", "objective: minobswin, minobs or minarea")
 		epsilon    = fs.Float64("epsilon", 0.10, "clock period relaxation over the minimum")
 		areaWeight = fs.Float64("area-weight", 0, "lambda for the area-weighted objective (Section VII extension)")
-		engine     = fs.String("engine", "closure", "optimizer engine: closure or forest")
 		verify     = fs.Bool("verify", false, "co-simulate the optimizer move for sequential equivalence")
 		frames     = fs.Int("frames", 15, "time-frame expansion depth")
 		words      = fs.Int("words", 4, "signature width in 64-bit words")
@@ -62,9 +60,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "retime:", err)
 		return 1
 	}
+	alg, err := serretime.ParseAlgorithm("", *algo)
+	if err != nil {
+		return fail(err)
+	}
 	format := serretime.FormatBench
 	if *out != "" {
-		var err error
 		if format, err = serretime.FormatOf(*out); err != nil {
 			return fail(err)
 		}
@@ -74,28 +75,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	opt := serretime.RetimeOptions{
+		Algorithm:  alg,
 		Epsilon:    *epsilon,
 		AreaWeight: *areaWeight,
 		Verify:     *verify,
 		Analysis:   serretime.AnalysisOptions{Frames: *frames, SignatureWords: *words, Seed: *seed},
 		Workers:    *workers,
-	}
-	switch *algo {
-	case "minobswin":
-		opt.Algorithm = serretime.MinObsWin
-	case "minobs":
-		opt.Algorithm = serretime.MinObs
-	case "minarea":
-		opt.Algorithm = serretime.MinArea
-	default:
-		return fail(fmt.Errorf("unknown -algo %q", *algo))
-	}
-	switch *engine {
-	case "closure":
-	case "forest":
-		opt.Engine = serretime.EngineForest
-	default:
-		return fail(fmt.Errorf("unknown -engine %q", *engine))
 	}
 
 	res, err := d.Retime(opt)
@@ -109,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	st := d.Stats()
 	fmt.Fprintf(report, "circuit      %s (|V|=%d |E|=%d #FF=%d depth=%d)\n",
 		d.Name(), st.Vertices, st.Edges, st.FFs, st.Depth)
-	fmt.Fprintf(report, "algorithm    %v (engine %s)\n", res.Algorithm, *engine)
+	fmt.Fprintf(report, "algorithm    %v\n", res.Algorithm)
 	fmt.Fprintf(report, "clock        phi=%.3g (min %.3g, epsilon %.0f%%), Rmin=%.3g, setup+hold init: %v\n",
 		res.Phi, res.PhiMin, *epsilon*100, res.Rmin, res.SetupHoldOK)
 	fmt.Fprintf(report, "SER          %.4e -> %.4e  (%+.2f%%)\n", res.Before.SER, res.After.SER, res.DeltaSER())

@@ -107,3 +107,18 @@ func TestOutReplacesExistingFile(t *testing.T) {
 	}
 	checkNoTemp()
 }
+
+// TestFlagErrors: an unknown -algo spelling fails before the netlist is
+// read (exit 1, naming the option), and -engine, a flag that no longer
+// exists (every solve runs the closure engine), is a usage error
+// (exit 2).
+func TestFlagErrors(t *testing.T) {
+	var out, errOut strings.Builder
+	if code := run([]string{"-in", "no/such.bench", "-algo", "quantum"}, &out, &errOut); code != 1 || !strings.Contains(errOut.String(), "algorithm") {
+		t.Errorf("bad -algo: exit %d, want 1 naming the algorithm\nstderr:\n%s", code, errOut.String())
+	}
+	errOut.Reset()
+	if code := run(append([]string{"-engine", "closure"}, quickArgs...), &out, &errOut); code != 2 {
+		t.Errorf("removed -engine flag: exit %d, want 2\nstderr:\n%s", code, errOut.String())
+	}
+}

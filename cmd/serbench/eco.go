@@ -39,12 +39,11 @@ import (
 )
 
 // ecoOptions builds the solve options both sides of the comparison use.
-func ecoOptions(cfg config, eng serretime.EngineKind) serretime.RobustOptions {
+func ecoOptions(cfg config) serretime.RobustOptions {
 	return serretime.RobustOptions{
 		RetimeOptions: serretime.RetimeOptions{
 			Algorithm: serretime.MinObsWin,
 			Analysis:  serretime.AnalysisOptions{Accuracy: cfg.acc, Frames: cfg.frames, SignatureWords: cfg.words},
-			Engine:    eng,
 			Workers:   cfg.workers,
 		},
 		Timeout: cfg.timeout,
@@ -105,9 +104,9 @@ func coldSolve(ctx context.Context, bench []byte, opt serretime.RobustOptions) (
 	return retimedECO(res)
 }
 
-func runECO(cfg config, eng serretime.EngineKind, stdout, stderr io.Writer) int {
+func runECO(cfg config, stdout, stderr io.Writer) int {
 	if cfg.serveURL != "" {
-		return runECOServe(cfg, eng, stdout, stderr)
+		return runECOServe(cfg, stdout, stderr)
 	}
 	ctx := context.Background()
 	_, d, mirror, err := loadECOBase(cfg.ecoPath)
@@ -116,7 +115,7 @@ func runECO(cfg config, eng serretime.EngineKind, stdout, stderr io.Writer) int 
 		return 1
 	}
 	name := strings.TrimSuffix(filepath.Base(cfg.ecoPath), filepath.Ext(cfg.ecoPath))
-	opt := ecoOptions(cfg, eng)
+	opt := ecoOptions(cfg)
 
 	openStart := time.Now()
 	w, err := serretime.NewWarmState(ctx, d, opt)
@@ -189,7 +188,7 @@ type ecoMsg struct {
 // runECOServe drives a running serretimed's session API with the same
 // delta stream and oracle: every delta response's netlist must be
 // byte-identical to a local cold solve of the client-side mirror.
-func runECOServe(cfg config, eng serretime.EngineKind, stdout, stderr io.Writer) int {
+func runECOServe(cfg config, stdout, stderr io.Writer) int {
 	ctx := context.Background()
 	raw, _, mirror, err := loadECOBase(cfg.ecoPath)
 	if err != nil {
@@ -197,7 +196,7 @@ func runECOServe(cfg config, eng serretime.EngineKind, stdout, stderr io.Writer)
 		return 1
 	}
 	name := strings.TrimSuffix(filepath.Base(cfg.ecoPath), filepath.Ext(cfg.ecoPath))
-	opt := ecoOptions(cfg, eng)
+	opt := ecoOptions(cfg)
 	base := strings.TrimRight(cfg.serveURL, "/")
 	client := &http.Client{Timeout: cfg.serveWait}
 	query := fmt.Sprintf("?algorithm=minobswin&frames=%d&words=%d", cfg.frames, cfg.words)

@@ -29,7 +29,7 @@
 // Usage:
 //
 //	serbench [-scale auto|N] [-circuits name,name,...] [-in files] [-parallel N]
-//	         [-workers N] [-frames N] [-words N] [-engine closure|forest] [-verify]
+//	         [-workers N] [-frames N] [-words N] [-accuracy exact|fast] [-verify]
 //	         [-timeout D] [-stallsteps N] [-faultinject names]
 //	         [-trace out.jsonl] [-metrics]
 //	         [-cpuprofile f] [-memprofile f]
@@ -116,7 +116,6 @@ type config struct {
 	workers     int
 	frames      int
 	words       int
-	engine      string
 	accuracy    string
 	acc         serretime.Accuracy
 	verify      bool
@@ -172,7 +171,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&cfg.workers, "workers", 1, "CPU workers sharding each circuit's analysis phases (0 = one per CPU, 1 = sequential); results are identical for every value")
 	fs.IntVar(&cfg.frames, "frames", 15, "time-frame expansion depth n")
 	fs.IntVar(&cfg.words, "words", 4, "signature width in 64-bit words")
-	fs.StringVar(&cfg.engine, "engine", "closure", "optimizer engine: closure or forest")
 	fs.StringVar(&cfg.accuracy, "accuracy", "exact", "observability engine: exact (signature simulation) or fast (analytical propagation probabilities); fast raises the -autocap default to 120000 unless -autocap is given")
 	fs.BoolVar(&cfg.verify, "verify", false, "co-simulate every optimizer move for sequential equivalence")
 	fs.IntVar(&cfg.autoCap, "autocap", 12000, "with -scale auto, target gate count per circuit; 12000 assumes the flat CSR engine (README \"Benchmark scaling\"), lower it on memory-constrained hosts")
@@ -216,18 +214,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			cfg.autoCap = 120000
 		}
 	}
-	eng := serretime.EngineClosure
-	if cfg.engine == "forest" {
-		eng = serretime.EngineForest
-	} else if cfg.engine != "closure" {
-		fmt.Fprintf(stderr, "serbench: unknown engine %q\n", cfg.engine)
-		return 2
-	}
 	if cfg.crashBin != "" {
 		return runCrash(cfg, stdout, stderr)
 	}
 	if cfg.ecoPath != "" {
-		return runECO(cfg, eng, stdout, stderr)
+		return runECO(cfg, stdout, stderr)
 	}
 	if cfg.serveURL != "" {
 		return runServe(cfg, stdout, stderr)
@@ -287,7 +278,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		go func(i int, j job) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			rows[i] = runOne(j, cfg, eng)
+			rows[i] = runOne(j, cfg)
 		}(i, j)
 	}
 	wg.Wait()
@@ -363,7 +354,7 @@ func writeTraceLines(w io.WriteCloser, docs [][]byte) error {
 	return err
 }
 
-func runOne(j job, cfg config, eng serretime.EngineKind) *row {
+func runOne(j job, cfg config) *row {
 	r := &row{name: j.name}
 	ctx := context.Background()
 
@@ -397,7 +388,6 @@ func runOne(j job, cfg config, eng serretime.EngineKind) *row {
 		RetimeOptions: serretime.RetimeOptions{
 			Algorithm:  serretime.MinObs,
 			Analysis:   serretime.AnalysisOptions{Accuracy: cfg.acc, Frames: cfg.frames, SignatureWords: cfg.words},
-			Engine:     eng,
 			Verify:     cfg.verify,
 			StallSteps: cfg.stallSteps,
 			Recorder:   rec,

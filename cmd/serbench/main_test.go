@@ -158,11 +158,16 @@ func TestWriteTraceLinesReportsErrors(t *testing.T) {
 	}
 }
 
-// TestBadFlags checks that configuration errors exit 2 without running.
+// TestBadFlags checks that configuration errors exit 2 without running:
+// a bad value of a flag, and -engine, a flag that no longer exists
+// (every solve runs the closure engine).
 func TestBadFlags(t *testing.T) {
 	var out, errOut strings.Builder
-	if code := run([]string{"-engine", "quantum"}, &out, &errOut); code != 2 {
-		t.Fatalf("bad engine: exit %d, want 2", code)
+	if code := run([]string{"-accuracy", "quantum"}, &out, &errOut); code != 2 {
+		t.Fatalf("bad accuracy: exit %d, want 2", code)
+	}
+	if code := run([]string{"-engine", "closure"}, &out, &errOut); code != 2 {
+		t.Fatalf("removed -engine flag: exit %d, want 2", code)
 	}
 	if code := run([]string{"-scale", "zero", "-circuits", "s27", "-frames", "2", "-words", "1"}, &out, &errOut); code != 1 {
 		t.Fatalf("bad scale: exit %d, want 1 (failed row)", code)

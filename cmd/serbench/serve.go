@@ -151,9 +151,6 @@ func submitURL(cfg config, name string) string {
 	}
 	q.Set("frames", strconv.Itoa(cfg.frames))
 	q.Set("words", strconv.Itoa(cfg.words))
-	if cfg.engine == "forest" {
-		q.Set("engine", "forest")
-	}
 	if cfg.timeout > 0 {
 		q.Set("timeout", cfg.timeout.String())
 	}

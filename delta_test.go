@@ -268,6 +268,8 @@ func TestApplyDeltaOpsRejections(t *testing.T) {
 			{Op: "add_dff", Name: "x", Fanin: []string{"b"}},
 		}, "delta op 1"},
 		{"empty-name", []op{{Op: "add_dff", Name: "", Fanin: []string{"a"}}}, "empty net name"},
+		// A newline in a name would add INPUT(evil) to the written netlist.
+		{"control-character-name", []op{{Op: "add_gate", Name: "n1\nINPUT(evil)", Fn: "AND", Fanin: []string{"a", "b"}}}, "control character"},
 		{"rm-read", []op{{Op: "rm_node", Name: "g1"}}, `still read by "g2"`},
 		{"rm-po", []op{{Op: "rm_node", Name: "d"}, {Op: "rm_node", Name: "g2"}}, "primary output"},
 		{"rm-unread-po", []op{
@@ -331,7 +333,8 @@ var opNames = []string{"add_gate", "add_dff", "rm_node", "rewire", "mark_po", "u
 
 const (
 	opEnd       = 7
-	netFresh    = 250 // 250-253: the delta's fresh names 0-3
+	netFresh    = 249 // 249-252: the delta's fresh names 0-3
+	netControl  = 253
 	netNoSuch   = 254
 	netEmpty    = 255
 	maxFuzzOps  = 64
@@ -347,10 +350,11 @@ const (
 //	fn byte      add_gate only: circuit.Func(b%11), 10 an unknown name
 //	count byte   b%4 fanin nets, one net byte each
 //
-// A net byte below 250 names node b%n of c (ops still resolve against
-// the circuit as it stands when they run), 250-253 the delta's fresh
-// names "x<delta>_0" to "x<delta>_3", 254 a net that never exists and
-// 255 the empty name.
+// A net byte below 249 names node b%n of c (ops still resolve against
+// the circuit as it stands when they run), 249-252 the delta's fresh
+// names "x<delta>_0" to "x<delta>_3", 253 a name with a newline (which
+// circuit validation rejects), 254 a net that never exists and 255 the
+// empty name.
 func decodeDelta(c *circuit.Circuit, data []byte, delta int) ([]serretime.DeltaOp, []byte) {
 	next := func() byte {
 		if len(data) == 0 {
@@ -367,6 +371,8 @@ func decodeDelta(c *circuit.Circuit, data []byte, delta int) ([]serretime.DeltaO
 			return ""
 		case b == netNoSuch:
 			return "no_such_net"
+		case b == netControl:
+			return "n1\nINPUT(evil)"
 		case b >= netFresh || c.NumNodes() == 0:
 			return fmt.Sprintf("x%d_%d", delta, b%4)
 		}
@@ -395,8 +401,8 @@ func decodeDelta(c *circuit.Circuit, data []byte, delta int) ([]serretime.DeltaO
 }
 
 // encodeDelta is decodeDelta's inverse for ops on c whose names are nets
-// of c or new ones (each new name becomes fresh name 0; a seed delta
-// declares at most one).
+// of c or new ones (every new name becomes the same fresh name; a seed
+// delta declares at most one).
 func encodeDelta(t testing.TB, c *circuit.Circuit, ops []serretime.DeltaOp) []byte {
 	t.Helper()
 	net := func(name string) byte {
@@ -482,6 +488,8 @@ func FuzzApplyDeltaOps(f *testing.F) {
 	} {
 		f.Add(append([]byte{0}, encodeDelta(f, s27, ops)...))
 	}
+	// add_gate "n1\nINPUT(evil)" = AND(G0, G1) on s27: a control character.
+	f.Add([]byte{0, 0, netControl, byte(circuit.FnAnd), 2, 0, 1, opEnd})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

@@ -116,8 +116,8 @@ func TestRetimeDeltaMatchesCold(t *testing.T) {
 }
 
 // TestRetimeDeltaOptionChanges: a delta without ops re-solves the held
-// netlist under new options, including a changed analysis and the
-// forest engine, and answers exactly what a session opened on the same
+// netlist under new options, a changed analysis and then the original
+// options again, and answers exactly what a session opened on the same
 // netlist under those options answers. A failed delta does not advance
 // the state.
 func TestRetimeDeltaOptionChanges(t *testing.T) {
@@ -138,12 +138,10 @@ func TestRetimeDeltaOptionChanges(t *testing.T) {
 
 	aopt := opt
 	aopt.Analysis.Frames = 4
-	eopt := aopt
-	eopt.Engine = serretime.EngineForest
 	for _, tc := range []struct {
 		name string
 		opt  serretime.RobustOptions
-	}{{"analysis-change", aopt}, {"forest-engine", eopt}, {"back-to-closure", aopt}} {
+	}{{"analysis-change", aopt}, {"back-to-original", opt}} {
 		res, err := w.RetimeDelta(ctx, nil, tc.opt)
 		if err != nil {
 			t.Fatalf("%s delta: %v", tc.name, err)

@@ -1,6 +1,9 @@
 package circuit
 
-import "fmt"
+import (
+	"fmt"
+	"unicode"
+)
 
 // Builder assembles a Circuit from name-based declarations that may contain
 // forward references (a gate may read a net declared later, as is normal in
@@ -98,8 +101,9 @@ func (b *Builder) Build() (*Circuit, error) {
 
 // FromNodes builds a circuit from complete nodes: node i gets ID i, and
 // each Fanin lists node IDs in pin order, forward references allowed (a
-// flip-flop may read a gate that comes after it). It rejects a node with
-// the wrong number of fanins, a combinational cycle, a loop of
+// flip-flop may read a gate that comes after it). It rejects a design or
+// net name with a control character, a node with the wrong number of
+// fanins, a combinational cycle, a loop of
 // flip-flops with no gate and a circuit with no gate other than
 // CONST0/CONST1, and keeps the topological order. Fanout is
 // derived, deduplicated and in ascending ID order, replacing whatever the
@@ -127,6 +131,9 @@ func FromNodes(name string, nodes []Node, pos []NodeID) (*Circuit, error) {
 // one shared array in ascending reader order, each node's list capped at
 // its own length.
 func assemble(name string, nodes []Node, byName map[string]NodeID, pos []NodeID) (*Circuit, error) {
+	if hasControl(name) {
+		return nil, fmt.Errorf("circuit %q: the design name contains a control character", name)
+	}
 	c := &Circuit{Name: name, nodes: nodes, byName: byName}
 	n := len(nodes)
 	// mark dedups a reader's repeated pins, and repeated POs, with an
@@ -138,6 +145,9 @@ func assemble(name string, nodes []Node, byName map[string]NodeID, pos []NodeID)
 	// advances it to the slot after f's last reader.
 	end := make([]int32, n+1)
 	for i := range nodes {
+		if hasControl(nodes[i].Name) {
+			return nil, fmt.Errorf("circuit %q: net %q contains a control character", name, nodes[i].Name)
+		}
 		epoch++
 		for _, f := range nodes[i].Fanin {
 			if int(f) < 0 || int(f) >= n {
@@ -195,4 +205,17 @@ func assemble(name string, nodes []Node, byName map[string]NodeID, pos []NodeID)
 		return nil, err
 	}
 	return c, nil
+}
+
+// hasControl reports whether s contains a control character. The
+// netlist writers print names verbatim, one statement per line, so a
+// newline in a name would add statements to every netlist written from
+// the circuit.
+func hasControl(s string) bool {
+	for _, r := range s {
+		if unicode.IsControl(r) {
+			return true
+		}
+	}
+	return false
 }

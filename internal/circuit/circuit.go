@@ -10,11 +10,13 @@
 // (Builder.Build resolves names and calls it); an edit, such as an ECO
 // delta, builds a new circuit from a copy of the old one's nodes.
 //
-// FromNodes is also where a netlist is checked, once: fanin arities, no
-// combinational cycle, no loop of flip-flops without a gate, and at least
-// one gate other than a constant, so every circuit has a retiming graph
-// (package graph) with a positive critical path. It keeps the topological
-// order that proves acyclicity, so TopoOrder, CSR and Stats cannot fail.
+// FromNodes is also where a netlist is checked, once: no control
+// character in the design or a net name, fanin arities, no combinational
+// cycle, no loop of flip-flops without a gate, and at least one gate
+// other than a constant, so every circuit has a retiming graph (package
+// graph) with a positive critical path, and every netlist written from
+// it parses back to it. It keeps the topological order that proves
+// acyclicity, so TopoOrder, CSR and Stats cannot fail.
 package circuit
 
 import (

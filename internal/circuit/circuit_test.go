@@ -113,6 +113,25 @@ func TestBadFanin(t *testing.T) {
 	}
 }
 
+// TestControlCharacterNamesRejected: the writers print names verbatim,
+// one statement per line, so a control character in the design name or
+// a net name is refused on both construction paths.
+func TestControlCharacterNamesRejected(t *testing.T) {
+	if _, err := NewBuilder("x\nINPUT(evil)").PI("a").Gate("g", FnNot, "a").Build(); err == nil {
+		t.Error("design name with a newline accepted")
+	}
+	if _, err := NewBuilder("ok").PI("a\r").Gate("g", FnNot, "a\r").Build(); err == nil {
+		t.Error("net name with a carriage return accepted")
+	}
+	nodes := []Node{{Name: "a", Kind: KindPI}, {Name: "g\u0085", Kind: KindGate, Fn: FnNot, Fanin: []NodeID{0}}}
+	if _, err := FromNodes("ok", nodes, nil); err == nil {
+		t.Error("net name with a C1 control character accepted")
+	}
+	if _, err := NewBuilder("nbsp\u00a0ok").PI("a").Gate("g", FnNot, "a").Build(); err != nil {
+		t.Errorf("a non-control space was refused: %v", err)
+	}
+}
+
 func TestCounts(t *testing.T) {
 	c := buildS27ish(t)
 	pis, pos, gates, dffs := c.Counts()

@@ -6,13 +6,16 @@
 //
 // The algorithm starts from a feasible retiming (Section V initialization,
 // applied by rebasing the graph) and iteratively improves the register
-// observability objective: the weighted regular forest proposes the
+// observability objective: the closed-set engine proposes the
 // maximum-gain closed set I = V_P(F); the tentative move (decrease every
 // v ∈ I by its weight w(v)) is checked against P0 (register counts), P1'
 // (setup / clock period via the L labels) and P2' (shortest-path / ELW via
-// the R labels); each violation adds an active constraint to the forest
-// (possibly updating a vertex weight through BreakTree); a clean check
-// commits the move. The algorithm terminates when V_P(F) is empty.
+// the R labels); each violation adds an active constraint to the engine
+// (possibly updating a vertex weight); a clean check commits the move. The
+// algorithm terminates when V_P(F) is empty. Minimize runs the exact
+// max-gain-closure engine (engines.go). The paper's weighted regular
+// forest (internal/forest, with BreakTree) runs the same loop only in this
+// package's tests, as a reference.
 package core
 
 import (
@@ -55,25 +58,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Engine selects the data structure maintaining the active constraints
-// and proposing the candidate move set I.
-type Engine uint8
-
-const (
-	// EngineClosure (default) keeps the maximum-gain closed set of the
-	// active-constraint digraph incrementally and recomputes it exactly,
-	// via the max-weight-closure min-cut reduction, whenever the cached
-	// set is invalid or not yet proven maximal (every commit and every
-	// termination rests on an exact cut). It matches the exact LP optimum
-	// on the forward-restricted problem.
-	EngineClosure Engine = iota
-	// EngineForest uses the paper's weighted regular forest (Section IV).
-	// Our reconstruction of the forest restructuring rules from the
-	// paper's sketch can over-couple trees and terminate early on rare
-	// structures, so it is kept for fidelity and ablation.
-	EngineForest
-)
-
 // Options configures Minimize.
 type Options struct {
 	// Phi, Ts, Th are the timing parameters of P1'/P2'.
@@ -89,8 +73,6 @@ type Options struct {
 	// order (P2', P0, P1') reaches the same fixpoint and is benchmarked
 	// as an ablation.
 	CheckOrder []Kind
-	// Engine selects the closed-set machinery.
-	Engine Engine
 	// SingleViolation repairs one violation per iteration, exactly as
 	// Algorithm 1 is written. By default all violations of one tentative
 	// move are batched per iteration (at most one repair per target
@@ -117,9 +99,14 @@ type Options struct {
 	// cascade's: the order in which constraints reach the engine can
 	// steer MinObsWin to a different fixpoint (s15850.1 at the serve
 	// scale; TestSeededVsLazyTableI pins the census, in which every
-	// MinObs solve matched). Ignored by EngineForest. Used by the
-	// ECO/session path (DESIGN.md §17).
+	// MinObs solve matched). Used by the ECO/session path (DESIGN.md
+	// §17).
 	WarmStart bool
+	// newEngine, when set, builds each round's closed-set machinery in
+	// place of the closure engine, and WarmStart then seeds nothing.
+	// Only package core's tests set it, to run Algorithm 1 on the
+	// paper's weighted regular forest as a reference (forestEngine).
+	newEngine func(n int, gains []int64) (engine, error)
 }
 
 // engine abstracts the closed-set machinery shared by Minimize.
@@ -297,14 +284,12 @@ func Minimize(ctx context.Context, g *graph.Graph, gains []int64, obsInt []int64
 
 	newEngine := func() (engine, error) {
 		var e engine
-		switch opt.Engine {
-		case EngineForest:
-			fe, err := newForestEngine(g.NumVertices(), gains, rec)
-			if err != nil {
+		if opt.newEngine != nil {
+			var err error
+			if e, err = opt.newEngine(g.NumVertices(), gains); err != nil {
 				return nil, err
 			}
-			e = fe
-		default:
+		} else {
 			e = newClosureEngine(g.NumVertices(), gains)
 		}
 		e.Freeze(int32(graph.Host))
@@ -438,8 +423,9 @@ func Minimize(ctx context.Context, g *graph.Graph, gains []int64, obsInt []int64
 }
 
 // repair integrates one violation into the engine: update q's required
-// total movement if it changed (the forest engine runs BreakTree first,
-// per Figure 3), then record the constraint (p, q) when p is moving.
+// total movement if it changed (the tests' forest engine runs BreakTree
+// first, per Figure 3), then record the constraint (p, q) when p is
+// moving.
 func repair(eng engine, v *violation, inI []bool) error {
 	q := int32(v.q)
 	if eng.Frozen(q) {

@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 
-	"serretime/internal/forest"
 	"serretime/internal/maxflow"
-	"serretime/internal/telemetry"
 )
 
 // closureEngine keeps the active constraints as an explicit digraph and
@@ -255,42 +253,3 @@ func (e *closureEngine) Freeze(v int32) {
 }
 
 func (e *closureEngine) Frozen(v int32) bool { return e.frozen[v] }
-
-// forestEngine adapts the weighted regular forest to the engine interface.
-type forestEngine struct {
-	f *forest.Forest
-}
-
-func newForestEngine(n int, gains []int64, rec telemetry.Recorder) (*forestEngine, error) {
-	f, err := forest.New(n, gains)
-	if err != nil {
-		return nil, err
-	}
-	f.Instrument(rec)
-	return &forestEngine{f: f}, nil
-}
-
-func (e *forestEngine) PositiveSet() ([]int32, []bool) { return e.f.PositiveSet() }
-
-// PositiveSetFast: the forest maintains its trees incrementally and its
-// set is always authoritative.
-func (e *forestEngine) PositiveSetFast() ([]int32, []bool, bool) {
-	m, mask := e.f.PositiveSet()
-	return m, mask, true
-}
-
-func (e *forestEngine) Weight(v int32) int32 { return e.f.Weight(v) }
-
-func (e *forestEngine) SetWeight(q int32, w int32) error {
-	if e.f.Weight(q) == w {
-		return nil
-	}
-	if !e.f.IsSingleton(q) {
-		e.f.Break(q) // Figure 3: BreakTree before the weight update
-	}
-	return e.f.SetWeight(q, w)
-}
-
-func (e *forestEngine) AddConstraint(p, q int32) error { return e.f.Link(p, q) }
-func (e *forestEngine) Freeze(v int32)                 { e.f.Freeze(v) }
-func (e *forestEngine) Frozen(v int32) bool            { return e.f.Frozen(v) }

@@ -4,7 +4,50 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+
+	"serretime/internal/forest"
 )
+
+// forestEngine adapts the paper's weighted regular forest (Section IV) to
+// the engine interface. Minimize never builds it: tests set
+// Options.newEngine to newForestEngine to run Algorithm 1 on the forest
+// as a reference for the closure engine.
+type forestEngine struct {
+	f *forest.Forest
+}
+
+func newForestEngine(n int, gains []int64) (engine, error) {
+	f, err := forest.New(n, gains)
+	if err != nil {
+		return nil, err
+	}
+	return &forestEngine{f: f}, nil
+}
+
+func (e *forestEngine) PositiveSet() ([]int32, []bool) { return e.f.PositiveSet() }
+
+// PositiveSetFast: the forest maintains its trees incrementally and its
+// set is always authoritative.
+func (e *forestEngine) PositiveSetFast() ([]int32, []bool, bool) {
+	m, mask := e.f.PositiveSet()
+	return m, mask, true
+}
+
+func (e *forestEngine) Weight(v int32) int32 { return e.f.Weight(v) }
+
+func (e *forestEngine) SetWeight(q int32, w int32) error {
+	if e.f.Weight(q) == w {
+		return nil
+	}
+	if !e.f.IsSingleton(q) {
+		e.f.Break(q) // Figure 3: BreakTree before the weight update
+	}
+	return e.f.SetWeight(q, w)
+}
+
+func (e *forestEngine) AddConstraint(p, q int32) error { return e.f.Link(p, q) }
+func (e *forestEngine) Freeze(v int32)                 { e.f.Freeze(v) }
+func (e *forestEngine) Frozen(v int32) bool            { return e.f.Frozen(v) }
 
 // TestForestEngineNearExact quantifies the paper's weighted-regular-forest
 // engine against the exact LP optimum: the regularity rules reconstructed
@@ -19,7 +62,7 @@ func TestForestEngineNearExact(t *testing.T) {
 		if g.Check() != nil {
 			continue
 		}
-		fe, err := Minimize(context.Background(), g, gains, obsInt, Options{Phi: phi, Ts: 0, Th: 2, Engine: EngineForest})
+		fe, err := Minimize(context.Background(), g, gains, obsInt, Options{Phi: phi, Ts: 0, Th: 2, newEngine: newForestEngine})
 		if err != nil {
 			t.Fatalf("seed %d: forest engine error: %v", seed, err)
 		}
@@ -57,7 +100,7 @@ func TestEnginesAgreeOnMinObsWin(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: closure: %v", seed, err)
 		}
-		opt.Engine = EngineForest
+		opt.newEngine = newForestEngine
 		fo, err := Minimize(context.Background(), g, gains, obsInt, opt)
 		if err != nil {
 			t.Fatalf("seed %d: forest: %v", seed, err)

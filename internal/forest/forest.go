@@ -19,11 +19,7 @@
 // next tentative move's violations.
 package forest
 
-import (
-	"fmt"
-
-	"serretime/internal/telemetry"
-)
+import "fmt"
 
 // None marks the absence of a parent.
 const None int32 = -1
@@ -40,8 +36,6 @@ type Forest struct {
 	// Aggregates maintained incrementally per subtree.
 	sumBW     []int64 // B(v): Σ b·w over the subtree rooted at v
 	numFrozen []int32 // frozen vertices in the subtree
-
-	rec telemetry.Recorder // restructuring counters; never nil
 }
 
 // New creates a forest of n singleton trees with unit weights.
@@ -50,7 +44,6 @@ func New(n int, gains []int64) (*Forest, error) {
 		return nil, fmt.Errorf("forest: %d gains for %d vertices", len(gains), n)
 	}
 	f := &Forest{
-		rec:       telemetry.Nop,
 		b:         append([]int64(nil), gains...),
 		w:         make([]int32, n),
 		parent:    make([]int32, n),
@@ -67,10 +60,6 @@ func New(n int, gains []int64) (*Forest, error) {
 	}
 	return f, nil
 }
-
-// Instrument routes the forest's restructuring counters (forest-links,
-// forest-breaks) to rec; nil restores the no-op recorder.
-func (f *Forest) Instrument(rec telemetry.Recorder) { f.rec = telemetry.OrNop(rec) }
 
 // Len returns the number of vertices.
 func (f *Forest) Len() int { return len(f.b) }
@@ -159,7 +148,6 @@ func (f *Forest) SetWeight(q int32, w int32) error {
 // deletes the edges from q to its children, leaving q a singleton and each
 // former neighbor's component its own tree.
 func (f *Forest) Break(q int32) {
-	f.rec.Count(telemetry.CounterForestBreaks, 1)
 	f.reroot(q)
 	for _, c := range f.kids[q] {
 		f.parent[c] = None
@@ -241,7 +229,6 @@ func (f *Forest) Link(p, q int32) error {
 	if f.SameTree(p, q) {
 		return nil
 	}
-	f.rec.Count(telemetry.CounterForestLinks, 1)
 	f.reroot(q)
 	f.parent[q] = p
 	f.up[q] = false

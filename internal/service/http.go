@@ -238,7 +238,6 @@ func (s *Server) readNetlist(r *http.Request) (io.ReadCloser, string, error) {
 // optionsFromQuery builds the solve options from query parameters:
 //
 //	algorithm    minobswin (default) | minobs | minarea
-//	engine       closure (default) | forest
 //	epsilon      clock-period relaxation ε (float in [0, MaxEpsilon])
 //	frames       time-frame expansion depth n
 //	words        signature width in 64-bit words (frames × words ×
@@ -264,7 +263,7 @@ func optionsFromQuery(r *http.Request) (serretime.RobustOptions, error) {
 	var unknown []string
 	for k := range q {
 		switch k {
-		case "algorithm", "engine", "epsilon", "frames", "words", "seed",
+		case "algorithm", "epsilon", "frames", "words", "seed",
 			"maxintervals", "stallsteps", "timeout", "verify", "accuracy",
 			"name":
 		default:
@@ -274,30 +273,15 @@ func optionsFromQuery(r *http.Request) (serretime.RobustOptions, error) {
 	if len(unknown) > 0 {
 		sort.Strings(unknown)
 		return opt, guard.Optionf("service.submit", unknown[0],
-			"unknown query parameter %q (known: accuracy, algorithm, engine, epsilon, frames, maxintervals, name, seed, stallsteps, timeout, verify, words)", unknown[0])
+			"unknown query parameter %q (known: accuracy, algorithm, epsilon, frames, maxintervals, name, seed, stallsteps, timeout, verify, words)", unknown[0])
 	}
 	acc, err := serretime.ParseAccuracy("service.submit", q.Get("accuracy"))
 	if err != nil {
 		return opt, err
 	}
 	opt.Analysis.Accuracy = acc
-	switch alg := q.Get("algorithm"); alg {
-	case "", "minobswin":
-		opt.Algorithm = serretime.MinObsWin
-	case "minobs":
-		opt.Algorithm = serretime.MinObs
-	case "minarea":
-		opt.Algorithm = serretime.MinArea
-	default:
-		return opt, guard.Optionf("service.submit", "algorithm", "unknown algorithm %q", alg)
-	}
-	switch eng := q.Get("engine"); eng {
-	case "", "closure":
-		opt.Engine = serretime.EngineClosure
-	case "forest":
-		opt.Engine = serretime.EngineForest
-	default:
-		return opt, guard.Optionf("service.submit", "engine", "unknown engine %q", eng)
+	if opt.Algorithm, err = serretime.ParseAlgorithm("service.submit", q.Get("algorithm")); err != nil {
+		return opt, err
 	}
 	if v := q.Get("epsilon"); v != "" {
 		x, err := strconv.ParseFloat(v, 64)

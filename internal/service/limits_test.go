@@ -87,21 +87,51 @@ func TestSubmitLimits(t *testing.T) {
 	}
 }
 
+// TestControlCharacterNameRejected: a name with a newline would add
+// statements to every netlist the daemon writes for the job (the result
+// of s27 submitted as "x\nINPUT(evil).bench" re-parsed with five primary
+// inputs), so submit and session open answer 400 of class parse.
+func TestControlCharacterNameRejected(t *testing.T) {
+	svc, ts := newDiskServer(t)
+	body := s27(t)
+	for _, path := range []string{"/v1/retime", "/v1/sessions"} {
+		var e errorResponse
+		if code := post(t, ts.URL+path+"?frames=2&words=1&name=x%0AINPUT(evil).bench", "text/plain", body, &e); code != http.StatusBadRequest || e.Class != "parse" {
+			t.Errorf("%s: HTTP %d class %q (%s), want 400 parse", path, code, e.Class, e.Error)
+		}
+	}
+	svc.mu.Lock()
+	accepted := svc.accepted
+	svc.mu.Unlock()
+	if accepted != 0 {
+		t.Errorf("%d jobs accepted, want none", accepted)
+	}
+}
+
 // FuzzSubmitOptions posts s27 under a fuzzed query string to a server
 // with a disk store and holds the submit contract through the solve:
 // every rejection is a 400 of class parse, every accepted job reaches
 // done or failed, its status body decodes as JSON, a done job's result
-// parses, and the store stays on disk. Inputs whose frames × words
+// parses with s27's primary input and output counts and writes back to
+// the same bytes, and the store stays on disk. The engine=forest seed
+// names an option that no longer exists (400), and the two name seeds
+// would add lines to the result netlist (400). Inputs whose frames × words
 // exceed 64 (the default 15 × 4 is 60) are skipped, so no exec
 // allocates much.
 func FuzzSubmitOptions(f *testing.F) {
 	for _, q := range []string{
 		"", "epsilon=1e308", "frames=-1", "accuracy=fast", "algorithm=minarea",
 		"engine=forest", "verify=true", "timeout=1ms", "colour=blue",
+		"name=x%0AINPUT(evil).bench", "name=x%0AINPUT(evil)%0A.bench",
 	} {
 		f.Add(q)
 	}
 	body := s27(f)
+	in, err := serretime.Parse(bytes.NewReader(body), "s27.bench")
+	if err != nil {
+		f.Fatal(err)
+	}
+	want := in.Stats()
 	svc, ts := newDiskServer(f)
 	f.Fuzz(func(t *testing.T, query string) {
 		q, err := url.ParseQuery(query)
@@ -150,8 +180,16 @@ func FuzzSubmitOptions(f *testing.F) {
 		switch v.Status {
 		case StateDone.String():
 			res, _ := fetchBody(t, ts.URL+"/v1/jobs/"+msg.ID+"/result")
-			if _, err := serretime.Parse(bytes.NewReader(res), "result.bench"); err != nil {
+			d, err := serretime.Parse(bytes.NewReader(res), "result.bench")
+			if err != nil {
 				t.Fatalf("%q: result does not parse: %v", query, err)
+			}
+			if got := d.Stats(); got.PIs != want.PIs || got.POs != want.POs {
+				t.Fatalf("%q: result has %d PIs and %d POs, the upload %d and %d", query, got.PIs, got.POs, want.PIs, want.POs)
+			}
+			var back bytes.Buffer
+			if err := d.WriteBench(&back); err != nil || !bytes.Equal(back.Bytes(), res) {
+				t.Fatalf("%q: result does not write back to its own bytes (%v)", query, err)
 			}
 		case StateFailed.String():
 		default:

@@ -325,11 +325,11 @@ func TestStoreFailureDegradesToMemoryOnly(t *testing.T) {
 // submitted with. Every kept field is set to a non-default value, so a
 // decoder that drops any one of them fails. A blob in the format older
 // versions journaled, which still carries removed options at their
-// defaults, must re-derive that version's key and job ID.
+// defaults ("eng":0 is the closure engine), must re-derive that
+// version's key and job ID.
 func TestOptionsBlobRoundTrip(t *testing.T) {
 	opt := fastOpts()
 	opt.Algorithm = serretime.MinArea
-	opt.Engine = serretime.EngineForest
 	opt.Epsilon = 0.25
 	opt.Ts = 0.5
 	opt.Th = 4
@@ -355,11 +355,11 @@ func TestOptionsBlobRoundTrip(t *testing.T) {
 		t.Fatalf("bad blob: %v", err)
 	}
 
-	old, err := decodeOptions([]byte(`{"alg":1,"eng":1,"eps":0.2,"ts":0.5,"th":4,"area":0.5,"kunits":128,"verify":true,"stall":7,"frames":3,"words":2,"maxiv":8,"seed":42,"acc":1,"timeout":60000000000,"relax":2}`))
+	old, err := decodeOptions([]byte(`{"alg":1,"eng":0,"eps":0.2,"ts":0.5,"th":4,"area":0.5,"kunits":128,"verify":true,"stall":7,"frames":3,"words":2,"maxiv":8,"seed":42,"acc":1,"timeout":60000000000,"relax":2}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const oldKey = "alg=MinObs engine=forest eps=0.2 ts=0.5 th=4 area=0.5 rmin=0 kunits=128 single=false literal=false stall=7 acc=fast frames=3 words=2 seed=42 maxint=8 timeout=1m0s retries=0 relax=2"
+	const oldKey = "alg=MinObs engine=closure eps=0.2 ts=0.5 th=4 area=0.5 rmin=0 kunits=128 single=false literal=false stall=7 acc=fast frames=3 words=2 seed=42 maxint=8 timeout=1m0s retries=0 relax=2"
 	if got := old.CanonicalKey(); got != oldKey {
 		t.Errorf("older blob re-derives another key:\n got %s\nwant %s", got, oldKey)
 	}
@@ -367,8 +367,78 @@ func TestOptionsBlobRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const oldID = "0053dff9a6e5c53c1ebb9581f14114d0cb49d410ee5833ad7ba8cd6c1575648d"
+	const oldID = "8ead4a3be710d9493cc395dd877f88b75a2842c9380f117c81e29b8363237032"
 	if id, _, err := jobKey(d, old); err != nil || id != oldID {
 		t.Errorf("older blob re-derives job ID %s (%v), want %s", id, err, oldID)
+	}
+}
+
+// TestRecoveryForestEngineJournal restores a journal written by a version
+// that offered the forest engine: a pending job whose options blob
+// carries "eng":1 next to a finished forest job. The IDs, blobs and keys
+// are that version's. encoding/json skips "eng", so the pending job
+// re-derives an engine=closure key that is not its journaled ID, and
+// Restore drops it rather than solve it under another engine; the
+// finished job is still served under its ID. The closure twin of the
+// dropped job keeps the ID that version gave it.
+func TestRecoveryForestEngineJournal(t *testing.T) {
+	const (
+		pendingID   = "93cf57d27bca5384e71b37b95574a4c396bd695e00b40d2c2053f1295feba507"
+		pendingBlob = `{"alg":0,"eng":1,"frames":2,"words":1,"timeout":60000000000}`
+		pendingKey  = "alg=MinObsWin engine=forest eps=0.1 ts=0 th=2 area=0 rmin=0 kunits=64 single=false literal=false stall=0 acc=exact frames=2 words=1 seed=1 maxint=0 timeout=1m0s retries=0 relax=2"
+		doneID      = "93142397eb1a87c0ca6cd7a2b3745ab735ce53a1f99c80e64978b6db348ac472"
+		doneBlob    = `{"alg":1,"eng":1,"frames":2,"words":1,"timeout":60000000000}`
+		doneKey     = "alg=MinObs engine=forest eps=0.1 ts=0 th=2 area=0 rmin=0 kunits=64 single=false literal=false stall=0 acc=exact frames=2 words=1 seed=1 maxint=0 timeout=1m0s retries=0 relax=2"
+		closureTwin = "fd900e103cd646cfcac58a970986e80477c250ab33ec7fe2bd4f2b7de59a16b1"
+	)
+	d, err := serretime.ParseBench(strings.NewReader("INPUT(a)\nOUTPUT(y)\nf = DFF(a)\ny = NOT(f)\n"), "tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	netlist := benchBytes(t, d)
+	result := []byte("# forest engine result\n")
+
+	dir := t.TempDir()
+	diskA, _, _ := openStore(t, dir)
+	for _, step := range []func() error{
+		func() error {
+			return diskA.JournalSubmitted(pendingID, d.Name(), netlist, []byte(pendingBlob), pendingKey)
+		},
+		func() error { return diskA.JournalRunning(pendingID) },
+		func() error { return diskA.JournalSubmitted(doneID, d.Name(), netlist, []byte(doneBlob), doneKey) },
+		func() error { return diskA.JournalRunning(doneID) },
+		func() error { return diskA.JournalDone(doneID, store.ResultMeta{DeltaSER: -1.5}, result, nil) },
+		diskA.Close,
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	diskB, jobs, st := openStore(t, dir)
+	s := New(context.Background(), Config{Workers: 1, Timeout: time.Minute, Store: diskB})
+	defer func() {
+		dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = s.Drain(dctx)
+	}()
+	sum := s.Restore(jobs, st)
+	if sum.Finished != 1 || sum.Dropped != 1 || sum.Requeued != 0 {
+		t.Fatalf("restore summary: %+v; want the finished job kept and the pending one dropped", sum)
+	}
+	if _, ok := s.Job(pendingID); ok {
+		t.Fatal("pending forest job registered")
+	}
+	j, ok := s.Job(doneID)
+	if !ok {
+		t.Fatal("finished forest job not registered under its ID")
+	}
+	if got, err := s.Result(j); err != nil || !bytes.Equal(got, result) {
+		t.Fatalf("finished forest job serves %q (%v), want %q", got, err, result)
+	}
+	opt := fastOpts()
+	opt.Timeout = time.Minute
+	if id, _, err := jobKey(d, opt); err != nil || id != closureTwin {
+		t.Errorf("closure twin re-derives job ID %s (%v), want %s", id, err, closureTwin)
 	}
 }

@@ -501,6 +501,10 @@ func TestOptionsFromQueryRejectsGarbage(t *testing.T) {
 		"acuracy=fast",
 		"retries=1",
 		"retries=-2",
+		// engine is no longer an option: every solve runs the closure
+		// engine, so no spelling of it is accepted.
+		"engine=closure",
+		"engine=forest",
 		"frames=3&wrods=2",
 		"zzz=1&aaa=2",
 	}

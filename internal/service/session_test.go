@@ -364,6 +364,8 @@ search:
 		{"duplicate-name", []op{{Op: "add_gate", Name: reader.Name, Fn: "AND", Fanin: []string{pi, pi}}}},
 		{"cycle", []op{{Op: "rewire", Name: gate.Name, Fanin: cyclic}}},
 		{"register-loop", []op{{Op: "rewire", Name: ff, Fanin: []string{ff}}}},
+		// A newline in a name would add INPUT(evil) to the session result.
+		{"control-character-name", []op{{Op: "add_gate", Name: "n1\nINPUT(evil)", Fn: "AND", Fanin: []string{pi, pi}}}},
 	} {
 		if dmsg, dcode := postDelta(t, ts.URL, msg.ID, tc.ops); dcode != http.StatusBadRequest {
 			t.Errorf("%s: want 400, got %d (%+v)", tc.name, dcode, dmsg)

@@ -82,13 +82,16 @@ func (s *Server) logf(format string, args ...any) {
 // worker budgets — are reapplied from the server's own
 // config at recovery, exactly as Submit applies them to fresh jobs.
 //
-// Older journals also carry "rmin", "kunits", "single", "literal",
-// "retries" and "relax", options that no longer exist. encoding/json
-// skips those fields; at the values a caller could set (their defaults)
-// the key prints them as fixed text, so such a job re-derives its ID.
+// Older journals also carry "eng", "rmin", "kunits", "single",
+// "literal", "retries" and "relax", options that no longer exist.
+// encoding/json skips those fields; at the values a caller could set
+// (their defaults) the key prints them as fixed text, so such a job
+// re-derives its ID. A pending job journaled with "eng":1 (the forest
+// engine, no longer offered) re-derives an engine=closure key, and
+// Restore drops it as a key mismatch; a finished one is still served
+// under its ID.
 type optionsBlob struct {
 	Algorithm      int     `json:"alg"`
-	Engine         int     `json:"eng"`
 	Epsilon        float64 `json:"eps,omitempty"`
 	Ts             float64 `json:"ts,omitempty"`
 	Th             float64 `json:"th,omitempty"`
@@ -109,7 +112,6 @@ type optionsBlob struct {
 func encodeOptions(opt serretime.RobustOptions) []byte {
 	b, err := json.Marshal(optionsBlob{
 		Algorithm:      int(opt.Algorithm),
-		Engine:         int(opt.Engine),
 		Epsilon:        opt.Epsilon,
 		Ts:             opt.Ts,
 		Th:             opt.Th,
@@ -136,7 +138,6 @@ func decodeOptions(blob []byte) (serretime.RobustOptions, error) {
 	}
 	var opt serretime.RobustOptions
 	opt.Algorithm = serretime.Algorithm(b.Algorithm)
-	opt.Engine = serretime.EngineKind(b.Engine)
 	opt.Epsilon = b.Epsilon
 	opt.Ts = b.Ts
 	opt.Th = b.Th

@@ -165,10 +165,6 @@ const (
 	CounterViolationsP0
 	CounterViolationsP1
 	CounterViolationsP2
-	// CounterForestLinks / CounterForestBreaks count weighted-regular-
-	// forest restructuring operations (Link and BreakTree).
-	CounterForestLinks
-	CounterForestBreaks
 	// CounterWatchdogResets counts stall-watchdog streak resets: commits
 	// that rescued at least one non-improving step.
 	CounterWatchdogResets
@@ -208,8 +204,6 @@ var counterNames = [NumCounters]string{
 	CounterViolationsP0:   "violations-p0",
 	CounterViolationsP1:   "violations-p1",
 	CounterViolationsP2:   "violations-p2",
-	CounterForestLinks:    "forest-links",
-	CounterForestBreaks:   "forest-breaks",
 	CounterWatchdogResets: "watchdog-resets",
 	CounterLabelPatches:   "label-patches",
 	CounterLabelFulls:     "label-fulls",

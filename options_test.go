@@ -19,8 +19,9 @@ import (
 // initialization, an Epsilon above MaxEpsilon can overflow the clock
 // period (1e308 makes every SER NaN), a negative Epsilon, Ts or Th fails
 // every optimizer tier, so RetimeRobust would silently answer from the
-// identity tier, and a negative Frames or SignatureWords fails every
-// tier in the simulator. Both entry points must refuse these at the
+// identity tier, a negative Frames or SignatureWords fails every tier
+// in the simulator, and every Engine but EngineClosure (the forest's
+// old value 1 included) names an engine no solve runs. Both entry points must refuse these at the
 // boundary with a typed error unwrapping to guard.ErrParse, before any
 // solving or caching happens: RetimeRobust's error is its own, not a
 // tier's.
@@ -42,6 +43,7 @@ func TestRetimeRejectsNonFiniteOptions(t *testing.T) {
 		{"area/nan", func(o *RetimeOptions) { o.AreaWeight = math.NaN() }},
 		{"frames/negative", func(o *RetimeOptions) { o.Analysis.Frames = -1 }},
 		{"words/negative", func(o *RetimeOptions) { o.Analysis.SignatureWords = -1 }},
+		{"engine/forest", func(o *RetimeOptions) { o.Engine = EngineKind(1) }},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
@@ -173,13 +175,12 @@ func TestCanonicalKeyNormalization(t *testing.T) {
 // TestCanonicalKeyGolden pins the full key text. The service derives job
 // IDs from it and journals those IDs, so a job journaled by an older
 // version recovers only while the text stays byte-identical. The fields
-// rmin, kunits, single, literal, retries and relax name options that no
-// longer exist and print the values they always had.
+// engine, rmin, kunits, single, literal, retries and relax name options
+// that no longer exist and print the values they always had.
 func TestCanonicalKeyGolden(t *testing.T) {
 	set := RobustOptions{
 		RetimeOptions: RetimeOptions{
-			Algorithm: MinObs, Engine: EngineForest,
-			Epsilon: 0.2, Ts: 0.5, Th: 4, AreaWeight: 0.5, StallSteps: 7,
+			Algorithm: MinObs, Epsilon: 0.2, Ts: 0.5, Th: 4, AreaWeight: 0.5, StallSteps: 7,
 			Verify: true, Workers: 3,
 			Analysis: AnalysisOptions{Accuracy: AccuracyFast, Frames: 3, SignatureWords: 2, Seed: 42, MaxIntervals: 8},
 		},
@@ -193,7 +194,7 @@ func TestCanonicalKeyGolden(t *testing.T) {
 		{"zero", RobustOptions{},
 			"alg=MinObsWin engine=closure eps=0.1 ts=0 th=2 area=0 rmin=0 kunits=256 single=false literal=false stall=0 acc=exact frames=15 words=4 seed=1 maxint=0 timeout=0s retries=0 relax=2"},
 		{"set", set,
-			"alg=MinObs engine=forest eps=0.2 ts=0.5 th=4 area=0.5 rmin=0 kunits=128 single=false literal=false stall=7 acc=fast frames=3 words=2 seed=42 maxint=8 timeout=1m0s retries=0 relax=2"},
+			"alg=MinObs engine=closure eps=0.2 ts=0.5 th=4 area=0.5 rmin=0 kunits=128 single=false literal=false stall=7 acc=fast frames=3 words=2 seed=42 maxint=8 timeout=1m0s retries=0 relax=2"},
 	} {
 		if got := tc.opt.CanonicalKey(); got != tc.want {
 			t.Errorf("%s key:\n got %s\nwant %s", tc.name, got, tc.want)

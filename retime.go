@@ -60,22 +60,21 @@ func (a Algorithm) String() string {
 	return fmt.Sprintf("Algorithm(%d)", uint8(a))
 }
 
-// EngineKind selects the closed-set machinery of the optimizer.
+// EngineKind names the closed-set machinery of the optimizer.
+//
+// Deprecated: every solve runs the exact max-gain-closure engine, and
+// EngineClosure is the only value a solve accepts. The paper's weighted
+// regular forest (internal/forest) is a test-side reference only.
 type EngineKind uint8
 
-const (
-	// EngineClosure is the exact max-gain-closure engine (default).
-	EngineClosure EngineKind = iota
-	// EngineForest is the paper's weighted regular forest.
-	EngineForest
-)
+// EngineClosure is the exact max-gain-closure engine.
+//
+// Deprecated: it is the only engine; leave RetimeOptions.Engine unset.
+const EngineClosure EngineKind = 0
 
 func (e EngineKind) String() string {
-	switch e {
-	case EngineClosure:
+	if e == EngineClosure {
 		return "closure"
-	case EngineForest:
-		return "forest"
 	}
 	return fmt.Sprintf("EngineKind(%d)", uint8(e))
 }
@@ -90,7 +89,10 @@ type RetimeOptions struct {
 	Ts, Th float64
 	// Analysis tunes the observability/SER evaluation.
 	Analysis AnalysisOptions
-	// Engine selects the optimizer machinery.
+	// Engine must be EngineClosure (the zero value).
+	//
+	// Deprecated: every solve runs the closure engine; any other value
+	// fails validation.
 	Engine EngineKind
 	// AreaWeight λ adds λ·(register-count gain) to the objective — the
 	// area/power-weighted extension of the paper's Section VII.
@@ -153,12 +155,13 @@ func (o RetimeOptions) normalized() RetimeOptions {
 func (o RetimeOptions) kUnits() int { return 64 * o.Analysis.SignatureWords }
 
 // validate rejects non-finite float parameters, a negative Epsilon, Ts
-// or Th, an Epsilon above MaxEpsilon and bad analysis options with typed
-// errors unwrapping to guard.ErrParse, and folds negative zeros to +0,
-// so the service's content-addressed result cache never sees a key that
-// cannot equal itself (NaN) or two spellings of one value (±0), and no
-// out-of-range parameter fails every tier of RetimeRobust instead of
-// failing at the boundary. op names the entry point for the error text.
+// or Th, an Epsilon above MaxEpsilon, an Engine other than EngineClosure
+// and bad analysis options with typed errors unwrapping to
+// guard.ErrParse, and folds negative zeros to +0, so the service's
+// content-addressed result cache never sees a key that cannot equal
+// itself (NaN) or two spellings of one value (±0), and no out-of-range
+// parameter fails every tier of RetimeRobust instead of failing at the
+// boundary. op names the entry point for the error text.
 func (o *RetimeOptions) validate(op string) error {
 	for _, f := range []struct {
 		name   string
@@ -183,6 +186,9 @@ func (o *RetimeOptions) validate(op string) error {
 	if o.Epsilon > MaxEpsilon {
 		return guard.Optionf(op, "Epsilon", "must not exceed %v, got %v", MaxEpsilon, o.Epsilon)
 	}
+	if o.Engine != EngineClosure {
+		return guard.Optionf(op, "Engine", "only EngineClosure is supported, got %v", o.Engine)
+	}
 	return o.Analysis.validate(op)
 }
 
@@ -206,13 +212,13 @@ func canonFloat(v float64) string {
 // set them, on private copies that are never keyed. The service's
 // content-addressed cache hashes this string next to the normalized
 // netlist, and its job journal stores the hash, so the key text must
-// not drift: "rmin=0", "kunits=" (always 64 × words), "single=false"
-// and "literal=false" are fixed text printing the values those former
-// options always had.
+// not drift: "engine=closure", "rmin=0", "kunits=" (always 64 × words),
+// "single=false" and "literal=false" are fixed text printing the values
+// those former options always had.
 func (o RetimeOptions) CanonicalKey() string {
 	n := o.normalized()
-	return fmt.Sprintf("alg=%s engine=%s eps=%s ts=%s th=%s area=%s rmin=0 kunits=%d single=false literal=false stall=%d %s",
-		n.Algorithm, n.Engine, canonFloat(n.Epsilon), canonFloat(n.Ts), canonFloat(n.Th),
+	return fmt.Sprintf("alg=%s engine=closure eps=%s ts=%s th=%s area=%s rmin=0 kunits=%d single=false literal=false stall=%d %s",
+		n.Algorithm, canonFloat(n.Epsilon), canonFloat(n.Ts), canonFloat(n.Th),
 		canonFloat(n.AreaWeight), n.kUnits(), n.StallSteps, n.Analysis.CanonicalKey())
 }
 
@@ -326,9 +332,6 @@ func (d *Design) retime(ctx context.Context, opt RetimeOptions) (*RetimeResult, 
 	}
 	if opt.rminOverride != 0 {
 		copt.Rmin = opt.rminOverride
-	}
-	if opt.Engine == EngineForest {
-		copt.Engine = core.EngineForest
 	}
 	start := time.Now()
 	rec.SpanStart(telemetry.PhaseMinimize)

@@ -321,6 +321,22 @@ func ParseAccuracy(op, s string) (Accuracy, error) {
 	return 0, guard.Optionf(op, "accuracy", "unknown accuracy %q (want exact or fast)", s)
 }
 
+// ParseAlgorithm maps the wire/CLI spelling of an algorithm
+// ("minobswin", "minobs", "minarea", or empty for the default MinObsWin)
+// to the enum. Unknown spellings fail with a typed error unwrapping to
+// guard.ErrParse; op names the entry point for the error text.
+func ParseAlgorithm(op, s string) (Algorithm, error) {
+	switch s {
+	case "", "minobswin":
+		return MinObsWin, nil
+	case "minobs":
+		return MinObs, nil
+	case "minarea":
+		return MinArea, nil
+	}
+	return 0, guard.Optionf(op, "algorithm", "unknown algorithm %q (want minobswin, minobs or minarea)", s)
+}
+
 // AnalysisOptions tunes the observability/SER analysis.
 type AnalysisOptions struct {
 	// Accuracy selects the observability engine: AccuracyExact (default)
